@@ -73,11 +73,15 @@ def behrend_set(ell: int) -> CircleSet:
 
     which is 8*(27/16)^t for ell = 5; on the first candidate [0, 1/10) the
     ratio is 10^(ell-2).  For ell >= 4 every ratio exceeds 1, so no candidate
-    passes.
+    passes.  The floor is checked first: a candidate it already excludes
+    skips the exact integral.
     """
     if ell < 1:
         raise PreconditionError("ell must be a positive integer")
     for cand in candidate_ladder():
+        floor = sum(((v - u) ** 2 for u, v in cand.intervals), Fraction(0)) / 2
+        if floor > cand.measure() ** ell / 2:
+            continue
         value, bound = verify_behrend(cand, ell)
         if value <= bound:
             return cand

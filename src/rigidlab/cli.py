@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -37,6 +36,16 @@ _FAMILY_KEYS = {
     "polynomial": {"kind", "polys"},
     "beatty": {"kind", "alphas", "independent"},
     "explicit": {"kind", "values", "relations"},
+}
+_OPTIONAL_FAMILY_KEYS = {"relations"}
+
+# first matching class wins: the budget errors are RigidlabErrors too
+_EXIT_CODES = {
+    CapExceeded: 3,
+    SearchExhausted: 3,
+    RigidlabError: 2,
+    OSError: 1,
+    json.JSONDecodeError: 1,
 }
 
 
@@ -73,12 +82,21 @@ def parse_poly_expr(text: str) -> list[int]:
     return [coeffs.get(d, 0) for d in range(top + 1)]
 
 
-def load_family(path: str) -> fm.SequenceFamily:
+def _load_json(path: str):
     with open(path) as fh:
-        obj = json.load(fh)
+        return json.load(fh)
+
+
+def parse_family(obj) -> fm.SequenceFamily:
+    """Family from a decoded JSON spec, rejecting unknown kinds and keys."""
+    if not isinstance(obj, dict):
+        raise PreconditionError("family spec must be a JSON object")
     kind = obj.get("kind")
-    if kind not in _FAMILY_KEYS:
+    if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
         raise PreconditionError(f"unknown family kind {kind!r}")
+    missing = _FAMILY_KEYS[kind] - _OPTIONAL_FAMILY_KEYS - set(obj)
+    if missing:
+        raise PreconditionError(f"missing keys in family spec: {sorted(missing)}")
     extra = set(obj) - _FAMILY_KEYS[kind]
     if extra:
         raise PreconditionError(f"unknown keys in family spec: {sorted(extra)}")
@@ -124,7 +142,7 @@ def _fmt_subset(F) -> str:
 
 
 def cmd_analyze(args) -> int:
-    fam = load_family(args.family)
+    fam = parse_family(_load_json(args.family))
     out = {"size": fam.size, "kind": fam.kind}
     A = fm.relation_group(fam)
     out["relation_group"] = A.to_json()
@@ -145,7 +163,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_splits(args) -> int:
-    fam = load_family(args.family)
+    fam = parse_family(_load_json(args.family))
     F = _parse_subset(args.F)
     if F is not None:
         table = {frozenset(F): dec.split_feasible(fam, F)}
@@ -174,7 +192,7 @@ def cmd_splits(args) -> int:
 
 
 def cmd_interp(args) -> int:
-    fam = load_family(args.family)
+    fam = parse_family(_load_json(args.family))
     verdict = dec.interpolation_condition(fam)
     out = {"holds": bool(verdict)}
     if verdict.witness_vector is not None:
@@ -185,7 +203,7 @@ def cmd_interp(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    fam = load_family(args.family)
+    fam = parse_family(_load_json(args.family))
     F = _parse_subset(args.F) or set()
     H = dec.split_witness_group(fam, F)
     _json_out(
@@ -196,14 +214,14 @@ def cmd_witness(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    fam = load_family(args.family)
-    with open(args.group) as fh:
-        G = lat.Lattice.from_json(json.load(fh))
+    spec = _load_json(args.family)
+    fam = parse_family(spec)
+    G = lat.Lattice.from_json(_load_json(args.group))
     sigma, sched, red, g_tilde = ms.build_measure_for_group(
         fam, G, args.depth, args.samples, args.seed
     )
     bundle = {
-        "family": json.load(open(args.family)),
+        "family": spec,
         "group": G.to_json(),
         "schedule": sched.to_json(),
         "image_group": g_tilde.to_json(),
@@ -218,26 +236,12 @@ def cmd_measure(args) -> int:
 
 
 def _load_bundle(path: str):
-    with open(path) as fh:
-        bundle = json.load(fh)
-    fam = _family_from_obj(bundle["family"])
+    bundle = _load_json(path)
+    fam = parse_family(bundle["family"])
     G = lat.Lattice.from_json(bundle["group"])
     sched = Schedule.from_json(bundle["schedule"])
     sigma = ms.AtomicMeasure.from_json(bundle["sigma"])
     return bundle, fam, G, sched, sigma
-
-
-def _family_from_obj(obj) -> fm.SequenceFamily:
-    kind = obj.get("kind")
-    if kind == "polynomial":
-        return fm.polynomial_family(obj["polys"])
-    if kind == "beatty":
-        return fm.beatty_family(obj["alphas"], obj["independent"])
-    relations = obj.get("relations")
-    return fm.explicit_family(
-        obj["values"],
-        None if relations is None else lat.Lattice.from_json(relations),
-    )
 
 
 def cmd_verify_dichotomy(args) -> int:
@@ -398,42 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    threads = os.environ.get("RIGIDLAB_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            sys.stderr.write(
-                json.dumps({"error": "RIGIDLAB_THREADS must be a positive integer"})
-                + "\n"
-            )
-            return 1
-        # The implementation is single-threaded, so any positive bound holds.
-    parser = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
         return args.func(args)
-    except (CapExceeded, SearchExhausted) as exc:
+    except tuple(_EXIT_CODES) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "detail": str(exc)}) + "\n"
         )
-        return 3
-    except (PreconditionError, ParseError) as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "detail": str(exc)}) + "\n"
-        )
-        return 2
-    except RigidlabError as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "detail": str(exc)}) + "\n"
-        )
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "detail": str(exc)}) + "\n"
-        )
-        return 1
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def main() -> None:

@@ -10,12 +10,9 @@ point is conclusive only when the bar clears the threshold.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from . import families as fm
 from . import lattice as lat
@@ -26,7 +23,7 @@ from .errors import ConstructionFailed, PreconditionError
 from .haar import FactorPattern, haar_correlation_limit
 from .measure import AtomicMeasure, build_measure_for_group, fourier_coefficient
 from .schedule import Schedule
-from .skew import SkewSystem, fs_tail, skew_correlation
+from .skew import fs_tail, sampled_correlation
 
 BELOW = "BELOW"
 ABOVE = "ABOVE"
@@ -57,21 +54,6 @@ class TailScan:
         return sum(1 for p in self.points if p.verdict == INCONCLUSIVE)
 
 
-def _correlation_with_error(base: AtomicMeasure, B: CircleSet, shifts, n_samples):
-    """Correlation plus the Monte Carlo standard error of the mean."""
-    if not base.is_structured:
-        value = skew_correlation(SkewSystem(base), B, shifts)
-        return float(value), 0.0
-    from .skew import shifted_intersection_values
-
-    weights = base.weights_np
-    values = shifted_intersection_values(base, B, shifts)
-    mean = float(np.dot(weights, values))
-    second = float(np.dot(weights, values * values))
-    variance = max(0.0, second - mean * mean)
-    return mean, math.sqrt(variance / n_samples)
-
-
 def scan_fs_tail(
     base: AtomicMeasure,
     B: CircleSet,
@@ -80,14 +62,15 @@ def scan_fs_tail(
     start_index: int,
     threshold: float,
     n_samples: int,
-    early_abort: bool = False,
 ) -> TailScan:
-    """Evaluate every finite sum of schedule indices past start_index."""
+    """Evaluate the finite sums of schedule indices past start_index in
+    order, stopping after the first point that is not BELOW; a scan that
+    comes back all_below therefore covers the whole tail."""
     tail = fs_tail(schedule.indices, start_index)
     points = []
     for alpha, n_alpha in tail.sums:
         shifts = [sum(c * n_alpha**i for i, c in enumerate(p)) for p in polys]
-        corr, err = _correlation_with_error(base, B, shifts, n_samples)
+        corr, err = sampled_correlation(base, B, shifts, n_samples)
         if corr + 3 * err <= threshold:
             verdict = BELOW
         elif corr - 3 * err > threshold:
@@ -95,7 +78,7 @@ def scan_fs_tail(
         else:
             verdict = INCONCLUSIVE
         points.append(ScanPoint(alpha, n_alpha, corr, err, verdict))
-        if early_abort and verdict != BELOW:
+        if verdict != BELOW:
             break
     return TailScan(start_index, threshold, points)
 
@@ -106,18 +89,9 @@ def smallest_passing_cutoff(
     """Smallest k0 <= k0_max whose whole tail scans conclusively below."""
     scans = {}
     for k0 in range(k0_max + 1):
-        scan = scan_fs_tail(
-            base, B, polys, schedule, k0, threshold, n_samples, early_abort=True
-        )
-        scans[k0] = scan
-        if scan.all_below:
-            # re-run without abort to materialize the full tail
-            full = scan_fs_tail(
-                base, B, polys, schedule, k0, threshold, n_samples
-            )
-            scans[k0] = full
-            if full.all_below:
-                return k0, scans
+        scans[k0] = scan_fs_tail(base, B, polys, schedule, k0, threshold, n_samples)
+        if scans[k0].all_below:
+            return k0, scans
     return None, scans
 
 

@@ -97,6 +97,20 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _pivot_xgcd(pivot: int, b: int) -> tuple[int, int, int]:
+    """xgcd(pivot, b), with t = 0 whenever pivot divides b.
+
+    xgcd(p, p) gives s = 0, t = 1, which would replace the pivot line by the
+    other line instead of clearing it; two such steps can undo each other
+    forever.  With t = 0 the pivot line only changes sign, so entries already
+    cleared stay cleared and every repeated pass shrinks |pivot|.
+    """
+    if b % pivot == 0:
+        g = abs(pivot)
+        return g, g // pivot, 0
+    return xgcd(pivot, b)
+
+
 @dataclass(frozen=True)
 class Lattice:
     """A subgroup of Z^ambient_dim with canonical (HNF) basis rows."""
@@ -166,24 +180,6 @@ def member(L: Lattice, v: Sequence[int]) -> bool:
         if q:
             residue = [x - q * y for x, y in zip(residue, row)]
     return not any(residue)
-
-
-def member_coefficients(L: Lattice, v: Sequence[int]) -> list[int] | None:
-    """Basis coefficients expressing v, or None when v is not in L."""
-    v = _as_intvec(v)
-    if len(v) != L.ambient_dim:
-        raise DimensionMismatch(f"vector length {len(v)} vs ambient {L.ambient_dim}")
-    residue = list(v)
-    coeffs = []
-    for row in L.basis:
-        col = next(i for i, x in enumerate(row) if x)
-        if residue[col] % row[col]:
-            return None
-        q = residue[col] // row[col]
-        coeffs.append(q)
-        if q:
-            residue = [x - q * y for x, y in zip(residue, row)]
-    return coeffs if not any(residue) else None
 
 
 def kernel(matrix: Sequence[Sequence[int]], rows: int, cols: int) -> Lattice:
@@ -356,12 +352,12 @@ def smith_decomposition(L: Lattice) -> SmithDecomposition:
             pivot = a[s_idx][s_idx]
             for i in range(s_idx + 1, k):
                 if a[i][s_idx]:
-                    g, s, t = xgcd(pivot, a[i][s_idx])
+                    g, s, t = _pivot_xgcd(pivot, a[i][s_idx])
                     row_combine(s_idx, i, s, t, -(a[i][s_idx] // g), pivot // g)
                     pivot = a[s_idx][s_idx]
             for j in range(s_idx + 1, n):
                 if a[s_idx][j]:
-                    g, s, t = xgcd(pivot, a[s_idx][j])
+                    g, s, t = _pivot_xgcd(pivot, a[s_idx][j])
                     col_combine(s_idx, j, s, t, -(a[s_idx][j] // g), pivot // g)
                     pivot = a[s_idx][s_idx]
             if any(a[i][s_idx] for i in range(s_idx + 1, k)) or any(

@@ -1,9 +1,11 @@
 """Atomic torus measures sampled from schedules and their Fourier analysis.
 
-The sampled measure keeps its product structure: each draw is a word of cell
-digits (one digit per schedule level and coordinate), and the represented
-point is scale * sum digit * alpha mod 1.  Fourier coefficients at huge
-integer arguments t are computed through exact per-level phases
+Every measure keeps a product structure: each atom is a word of cell digits
+(one digit per column), and the represented point is
+scale * sum digit * alpha mod 1.  Sampled measures have one column per
+schedule level and coordinate; explicit rational atoms are one column with
+alpha = 1/L, L the lcm of their denominators.  Fourier coefficients at huge
+integer arguments t are computed through exact per-column phases
 (t * scale * alpha mod 1 as a rational, then digit multiples mod 1), so no
 precision is lost to floating-point reduction of astronomically large
 products; the float stage only ever adds a handful of numbers in [0, 1).
@@ -12,10 +14,12 @@ products; the float stage only ever adds a handful of numbers in [0, 1).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
+
+import numpy as np
 
 from . import deciders as dec
 from . import families as fm
@@ -99,10 +103,8 @@ def cell_weights(
     free_weight = Fraction(1, kf ** len(structure.free))
     weights = {}
     free_digit_iter = [range(kf)] * len(structure.free)
-    from itertools import product as iproduct
-
     for cell, w in support_cells:
-        for free_digits in iproduct(*free_digit_iter):
+        for free_digits in product(*free_digit_iter):
             full = [0] * G.ambient_dim
             for pos, j in enumerate(structure.support):
                 full[j] = cell[pos]
@@ -113,14 +115,17 @@ def cell_weights(
 
 
 class AtomicMeasure:
-    """Finite weighted point set on [0, 1).
+    """Finite weighted point set on [0, 1) in product form.
 
-    Either a plain list of (position, weight) atoms or a sampled structure:
-    distinct cell words encoded as category columns (one column per schedule
-    level and coordinate, category values carrying the exact digits).
-    Positions of sampled measures are materialized only on demand; Fourier
-    analysis reduces t * digit * alpha mod 1 with raw integer arithmetic per
-    category, so huge arguments lose nothing before the final float.
+    Distinct words are encoded as category columns: codes[i, col] indexes the
+    exact digit categories[col][...] of word i, and the word's position is
+    scale * sum_col digit * alpha_col mod 1.  sample_sigma builds one column
+    per schedule level and coordinate; explicit rational atoms become one
+    column with alpha = 1/L (L the lcm of the denominators) and digit x * L.
+    Exact positions are cached for explicit atoms and materialized on demand
+    for samples; Fourier analysis reduces t * digit * alpha mod 1 with raw
+    integer arithmetic per category, so huge arguments lose nothing before
+    the final float.
     """
 
     def __init__(
@@ -133,14 +138,7 @@ class AtomicMeasure:
         weights=None,
         scale=1,
     ):
-        import numpy as np
-
         self._atoms = None
-        self.alphas = alphas
-        self.categories = categories  # list per column of digit values
-        self.codes = codes  # uint32 array (n_words, n_columns)
-        self.weights = weights  # exact Fractions per word
-        self.scale = scale
         self._weights_np = None
         if atoms is not None:
             merged: dict = {}
@@ -152,28 +150,26 @@ class AtomicMeasure:
                 key %= 1
                 merged[key] = merged.get(key, Fraction(0)) + w
             self._atoms = tuple(sorted(merged.items()))
+            L = math.lcm(*(x.denominator for x, _ in self._atoms))
+            alphas = ((Fraction(1, L),),)
+            categories = [[x.numerator * (L // x.denominator) for x, _ in self._atoms]]
+            codes = np.arange(len(self._atoms), dtype=np.uint32).reshape(-1, 1)
+            weights = tuple(w for _, w in self._atoms)
         elif codes is None:
             raise PreconditionError("measure needs atoms or a sampled structure")
-
-    # -- structure helpers -------------------------------------------------
-    @property
-    def is_structured(self) -> bool:
-        return self.codes is not None
+        self.alphas = alphas
+        self.categories = categories  # list per column of digit values
+        self.codes = codes  # uint32 array (n_words, n_columns)
+        self.weights = weights  # exact Fractions per word
+        self.scale = scale
 
     def total_weight(self) -> Fraction:
-        if self._atoms is not None:
-            return sum((w for _, w in self._atoms), Fraction(0))
         return sum(self.weights, Fraction(0))
 
     @property
     def weights_np(self):
-        import numpy as np
-
         if self._weights_np is None:
-            if self.is_structured:
-                self._weights_np = np.array([float(w) for w in self.weights])
-            else:
-                self._weights_np = np.array([float(w) for _, w in self.atoms])
+            self._weights_np = np.array([float(w) for w in self.weights])
         return self._weights_np
 
     def _flat_alphas(self) -> list[Fraction]:
@@ -196,28 +192,23 @@ class AtomicMeasure:
         return self._atoms
 
     def phases(self, t: int):
-        """numpy array of (t * position mod 1) per atom.
+        """numpy array of (t * position mod 1) per word.
 
-        Structured path: per column, theta = t * scale * alpha mod 1 is
-        reduced with integer divmod (no gcd normalization), each category
-        digit multiplies in modularly, and only then does float enter.
+        Per column, theta = t * scale * alpha mod 1 is reduced with integer
+        divmod (no gcd normalization), each category digit multiplies in
+        modularly, and only then does float enter.
         """
-        import numpy as np
-
-        if self.is_structured:
-            flat = self._flat_alphas()
-            total = np.zeros(len(self.codes))
-            ts = int(t) * int(self.scale)
-            for col, a in enumerate(flat):
-                p, q = a.numerator, a.denominator
-                base = (ts % q) * p % q
-                # int/int true division is correctly rounded at any size
-                cat_phase = np.array(
-                    [(int(d) * base % q) / q for d in self.categories[col]]
-                )
-                total += cat_phase[self.codes[:, col]]
-            return total % 1.0
-        return np.array([float((t * x) % 1) for x, _ in self.atoms])
+        total = np.zeros(len(self.codes))
+        ts = int(t) * int(self.scale)
+        for col, a in enumerate(self._flat_alphas()):
+            p, q = a.numerator, a.denominator
+            base = (ts % q) * p % q
+            # int/int true division is correctly rounded at any size
+            cat_phase = np.array(
+                [(int(d) * base % q) / q for d in self.categories[col]]
+            )
+            total += cat_phase[self.codes[:, col]]
+        return total % 1.0
 
     def to_json(self) -> dict:
         return {
@@ -234,9 +225,8 @@ class AtomicMeasure:
         return isinstance(other, AtomicMeasure) and self.atoms == other.atoms
 
     def __repr__(self):
-        kind = "structured" if self.is_structured else "plain"
-        n = len(self.codes) if self.is_structured else len(self.atoms)
-        return f"AtomicMeasure({kind}, {n} atoms)"
+        words, cols = self.codes.shape
+        return f"AtomicMeasure({words} words, {cols} columns)"
 
 
 def dirac(position=0) -> AtomicMeasure:
@@ -262,8 +252,6 @@ def sample_sigma(
     lambda_G and uniform digits on the free coordinates; equal words merge
     with accumulated weight count/N.  Reproducible from the seed.
     """
-    import numpy as np
-
     if n_samples < 1:
         raise PreconditionError("need at least one sample")
     if n_samples > sample_cap:
@@ -284,7 +272,6 @@ def sample_sigma(
         probs /= probs.sum()
         picks = rng.choice(len(cells), size=n_samples, p=probs)
         per_coord = [None] * size
-        cell_matrix = np.array([cell for cell, _ in cells], dtype=object)
         for pos, j in enumerate(structure.support):
             values = np.array([int(cell[pos]) for cell, _ in cells], dtype=np.int64)
             per_coord[j] = values[picks]
@@ -314,26 +301,22 @@ def sample_sigma(
 
 def fourier_coefficient(m: AtomicMeasure, t: int) -> complex:
     """sigma-hat(t) = sum w * e^{2 pi i t x}, double precision output."""
-    import numpy as np
-
     angles = 2 * math.pi * m.phases(t)
     w = m.weights_np
     return complex(np.dot(w, np.cos(angles)), np.dot(w, np.sin(angles)))
 
 
 def pushforward_scale(m: AtomicMeasure, factor: int) -> AtomicMeasure:
-    """Image measure under x -> factor * x mod 1, weights merged."""
+    """Image measure under x -> factor * x mod 1; equal images merge in atoms."""
     if factor < 1:
         raise PreconditionError("scale factor must be a positive integer")
-    if m.is_structured:
-        return AtomicMeasure(
-            alphas=m.alphas,
-            categories=m.categories,
-            codes=m.codes,
-            weights=m.weights,
-            scale=m.scale * factor,
-        )
-    return AtomicMeasure([((x * factor) % 1, w) for x, w in m.atoms])
+    return AtomicMeasure(
+        alphas=m.alphas,
+        categories=m.categories,
+        codes=m.codes,
+        weights=m.weights,
+        scale=m.scale * factor,
+    )
 
 
 @dataclass
@@ -384,8 +367,6 @@ def verify_dichotomy(
     deviation per (level, vector) and passes when the top level stays within
     the tolerance.
     """
-    from itertools import product as iproduct
-
     if coeff_bound > coeff_cap:
         raise CapExceeded(
             f"coefficient bound {coeff_bound} exceeds the cap {coeff_cap}"
@@ -395,7 +376,7 @@ def verify_dichotomy(
     rows = []
     for k in levels:
         vals = fm.evaluate(fam, s.indices[k - 1])
-        for a in iproduct(range(-coeff_bound, coeff_bound + 1), repeat=fam.size):
+        for a in product(range(-coeff_bound, coeff_bound + 1), repeat=fam.size):
             t = sum(c * v for c, v in zip(a, vals))
             coeff = fourier_coefficient(m, t)
             target = lat.character_integral(G, a)

@@ -3,13 +3,16 @@
 The system is T(x, y) = (x, y + x) on the torus square with base measure
 sigma and Lebesgue fibers; the correlation of A = T x B along integer shifts
 reduces per atom to the measure of an intersection of rotated copies of B.
-Exact rational atoms give exact rationals; sampled (structured) measures go
-through the per-level phase reduction and a vectorized arc intersection, so
-the only inexactness is the final float, not the reduction of huge shifts.
+skew_correlation sums that measure exactly over the rational atoms of any
+base measure and is the reference value.  sampled_correlation is the Monte
+Carlo estimate used by the scans: it goes through the per-column phase
+reduction and a vectorized arc intersection, so the only inexactness is the
+final float, not the reduction of huge shifts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -47,28 +50,32 @@ def _arc_intersection_lengths(starts: np.ndarray, length: float) -> np.ndarray:
     return total
 
 
-def skew_correlation(sys: SkewSystem, B: CircleSet, shifts: Sequence[int]):
-    """nu(A and T^-s1 A and ...) for A = T x B.
-
-    Returns an exact Fraction for plain rational measures, a float for
-    sampled ones.
-    """
+def skew_correlation(sys: SkewSystem, B: CircleSet, shifts: Sequence[int]) -> Fraction:
+    """nu(A and T^-s1 A and ...) for A = T x B, exact over the base atoms."""
     shifts = [int(t) for t in shifts]
-    base = sys.base
-    if not base.is_structured:
-        total = Fraction(0)
-        for x, w in base.atoms:
-            total += w * intersection_measure(B, [(t * x) % 1 for t in shifts])
-        return total
+    total = Fraction(0)
+    for x, w in sys.base.atoms:
+        total += w * intersection_measure(B, [(t * x) % 1 for t in shifts])
+    return total
+
+
+def sampled_correlation(
+    base: AtomicMeasure, B: CircleSet, shifts: Sequence[int], n_samples: int
+) -> tuple[float, float]:
+    """Float correlation over the words of a sampled base, plus the Monte
+    Carlo standard error of the mean for n_samples draws."""
     weights = base.weights_np
     values = shifted_intersection_values(base, B, shifts)
-    return float(np.dot(weights, values))
+    mean = float(np.dot(weights, values))
+    second = float(np.dot(weights, values * values))
+    variance = max(0.0, second - mean * mean)
+    return mean, math.sqrt(variance / n_samples)
 
 
 def shifted_intersection_values(
     base: AtomicMeasure, B: CircleSet, shifts: Sequence[int]
 ) -> np.ndarray:
-    """Per-atom measure of B meet (B - s1 x) meet ... for a sampled base."""
+    """Per-word measure of B meet (B - s1 x) meet ... as floats."""
     n_atoms = len(base.codes)
     phase_cols = [base.phases(t) for t in shifts]
     if len(B.intervals) == 1:

@@ -153,6 +153,28 @@ class TestExitCodes:
         bad.write_text(json.dumps({"kind": "polynomial", "polys": [[0, 1]], "x": 1}))
         assert run(["splits", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "spec", [{"kind": "polynomial"}, [1, 2]], ids=["missing_key", "not_object"]
+    )
+    def test_malformed_family_spec(self, tmp_path, capsys, spec):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        assert run(["splits", str(bad)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "PreconditionError"
+
+    def test_bundle_family_unknown_kind(self, families, tmp_path, capsys):
+        sigma = tmp_path / "sigma.json"
+        args = ["measure", families["n_nsq"], "--group", families["g23"],
+                "--depth", "3", "--samples", "200", "--seed", "3"]
+        assert run(args + ["--out", str(sigma)]) == 0
+        bundle = json.loads(sigma.read_text())
+        bundle["family"]["kind"] = "lacunary"
+        sigma.write_text(json.dumps(bundle))
+        assert run(["verify-dichotomy", str(sigma)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "PreconditionError"
+
     def test_precondition_violation(self, families, capsys):
         assert (
             run(["demo", "cor65", "--ell", "2", "--polys", "n,2n", "--depth", "3",

@@ -91,6 +91,23 @@ class TestCor65ExactLedger:
             (p.alpha, p.correlation) for p in pts2
         ]
 
+    def test_each_tail_point_evaluated_once(self, monkeypatch):
+        # The cutoff search keeps the scan that found the passing tail; no
+        # point of any scan is evaluated a second time.
+        from rigidlab import skew
+
+        calls = []
+        original = skew.shifted_intersection_values
+
+        def counting(base, B, shifts):
+            calls.append(tuple(shifts))
+            return original(base, B, shifts)
+
+        monkeypatch.setattr(skew, "shifted_intersection_values", counting)
+        rep = cor65_demo(2, [(0, 1), (0, 0, 1)], depth=5, n_samples=2000, seed=3)
+        assert rep.cutoff is not None
+        assert len(calls) == sum(len(scan.points) for scan in rep.scans.values())
+
 
 class TestCor66:
     def test_exact_ledger_and_scan(self):

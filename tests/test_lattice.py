@@ -3,6 +3,7 @@ plus the structural invariants."""
 
 import math
 import random
+import signal
 from fractions import Fraction
 from itertools import product
 
@@ -413,3 +414,24 @@ def test_smith_reconstruction(data):
             for j in range(dim):
                 expect = sd.invariant_factors[i] if i == j else 0
                 assert UBV[i][j] == expect
+
+
+def test_smith_terminates_on_repeated_pivot():
+    # xgcd(p, p) = (p, 0, 1) once replaced the pivot row by the other row
+    # instead of clearing it, and on this basis two such steps undid each
+    # other forever.  The alarm turns a relapse into a failure, not a hang.
+    def too_slow(signum, frame):
+        raise TimeoutError("smith_decomposition did not finish in 10 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        L = lat.canonicalize([(-3, -6, 5), (-5, 6, -4), (-7, 0, 2)], 3)
+        sd = lat.smith_decomposition(L)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert sd.invariant_factors == (1, 1, 54)
+    UB = [[sum(u * b for u, b in zip(row, col)) for col in zip(*L.basis)] for row in sd.left]
+    UBV = [[sum(x * v for x, v in zip(row, col)) for col in zip(*sd.right)] for row in UB]
+    assert UBV == [[1, 0, 0], [0, 1, 0], [0, 0, 54]]

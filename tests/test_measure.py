@@ -1,9 +1,13 @@
 """Cell weights, sampling, Fourier analysis, and the dichotomy pipeline."""
 
+import cmath
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidlab import families as fm
 from rigidlab import lattice as lat
@@ -113,16 +117,34 @@ class TestFourier:
         assert ms.fourier_coefficient(m, 0) == pytest.approx(1, abs=1e-12)
 
     def test_structured_matches_materialized(self):
-        # The per-level phase reduction agrees with direct evaluation on the
-        # materialized atom positions.
+        # The per-column phase reduction agrees with direct Fraction
+        # evaluation on the materialized atom positions.
         s = build_schedule(FAM_N_NSQ, 3)
         G = lat.canonicalize([(2, 0), (0, 3)], 2)
         m = ms.sample_sigma(G, s, FAM_N_NSQ, 300, seed=13)
-        plain = ms.AtomicMeasure(list(m.atoms))
         for t in (1, 7, 12345, 10**9 + 7):
             a = ms.fourier_coefficient(m, t)
-            b = ms.fourier_coefficient(plain, t)
+            b = sum(
+                float(w) * cmath.exp(2j * math.pi * float((t * x) % 1))
+                for x, w in m.atoms
+            )
             assert abs(a - b) < 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        positions=st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=10**15),
+            min_size=1,
+            max_size=12,
+        ),
+        t=st.integers(-(10**40), 10**40),
+    )
+    def test_explicit_phases_match_fraction_oracle(self, positions, t):
+        # Explicit atoms go through the one-column modular reduction; it must
+        # reproduce the correctly rounded float of (t * x) mod 1 bit for bit.
+        m = ms.AtomicMeasure([(x, 1) for x in positions])
+        want = np.array([float((t * x) % 1) % 1.0 for x, _ in m.atoms])
+        assert m.phases(t).tobytes() == want.tobytes()
 
 
 class TestPushforward:

@@ -17,7 +17,7 @@ from rigidlab.gaussians import (
 )
 from rigidlab.haar import FactorPattern, haar_correlation_limit
 from rigidlab.schedule import build_schedule
-from rigidlab.skew import SkewSystem, fs_tail, skew_correlation
+from rigidlab.skew import SkewSystem, fs_tail, sampled_correlation, skew_correlation
 
 B23 = CircleSet.interval(0, F(2, 3))
 
@@ -73,20 +73,18 @@ class TestSkewCorrelation:
         s = build_schedule(fam, 3)
         G = lat.canonicalize([(2, 0), (0, 3)], 2)
         m = ms.sample_sigma(G, s, fam, 300, seed=8)
-        plain = ms.AtomicMeasure(list(m.atoms))
         for shifts in ([1], [3, 7], [2, 5, 11]):
-            fast = skew_correlation(SkewSystem(m), B23, shifts)
-            exact = skew_correlation(SkewSystem(plain), B23, shifts)
+            fast, _ = sampled_correlation(m, B23, shifts, 300)
+            exact = skew_correlation(SkewSystem(m), B23, shifts)
             assert fast == pytest.approx(float(exact), abs=1e-9)
 
     def test_multi_interval_structured(self):
         fam = fm.polynomial_family([[0, 1]])
         s = build_schedule(fam, 3)
         m = ms.sample_sigma(lat.canonicalize([(2,)], 1), s, fam, 200, seed=8)
-        plain = ms.AtomicMeasure(list(m.atoms))
         Bset = CircleSet.from_pairs([(0, F(1, 5)), (F(2, 5), F(4, 5))])
-        fast = skew_correlation(SkewSystem(m), Bset, [1, 3])
-        exact = skew_correlation(SkewSystem(plain), Bset, [1, 3])
+        fast, _ = sampled_correlation(m, Bset, [1, 3], 200)
+        exact = skew_correlation(SkewSystem(m), Bset, [1, 3])
         assert fast == pytest.approx(float(exact), abs=1e-9)
 
 
