@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 
 from . import behrend as bh
 from . import deciders as dec
@@ -87,6 +88,16 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+@contextmanager
+def _malformed(what: str):
+    """Report a missing key or a wrongly typed value in decoded JSON as a
+    precondition violation instead of a traceback."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise PreconditionError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
+
+
 def parse_family(obj) -> fm.SequenceFamily:
     """Family from a decoded JSON spec, rejecting unknown kinds and keys."""
     if not isinstance(obj, dict):
@@ -100,15 +111,16 @@ def parse_family(obj) -> fm.SequenceFamily:
     extra = set(obj) - _FAMILY_KEYS[kind]
     if extra:
         raise PreconditionError(f"unknown keys in family spec: {sorted(extra)}")
-    if kind == "polynomial":
-        return fm.polynomial_family(obj["polys"])
-    if kind == "beatty":
-        return fm.beatty_family(obj["alphas"], obj["independent"])
-    relations = obj.get("relations")
-    return fm.explicit_family(
-        obj["values"],
-        None if relations is None else lat.Lattice.from_json(relations),
-    )
+    with _malformed(f"{kind} family"):
+        if kind == "polynomial":
+            return fm.polynomial_family(obj["polys"])
+        if kind == "beatty":
+            return fm.beatty_family(obj["alphas"], obj["independent"])
+        relations = obj.get("relations")
+        return fm.explicit_family(
+            obj["values"],
+            None if relations is None else lat.Lattice.from_json(relations),
+        )
 
 
 def _json_out(obj, path: str | None):
@@ -128,13 +140,22 @@ def _csv_out(text: str, path: str | None):
         sys.stdout.write(text)
 
 
+def _int_list(text: str, option: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise PreconditionError(
+            f"{option} takes comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _parse_subset(text: str | None) -> set[int] | None:
     if text is None:
         return None
     text = text.strip()
     if not text:
         return set()
-    return {int(x) for x in text.split(",")}
+    return set(_int_list(text, "--F"))
 
 
 def _fmt_subset(F) -> str:
@@ -216,7 +237,9 @@ def cmd_witness(args) -> int:
 def cmd_measure(args) -> int:
     spec = _load_json(args.family)
     fam = parse_family(spec)
-    G = lat.Lattice.from_json(_load_json(args.group))
+    group = _load_json(args.group)
+    with _malformed("group"):
+        G = lat.Lattice.from_json(group)
     sigma, sched, red, g_tilde = ms.build_measure_for_group(
         fam, G, args.depth, args.samples, args.seed
     )
@@ -237,10 +260,11 @@ def cmd_measure(args) -> int:
 
 def _load_bundle(path: str):
     bundle = _load_json(path)
-    fam = parse_family(bundle["family"])
-    G = lat.Lattice.from_json(bundle["group"])
-    sched = Schedule.from_json(bundle["schedule"])
-    sigma = ms.AtomicMeasure.from_json(bundle["sigma"])
+    with _malformed("sigma bundle"):
+        fam = parse_family(bundle["family"])
+        G = lat.Lattice.from_json(bundle["group"])
+        sched = Schedule.from_json(bundle["schedule"])
+        sigma = ms.AtomicMeasure.from_json(bundle["sigma"])
     return bundle, fam, G, sched, sigma
 
 
@@ -317,13 +341,15 @@ def cmd_demo(args) -> int:
             args.ell, polys, depth, args.samples, args.seed, k0_max=k0_max
         )
     elif args.which == "cor66":
+        if args.p is None or args.q is None:
+            raise PreconditionError("--p and --q are required for cor66")
         p = parse_poly_expr(args.p)
         q = parse_poly_expr(args.q)
         report = demos.cor66_demo(
             p, q, args.ell, depth, args.samples, args.seed, k0_max=k0_max
         )
     else:
-        primes = [int(x) for x in args.primes.split(",")]
+        primes = _int_list(args.primes, "--primes")
         report = demos.cor67_demo(
             args.ell, primes, depth, args.samples, args.seed, k0_max=k0_max
         )

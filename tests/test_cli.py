@@ -175,6 +175,53 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "PreconditionError"
 
+    def test_bundle_missing_key(self, tmp_path, capsys):
+        bundle = tmp_path / "sigma.json"
+        bundle.write_text("{}")
+        assert run(["verify-dichotomy", str(bundle)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "PreconditionError"
+
+    def test_group_missing_basis(self, families, tmp_path, capsys):
+        group = tmp_path / "group.json"
+        group.write_text(json.dumps({"ambient_dim": 2}))
+        args = ["measure", families["n_nsq"], "--group", str(group),
+                "--out", str(tmp_path / "sigma.json")]
+        assert run(args) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "PreconditionError"
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "polynomial", "polys": "abc"},
+            {"kind": "beatty", "alphas": [1.5], "independent": True},
+        ],
+        ids=["polynomial_not_integers", "beatty_not_strings"],
+    )
+    def test_family_value_wrong_type(self, tmp_path, capsys, spec):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        assert run(["analyze", str(bad)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "PreconditionError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["demo", "cor66", "--ell", "2"],
+            ["demo", "cor66", "--p", "n^2+n", "--ell", "2"],
+            ["demo", "cor67", "--primes", "2,x"],
+            ["splits", "FAMILY", "--F", "1,a"],
+        ],
+        ids=["cor66_no_p_q", "cor66_no_q", "cor67_bad_primes", "splits_bad_F"],
+    )
+    def test_malformed_option_value(self, families, capsys, argv):
+        argv = [families["n_nsq"] if a == "FAMILY" else a for a in argv]
+        assert run(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "PreconditionError"
+
     def test_precondition_violation(self, families, capsys):
         assert (
             run(["demo", "cor65", "--ell", "2", "--polys", "n,2n", "--depth", "3",

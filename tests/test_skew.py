@@ -3,12 +3,16 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidlab import families as fm
 from rigidlab import lattice as lat
 from rigidlab import measure as ms
-from rigidlab.circleset import CircleSet
+from rigidlab import skew
+from rigidlab.circleset import CircleSet, intersection_measure
 from rigidlab.errors import PreconditionError
 from rigidlab.gaussians import (
     gaussian_pair_mass,
@@ -17,7 +21,13 @@ from rigidlab.gaussians import (
 )
 from rigidlab.haar import FactorPattern, haar_correlation_limit
 from rigidlab.schedule import build_schedule
-from rigidlab.skew import SkewSystem, fs_tail, sampled_correlation, skew_correlation
+from rigidlab.skew import (
+    SkewSystem,
+    fs_tail,
+    sampled_correlation,
+    shifted_intersection_values,
+    skew_correlation,
+)
 
 B23 = CircleSet.interval(0, F(2, 3))
 
@@ -86,6 +96,124 @@ class TestSkewCorrelation:
         fast, _ = sampled_correlation(m, Bset, [1, 3], 200)
         exact = skew_correlation(SkewSystem(m), Bset, [1, 3])
         assert fast == pytest.approx(float(exact), abs=1e-9)
+
+
+def _float_intersection(base, shifts):
+    """Reference: the per-word float sweep the vectorized multi-arc kernel
+    replaced, kept verbatim as the oracle it must reproduce bitwise."""
+    current = base
+    for t in shifts:
+        t %= 1.0
+        shifted = []
+        for u, v in base:
+            lo, hi = u - t, v - t
+            if lo < 0 and hi > 0:
+                shifted.append((lo + 1.0, 1.0))
+                shifted.append((0.0, hi))
+            elif hi <= 0:
+                shifted.append((lo + 1.0, hi + 1.0))
+            else:
+                shifted.append((lo, hi))
+        shifted.sort()
+        merged = []
+        for u, v in current:
+            for c, d in shifted:
+                if c >= v:
+                    break
+                lo, hi = max(u, c), min(v, d)
+                if lo < hi:
+                    merged.append((lo, hi))
+        if not merged:
+            return 0.0
+        current = merged
+    return sum(v - u for u, v in current)
+
+
+def _budget(B, m):
+    """The skew module's written error budget with exact phases (delta = 0)."""
+    return len(B.intervals) * (m + 1) * 5 * 2.0**-53
+
+
+@st.composite
+def _arc_sets(draw):
+    """1-8 disjoint rational arcs, sometimes rotated to wrap through 0."""
+    den = draw(st.sampled_from([2, 3, 7, 10, 27, 1000, 3**13, 2**40]))
+    k = draw(st.integers(1, 8))
+    ends = draw(
+        st.lists(st.integers(0, den), min_size=2, max_size=2 * k, unique=True)
+        .map(sorted)
+        .filter(lambda e: len(e) >= 2)
+    )
+    pairs = [(F(a, den), F(b, den)) for a, b in zip(ends[::2], ends[1::2])]
+    rot = F(draw(st.integers(0, den - 1)), den)
+    return CircleSet.from_pairs([(u + rot, v + rot) for u, v in pairs])
+
+
+class TestMultiArcKernel:
+    """The vectorized multi-arc sweep against the per-word float sweep
+    (bitwise) and against exact intersection_measure (within the budget)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        B=_arc_sets(),
+        m=st.integers(0, 3),
+        n=st.sampled_from([1, skew._ROW_BLOCK - 1, 2 * skew._ROW_BLOCK + 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_float_sweep_and_exact(self, B, m, n, seed):
+        arcs = [(float(u), float(v)) for u, v in B.intervals]
+        exact_ends = [x for arc in B.intervals for x in arc]
+        ends = [float(x) for x in exact_ends]
+        # phases of 0.0 and at endpoint differences (taken in float and
+        # exactly) put endpoints of different shifted copies on top of each other
+        pool = [0.0] + [(a - b) % 1.0 for a in ends for b in ends]
+        pool += [float((a - b) % 1) for a in exact_ends for b in exact_ends]
+        rng = np.random.default_rng(seed)
+        phases = np.where(
+            rng.random((n, m)) < 0.5,
+            rng.choice(pool, size=(n, m)),
+            rng.random((n, m)),
+        )
+        got = skew._multi_arc_intersection_lengths(np.array(arcs).reshape(-1, 2), phases)
+        want = [_float_intersection(arcs, list(row)) for row in phases]
+        assert got.tolist() == want
+        closed = None
+        if len(B.intervals) == 1:  # the budget covers the closed form too
+            (u, v), = B.intervals
+            starts = np.zeros((n, m + 1))
+            starts[:, 1:] = -phases
+            closed = skew._arc_intersection_lengths(starts, float(v - u))
+        for i, row in enumerate(phases[:8]):
+            exact = intersection_measure(B, [F(t) for t in row])
+            assert abs(F(got[i]) - exact) <= _budget(B, m)
+            if closed is not None:
+                assert abs(F(closed[i]) - exact) <= _budget(B, m)
+
+    def test_no_shifts_and_empty_set(self):
+        B = CircleSet.from_pairs(
+            [(0, F(1, 27)), (F(2, 27), F(1, 9)), (F(2, 9), F(7, 27)), (F(8, 9), 1)]
+        )
+        base = ms.uniform_atoms([F(k, 11) for k in range(11)])
+        values = shifted_intersection_values(base, B, [])
+        arcs = [(float(u), float(v)) for u, v in B.intervals]
+        assert values.tolist() == [_float_intersection(arcs, [])] * 11
+        assert all(abs(F(v) - B.measure()) <= _budget(B, 0) for v in values)
+        empty = shifted_intersection_values(base, CircleSet.empty(), [1, 2])
+        assert empty.tolist() == [0.0] * 11
+
+    def test_sampled_words_match_float_sweep(self):
+        fam = fm.polynomial_family([[0, 1], [0, 0, 1]])
+        s = build_schedule(fam, 3)
+        m = ms.sample_sigma(lat.canonicalize([(2, 0), (0, 3)], 2), s, fam, 600, seed=5)
+        Bset = CircleSet.from_pairs(
+            [(0, F(1, 9)), (F(2, 9), F(1, 3)), (F(2, 3), F(7, 9)), (F(8, 9), 1)]
+        )
+        shifts = [1, 6, 35]
+        got = shifted_intersection_values(m, Bset, shifts)
+        arcs = [(float(u), float(v)) for u, v in Bset.intervals]
+        cols = [m.phases(t) for t in shifts]
+        want = [_float_intersection(arcs, [c[i] for c in cols]) for i in range(len(got))]
+        assert got.tolist() == want
 
 
 class TestFsTail:
