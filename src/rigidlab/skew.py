@@ -105,7 +105,6 @@ def _multi_arc_intersection_lengths(arcs: np.ndarray, phases: np.ndarray) -> np.
     wraps through 0 and covers it.  Sorting the 2K(m+1) endpoints of a row
     and taking the running cover count, the intersection is the union of
     the elementary segments covered m + 1 times, summed left to right.
-    Rows are swept in blocks of _ROW_BLOCK to bound the temporaries.
     """
     n, m = phases.shape
     u, v = arcs[:, 0], arcs[:, 1]
