@@ -40,10 +40,11 @@ _FAMILY_KEYS = {
 }
 _OPTIONAL_FAMILY_KEYS = {"relations"}
 
-# first matching class wins: the budget errors are RigidlabErrors too
+# first matching class wins: the budget and parse errors are RigidlabErrors too
 _EXIT_CODES = {
     CapExceeded: 3,
     SearchExhausted: 3,
+    ParseError: 1,
     RigidlabError: 2,
     OSError: 1,
     json.JSONDecodeError: 1,

@@ -206,7 +206,7 @@ def cor65_demo(
     if any(p[0] != 0 for p in family.polys):
         raise PreconditionError("polynomials must have zero constant term")
     matrix = [row[1:] for row in family.coefficient_matrix()]
-    if fm._rank(matrix) != ell:
+    if lat.canonicalize(matrix, len(matrix[0])).rank != ell:
         raise PreconditionError("polynomials must be linearly independent")
 
     group, padded = build_cor65_group(family.polys)

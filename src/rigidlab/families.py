@@ -31,7 +31,7 @@ EXPLICIT = "explicit"
 
 
 def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
-    c = list(int(x) for x in coeffs)
+    c = list(lat.integer_entries(coeffs, "polynomial coefficients"))
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
@@ -95,16 +95,6 @@ def polynomial_family(polys: Sequence[Sequence[int]]) -> SequenceFamily:
     return SequenceFamily(POLYNOMIAL, polys=tuple(_trim(p) for p in polys))
 
 
-def monomials(*terms: tuple[int, int]) -> SequenceFamily:
-    """Family of c * n^d monomials given as (c, d) pairs."""
-    polys = []
-    for c, d in terms:
-        p = [0] * (d + 1)
-        p[d] = c
-        polys.append(p)
-    return polynomial_family(polys)
-
-
 def beatty_family(decimals: Sequence[str], independent: bool) -> SequenceFamily:
     """Multipliers given as decimal strings; precision is what was written."""
     alphas, errs = [], []
@@ -125,7 +115,7 @@ def beatty_family(decimals: Sequence[str], independent: bool) -> SequenceFamily:
 def explicit_family(
     values: Sequence[Sequence[int]], relations: lat.Lattice | None = None
 ) -> SequenceFamily:
-    vals = tuple(tuple(int(x) for x in row) for row in values)
+    vals = tuple(lat.integer_entries(row, "explicit values") for row in values)
     if relations is not None and relations.ambient_dim != len(vals):
         raise DimensionMismatch("relation lattice dimension differs from family size")
     return SequenceFamily(EXPLICIT, values=vals, asserted_relations=relations)
@@ -239,40 +229,6 @@ class ReducedFamily:
         return len(self.indices)
 
 
-def _solve_rational(basis_rows: list[list[int]], target: list[int]) -> list[Fraction] | None:
-    """Solve x . basis_rows = target over Q (rows independent)."""
-    k = len(basis_rows)
-    width = len(target)
-    # Transposed system: (width x k) matrix applied to x equals target.
-    aug = [
-        [Fraction(basis_rows[i][j]) for i in range(k)] + [Fraction(target[j])]
-        for j in range(width)
-    ]
-    row = 0
-    pivots = []
-    for c in range(k):
-        pr = next((i for i in range(row, width) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[row], aug[pr] = aug[pr], aug[row]
-        inv = 1 / aug[row][c]
-        aug[row] = [v * inv for v in aug[row]]
-        for i in range(width):
-            if i != row and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[row])]
-        pivots.append((row, c))
-        row += 1
-    x = [Fraction(0)] * k
-    for r, c in pivots:
-        x[c] = aug[r][k]
-    # Inconsistent rows mean the target is outside the row space.
-    for i in range(row, width):
-        if aug[i][k]:
-            return None
-    return x
-
-
 def reduce_family(
     fam: SequenceFamily, G: lat.Lattice
 ) -> tuple[ReducedFamily, lat.Lattice]:
@@ -298,26 +254,25 @@ def reduce_family(
     chosen_rows: list[list[int]] = []
     for j in range(fam.size):
         candidate = chosen_rows + [matrix[j]]
-        if _rank(candidate) == len(candidate):
+        if lat.canonicalize(candidate, width).rank == len(candidate):
             chosen.append(j + 1)
             chosen_rows.append(matrix[j])
+    c = len(chosen)
     relations = []
     denominators = []
     for j in range(fam.size):
-        x = _solve_rational(chosen_rows, matrix[j])
-        assert x is not None, "maximal subfamily must span every row"
-        den = 1
-        for f in x:
-            den = den * f.denominator // math.gcd(den, f.denominator)
-        b_vec = tuple(int(f * den) for f in x)
-        relations.append(b_vec)
-        denominators.append(den)
+        # The chosen rows are independent and span row j, so the relations
+        # among them and row j form a rank-1 saturated lattice; its primitive
+        # generator (k, k_last) has k_last != 0 and gives b_j phi_j = b.phi.
+        ((*k, k_last),) = lat.kernel(chosen_rows + [matrix[j]], c + 1, width).basis
+        sign = 1 if k_last > 0 else -1
+        relations.append(tuple(-sign * x for x in k))
+        denominators.append(abs(k_last))
     scale = math.prod(denominators)
     image_cols = [
         tuple(scale // denominators[j] * b for b in relations[j])
         for j in range(fam.size)
     ]
-    c = len(chosen)
     image_map = tuple(
         tuple(image_cols[j][r] for j in range(fam.size)) for r in range(c)
     )
@@ -339,25 +294,6 @@ def reduce_family(
 
 def subfamily(fam: SequenceFamily, red: ReducedFamily) -> SequenceFamily:
     return polynomial_family([fam.polys[j - 1] for j in red.indices])
-
-
-def _rank(rows: list[list[int]]) -> int:
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pr = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[rank], m[pr] = m[pr], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [v * inv for v in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c]:
-                f = m[i][c]
-                m[i] = [v - f * w for v, w in zip(m[i], m[rank])]
-        rank += 1
-    return rank
 
 
 def detect_relations(

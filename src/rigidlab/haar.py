@@ -98,27 +98,6 @@ def _g_kinks(B: CircleSet, offsets: list[Fraction], coefs: list[int]) -> set[Fra
     return kinks
 
 
-def averaged_correlation(
-    B: CircleSet,
-    factors: Sequence[FactorPattern],
-    reps: Sequence[Sequence[Fraction]] = ((),),
-    weights: Sequence[Fraction] | None = None,
-) -> Fraction:
-    """Average over reps of the exact correlation integral with base set B."""
-    n_free = 0
-    for f in factors:
-        if f.free_var is not None:
-            if f.free_var >= MAX_FREE_COORDS:
-                raise UnsupportedShape("at most two free torus coordinates supported")
-            n_free = max(n_free, f.free_var + 1)
-    if weights is None:
-        weights = [Fraction(1, len(reps))] * len(reps)
-    total = Fraction(0)
-    for rep, w in zip(reps, weights):
-        total += w * _single_rep_integral(B, factors, [Fraction(r) for r in rep], n_free)
-    return total
-
-
 def _single_rep_integral(
     B: CircleSet, factors: Sequence[FactorPattern], rep: list[Fraction], n_free: int
 ) -> Fraction:
@@ -197,7 +176,18 @@ def haar_correlation_limit(
     """Exact limit integral avg_reps int 1_B(y) prod_f 1_B(y + shift_f) dy."""
     if not reps:
         raise PreconditionError("at least one representative required")
-    return averaged_correlation(B, pattern, reps, weights)
+    n_free = 0
+    for f in pattern:
+        if f.free_var is not None:
+            if f.free_var >= MAX_FREE_COORDS:
+                raise UnsupportedShape("at most two free torus coordinates supported")
+            n_free = max(n_free, f.free_var + 1)
+    if weights is None:
+        weights = [Fraction(1, len(reps))] * len(reps)
+    total = Fraction(0)
+    for rep, w in zip(reps, weights):
+        total += w * _single_rep_integral(B, pattern, [Fraction(r) for r in rep], n_free)
+    return total
 
 
 def triple_progression_integral(B: CircleSet) -> Fraction:
@@ -206,4 +196,4 @@ def triple_progression_integral(B: CircleSet) -> Fraction:
         FactorPattern.of(free_var=0, free_coef=1),
         FactorPattern.of(free_var=0, free_coef=2),
     ]
-    return averaged_correlation(B, pattern)
+    return haar_correlation_limit([()], B, pattern)

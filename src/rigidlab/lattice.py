@@ -6,6 +6,11 @@ reduced into [0, pivot).  The form is unique, so two lattices are equal as
 groups exactly when their stored bases are equal, and equality is a tuple
 comparison.
 
+`_hnf_rows` is the one echelon elimination.  `canonicalize` stores its rows;
+`kernel` and coordinate slices read theirs off a zero block of it.  Rank over
+Q is the number of HNF rows.  Only the Smith form eliminates on its own,
+because it needs the unimodular transforms.
+
 All arithmetic is exact (Python integers / fractions).  Values are immutable
 after construction and every operation is a pure function.
 """
@@ -13,6 +18,7 @@ after construction and every operation is a pure function.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -29,6 +35,19 @@ DEFAULT_INDEX_CAP = 10**6
 
 def _as_intvec(v: Sequence[int]) -> IntVec:
     return tuple(int(x) for x in v)
+
+
+def integer_entries(values: Iterable, what: str) -> IntVec:
+    """`values` as an IntVec, refusing anything that is not an integer.
+
+    For input from outside the program: int() would truncate 1.5 to 1 and
+    read True or "3" as numbers, so floats, bools and strings are refused.
+    """
+    out = tuple(values)
+    for x in out:
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise PreconditionError(f"{what} must be integers, got {x!r}")
+    return tuple(int(x) for x in out)
 
 
 def _hnf_rows(rows: list[list[int]]) -> list[IntVec]:
@@ -134,7 +153,10 @@ class Lattice:
 
     @staticmethod
     def from_json(obj: dict) -> "Lattice":
-        return canonicalize(obj["basis"], obj["ambient_dim"])
+        (dim,) = integer_entries([obj["ambient_dim"]], "ambient dimension")
+        return canonicalize(
+            [integer_entries(row, "basis entries") for row in obj["basis"]], dim
+        )
 
 
 def canonicalize(vectors: Iterable[Sequence[int]], ambient_dim: int) -> Lattice:
@@ -182,40 +204,27 @@ def member(L: Lattice, v: Sequence[int]) -> bool:
     return not any(residue)
 
 
+def _zero_block_rows(rows: list[list[int]], k: int) -> list[IntVec]:
+    """HNF rows of `rows` whose first k entries vanish, with those k dropped.
+
+    Pivot columns increase down an HNF, so a lattice vector whose first k
+    entries vanish combines only rows whose pivot lies at or past column k:
+    these rows generate every such vector, and their tails are again in HNF.
+    """
+    return [r[k:] for r in _hnf_rows(rows) if not any(r[:k])]
+
+
 def kernel(matrix: Sequence[Sequence[int]], rows: int, cols: int) -> Lattice:
     """Full integer left kernel {a in Z^rows : a M = 0} of a rows x cols matrix.
 
-    Computed by reducing M to HNF while carrying the unimodular row transform:
-    the transform rows matching zero rows of the HNF generate the kernel, and
-    that kernel is automatically saturated.
+    The rows of [M | I] span {(a M, a)}; the rows of its HNF with a zero M
+    block generate the kernel, which is therefore already saturated.
     """
     m = [list(_as_intvec(r)) for r in matrix]
     if len(m) != rows or any(len(r) != cols for r in m):
         raise DimensionMismatch("matrix shape disagrees with declared rows/cols")
-    # Work on [M | I]; eliminate the M block.
     work = [m[i] + [1 if j == i else 0 for j in range(rows)] for i in range(rows)]
-    pivot_row = 0
-    for col in range(cols):
-        if pivot_row >= rows:
-            break
-        pos = None
-        for i in range(pivot_row, rows):
-            if work[i][col]:
-                pos = i
-                break
-        if pos is None:
-            continue
-        work[pivot_row], work[pos] = work[pos], work[pivot_row]
-        for i in range(pivot_row + 1, rows):
-            while work[i][col]:
-                g, s, t = xgcd(work[pivot_row][col], work[i][col])
-                a, b = work[pivot_row][col] // g, work[i][col] // g
-                new_p = [s * x + t * y for x, y in zip(work[pivot_row], work[i])]
-                new_i = [-b * x + a * y for x, y in zip(work[pivot_row], work[i])]
-                work[pivot_row], work[i] = new_p, new_i
-        pivot_row += 1
-    kernel_rows = [w[cols:] for w in work[pivot_row:]]
-    return canonicalize(kernel_rows, rows)
+    return Lattice(rows, tuple(_zero_block_rows(work, cols)))
 
 
 def intersect_coordinate_subspace(L: Lattice, coords: Iterable[int]) -> Lattice:
@@ -224,19 +233,8 @@ def intersect_coordinate_subspace(L: Lattice, coords: Iterable[int]) -> Lattice:
     if any(not 1 <= j <= L.ambient_dim for j in keep):
         raise DimensionMismatch("coordinate index out of range")
     drop = [j - 1 for j in range(1, L.ambient_dim + 1) if j not in keep]
-    if not drop or L.is_trivial():
-        return L
-    # x . basis must vanish on the dropped columns.
-    constraint = [[row[c] for c in drop] for row in L.basis]
-    coeff_lattice = kernel(constraint, L.rank, len(drop))
-    vectors = []
-    for coeff in coeff_lattice.basis:
-        vec = [0] * L.ambient_dim
-        for c, row in zip(coeff, L.basis):
-            for i, x in enumerate(row):
-                vec[i] += c * x
-        vectors.append(vec)
-    return canonicalize(vectors, L.ambient_dim)
+    work = [[row[c] for c in drop] + list(row) for row in L.basis]
+    return Lattice(L.ambient_dim, tuple(_zero_block_rows(work, len(drop))))
 
 
 def coordinate_image_gcd(L: Lattice, j: int) -> int:
@@ -440,9 +438,6 @@ class TorusSubgroup:
     ambient_dim: int
     finite_reps: tuple[tuple[Fraction, ...], ...]
     torus_directions: Lattice = field(default=None)
-
-    def component_count(self) -> int:
-        return len(self.finite_reps)
 
     def is_finite(self) -> bool:
         return self.torus_directions is None or self.torus_directions.is_trivial()

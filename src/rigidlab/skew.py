@@ -55,9 +55,6 @@ class SkewSystem:
 
     base: AtomicMeasure
 
-    def correlation(self, B: CircleSet, shifts: Sequence[int]):
-        return skew_correlation(self, B, shifts)
-
 
 def _arc_intersection_lengths(starts: np.ndarray, length: float) -> np.ndarray:
     """Measure of the intersection of arcs [s_i, s_i + length) per row.

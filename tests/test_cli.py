@@ -196,8 +196,18 @@ class TestExitCodes:
         [
             {"kind": "polynomial", "polys": "abc"},
             {"kind": "beatty", "alphas": [1.5], "independent": True},
+            {"kind": "polynomial", "polys": [[0, 1.5], [0, 0, 2.9]]},
+            {"kind": "polynomial", "polys": [[0, True], [0, 0, 1]]},
+            {"kind": "polynomial", "polys": [[0, "3"], [0, 0, 1]]},
+            {"kind": "explicit", "values": [[1, 2.5], [2, 4]]},
+            {"kind": "explicit", "values": [[1, 2], [2, 4]],
+             "relations": {"ambient_dim": 2, "basis": [[2.0, -1]]}},
+            {"kind": "explicit", "values": [[1, 2], [2, 4]],
+             "relations": {"ambient_dim": 2.0, "basis": [[2, -1]]}},
         ],
-        ids=["polynomial_not_integers", "beatty_not_strings"],
+        ids=["polynomial_not_integers", "beatty_not_strings", "polynomial_float",
+             "polynomial_bool", "polynomial_string", "explicit_float",
+             "group_basis_float", "group_dim_float"],
     )
     def test_family_value_wrong_type(self, tmp_path, capsys, spec):
         bad = tmp_path / "bad.json"
@@ -221,6 +231,11 @@ class TestExitCodes:
         assert run(argv) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "PreconditionError"
+
+    def test_parse_error_exit_1(self, capsys):
+        assert run(["demo", "cor65", "--polys", "n^"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
 
     def test_precondition_violation(self, families, capsys):
         assert (

@@ -74,8 +74,11 @@ class TestCor65ExactLedger:
         assert rep.exact_ledger_ok
 
     def test_dependent_rejected(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="linearly independent"):
             cor65_demo(2, [(0, 1), (0, 2)], 3, 100, 1)
+        # rank 2 < 3 with no row a multiple of another: n^2 + n = n + n^2
+        with pytest.raises(PreconditionError, match="linearly independent"):
+            cor65_demo(3, [(0, 1), (0, 0, 1), (0, 1, 1)], 3, 100, 1)
 
     def test_scan_small_and_reproducible(self):
         rep = cor65_demo(2, [(0, 1), (0, 0, 1)], depth=6, n_samples=10**4, seed=7)

@@ -227,6 +227,10 @@ class TestReduceFamily:
                         combo[i] += b * x
                 target = [red.denominators[j] * x for x in matrix[j]]
                 assert combo == target
+                assert red.denominators[j] > 0
+                if j + 1 in red.indices:
+                    unit = tuple(int(idx == j + 1) for idx in red.indices)
+                    assert red.relations[j] == unit and red.denominators[j] == 1
                 g = red.denominators[j]
                 for b in red.relations[j]:
                     g = math.gcd(g, b)

@@ -95,15 +95,27 @@ class TestKernel:
 
     def test_kernel_membership_duality_random(self):
         rng = random.Random(7)
-        for _ in range(1000):
-            dim = rng.randint(1, 5)
-            cols = rng.randint(1, 3)
-            M = [[rng.randint(-100, 100) for _ in range(cols)] for _ in range(dim)]
+        for trial in range(1000):
+            dim = rng.randint(1, 7)
+            cols = rng.randint(0, 4)
+            bound = 0 if trial % 10 == 0 else 100  # every tenth M is zero
+            M = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(dim)]
+            if dim > 1 and rng.random() < 0.2:
+                M[rng.randrange(dim)] = [0] * cols
             K = lat.kernel(M, dim, cols)
             for row in K.basis:
                 assert all(
                     sum(row[i] * M[i][j] for i in range(dim)) == 0 for j in range(cols)
                 )
+            if not any(map(any, M)):
+                assert K == lat.full(dim)
+            # Saturated: a primitive combination of the basis is a member.
+            if K.basis:
+                c = [rng.randint(-3, 3) for _ in K.basis]
+                v = [sum(x * row[i] for x, row in zip(c, K.basis)) for i in range(dim)]
+                g = math.gcd(*v)
+                if g:
+                    assert lat.member(K, [x // g for x in v])
             a = tuple(rng.randint(-4, 4) for _ in range(dim))
             in_kernel = all(
                 sum(a[i] * M[i][j] for i in range(dim)) == 0 for j in range(cols)
