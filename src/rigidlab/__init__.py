@@ -48,13 +48,12 @@ from .lattice import (
 from .measure import (
     AtomicMeasure,
     build_measure_for_group,
-    cell_weights,
     fourier_coefficient,
     pushforward_scale,
     sample_sigma,
     verify_dichotomy,
 )
 from .schedule import Schedule, build_schedule, check_schedule
-from .skew import SkewSystem, fs_tail, skew_correlation
+from .skew import fs_tail, skew_correlation
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -39,6 +39,7 @@ _FAMILY_KEYS = {
     "explicit": {"kind", "values", "relations"},
 }
 _OPTIONAL_FAMILY_KEYS = {"relations"}
+MEASURE_DEPTH_CAP = 6  # the measure bundle stores every atom exactly
 
 # first matching class wins: the budget and parse errors are RigidlabErrors too
 _EXIT_CODES = {
@@ -116,6 +117,8 @@ def parse_family(obj) -> fm.SequenceFamily:
         if kind == "polynomial":
             return fm.polynomial_family(obj["polys"])
         if kind == "beatty":
+            if not isinstance(obj["independent"], bool):
+                raise PreconditionError("beatty 'independent' must be true or false")
             return fm.beatty_family(obj["alphas"], obj["independent"])
         relations = obj.get("relations")
         return fm.explicit_family(
@@ -241,6 +244,8 @@ def cmd_measure(args) -> int:
     group = _load_json(args.group)
     with _malformed("group"):
         G = lat.Lattice.from_json(group)
+    if args.depth > MEASURE_DEPTH_CAP:
+        raise CapExceeded(f"depth {args.depth} exceeds the cap {MEASURE_DEPTH_CAP}")
     sigma, sched, red, g_tilde = ms.build_measure_for_group(
         fam, G, args.depth, args.samples, args.seed
     )
@@ -283,6 +288,8 @@ def cmd_gaussian(args) -> int:
         mass = ga.gaussian_pair_mass(args.rho, interval, interval)
         _json_out({"rho": args.rho, "mass": mass, "approx": True}, args.out)
         return 0
+    if args.sigma is None:
+        raise PreconditionError("gaussian needs --sigma or --rho")
     bundle, fam, G, sched, sigma = _load_bundle(args.sigma)
     report = ga.verify_gaussian_transfer(sigma, sched, fam, G, interval, args.tol)
     rows = [

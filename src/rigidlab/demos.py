@@ -16,7 +16,6 @@ from typing import Sequence
 
 from . import families as fm
 from . import lattice as lat
-from . import measure as ms
 from .behrend import behrend_set, verify_behrend
 from .circleset import CircleSet
 from .errors import ConstructionFailed, PreconditionError
@@ -28,6 +27,7 @@ from .skew import fs_tail, sampled_correlation
 BELOW = "BELOW"
 ABOVE = "ABOVE"
 INCONCLUSIVE = "INCONCLUSIVE"
+SCAN_PRIME_CAP = 50  # cor67 scans the sampled system only up to this prime
 
 
 @dataclass
@@ -240,7 +240,6 @@ def cor65_demo(
         n_samples,
         seed,
         search_budget=search_budget,
-        depth_cap=max(depth, ms.DEFAULT_DEPTH_CAP),
     )
     threshold = float(nu_power - epsilon)
     cutoff, scans = smallest_passing_cutoff(
@@ -348,7 +347,6 @@ def cor66_demo(
         n_samples,
         seed,
         search_budget=search_budget,
-        depth_cap=max(depth, ms.DEFAULT_DEPTH_CAP),
     )
     top = sched.indices[-1]
     vals = fm.evaluate(monomial_family, top)
@@ -447,7 +445,6 @@ def cor67_demo(
     n_samples: int,
     seed: int,
     k0_max: int = 2,
-    scan_prime_cap: int = 50,
     search_budget: int | None = None,
 ) -> Cor67Report:
     """Mixed pattern (n, 2n, n^2): exact prime-ladder limits converging to
@@ -468,7 +465,7 @@ def cor67_demo(
         distance = abs(limit - uniform)
         cutoff = None
         inconclusive = 0
-        if prime <= scan_prime_cap:
+        if prime <= SCAN_PRIME_CAP:
             group = lat.canonicalize([(prime, 0)], 2)
             sigma, sched, red, _ = build_measure_for_group(
                 fam,
@@ -477,7 +474,6 @@ def cor67_demo(
                 n_samples,
                 seed,
                 search_budget=search_budget,
-                depth_cap=max(depth, ms.DEFAULT_DEPTH_CAP),
             )
             threshold = float(B.measure() ** ell)
             scan_polys = ((0, 1), (0, 2), (0, 0, 1))

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 from scipy.integrate import quad
 from scipy.special import ndtr
 
@@ -93,7 +91,6 @@ def verify_gaussian_transfer(
     G: lat.Lattice,
     interval: tuple,
     tol: float,
-    levels: Sequence[int] | None = None,
 ) -> GaussianTransferReport:
     """Check the cylinder-level Gaussian limits along each coordinate.
 
@@ -101,11 +98,9 @@ def verify_gaussian_transfer(
     must bring the pair mass of (interval, interval) near P(interval), and a
     mixing one near P(interval)^2.
     """
-    if levels is None:
-        levels = range(1, s.depth + 1)
     p1 = interval_probability(float(interval[0]), float(interval[1]))
     rows = []
-    for k in levels:
+    for k in range(1, s.depth + 1):
         vals = fm.evaluate(fam, s.indices[k - 1])
         for j in range(1, fam.size + 1):
             rho = fourier_coefficient(m, vals[j - 1]).real

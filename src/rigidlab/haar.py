@@ -99,7 +99,7 @@ def _g_kinks(B: CircleSet, offsets: list[Fraction], coefs: list[int]) -> set[Fra
 
 
 def _single_rep_integral(
-    B: CircleSet, factors: Sequence[FactorPattern], rep: list[Fraction], n_free: int
+    B: CircleSet, factors: Sequence[FactorPattern], rep: list[Fraction]
 ) -> Fraction:
     if B.is_empty():
         return Fraction(0)
@@ -171,23 +171,14 @@ def haar_correlation_limit(
     reps: Sequence[Sequence[Fraction]],
     B: CircleSet,
     pattern: Sequence[FactorPattern],
-    weights: Sequence[Fraction] | None = None,
 ) -> Fraction:
     """Exact limit integral avg_reps int 1_B(y) prod_f 1_B(y + shift_f) dy."""
     if not reps:
         raise PreconditionError("at least one representative required")
-    n_free = 0
-    for f in pattern:
-        if f.free_var is not None:
-            if f.free_var >= MAX_FREE_COORDS:
-                raise UnsupportedShape("at most two free torus coordinates supported")
-            n_free = max(n_free, f.free_var + 1)
-    if weights is None:
-        weights = [Fraction(1, len(reps))] * len(reps)
-    total = Fraction(0)
-    for rep, w in zip(reps, weights):
-        total += w * _single_rep_integral(B, pattern, [Fraction(r) for r in rep], n_free)
-    return total
+    if any(f.free_var is not None and f.free_var >= MAX_FREE_COORDS for f in pattern):
+        raise UnsupportedShape("at most two free torus coordinates supported")
+    values = [_single_rep_integral(B, pattern, [Fraction(r) for r in rep]) for rep in reps]
+    return sum(values, Fraction(0)) / len(reps)
 
 
 def triple_progression_integral(B: CircleSet) -> Fraction:

@@ -27,20 +27,8 @@ from . import lattice as lat
 from .errors import CapExceeded, PreconditionError, UnsupportedShape
 from .schedule import Schedule, build_schedule, check_schedule
 
-DEFAULT_CELL_CAP = 10**6
-DEFAULT_DEPTH_CAP = 6
-DEFAULT_SAMPLE_CAP = 10**7
-
-
-@dataclass(frozen=True)
-class CellMeasure:
-    """Exact cell weights of lambda_G at factorial resolution k!."""
-
-    level: int
-    weights: dict
-
-    def total(self) -> Fraction:
-        return sum(self.weights.values(), Fraction(0))
+SAMPLE_CAP = 10**7
+COEFF_CAP = 5
 
 
 @dataclass(frozen=True)
@@ -52,19 +40,18 @@ class GroupCellStructure:
     annihilator representatives of the support part.
     """
 
-    dim: int
     support: tuple[int, ...]
     free: tuple[int, ...]
     rep_points: tuple[tuple[Fraction, ...], ...]
 
 
-def group_cell_structure(G: lat.Lattice, index_cap: int = lat.DEFAULT_INDEX_CAP) -> GroupCellStructure:
+def group_cell_structure(G: lat.Lattice) -> GroupCellStructure:
     free = tuple(
         j for j in range(G.ambient_dim) if all(row[j] == 0 for row in G.basis)
     )
     support = tuple(j for j in range(G.ambient_dim) if j not in free)
     if not support:
-        return GroupCellStructure(G.ambient_dim, (), free, ((),))
+        return GroupCellStructure((), free, ((),))
     sub = lat.canonicalize(
         [[row[j] for j in support] for row in G.basis], len(support)
     )
@@ -73,8 +60,8 @@ def group_cell_structure(G: lat.Lattice, index_cap: int = lat.DEFAULT_INDEX_CAP)
             "cell weights support finite-index groups and products with "
             "unconstrained coordinates only"
         )
-    ann = lat.annihilator(sub, index_cap)
-    return GroupCellStructure(G.ambient_dim, support, free, ann.finite_reps)
+    ann = lat.annihilator(sub)
+    return GroupCellStructure(support, free, ann.finite_reps)
 
 
 def _support_cells(structure: GroupCellStructure, k: int):
@@ -86,32 +73,6 @@ def _support_cells(structure: GroupCellStructure, k: int):
         cell = tuple(int(y * kf) for y in rep)
         merged[cell] = merged.get(cell, Fraction(0)) + share
     return sorted(merged.items())
-
-
-def cell_weights(
-    G: lat.Lattice, k: int, cell_cap: int = DEFAULT_CELL_CAP
-) -> CellMeasure:
-    """lambda_G weights of the k!-adic cells, exact and summing to one."""
-    if k < 1:
-        raise PreconditionError("level must be a positive integer")
-    structure = group_cell_structure(G)
-    kf = math.factorial(k)
-    support_cells = _support_cells(structure, k)
-    total = len(support_cells) * kf ** len(structure.free)
-    if total > cell_cap:
-        raise CapExceeded(f"{total} cells exceed the cap {cell_cap}")
-    free_weight = Fraction(1, kf ** len(structure.free))
-    weights = {}
-    free_digit_iter = [range(kf)] * len(structure.free)
-    for cell, w in support_cells:
-        for free_digits in product(*free_digit_iter):
-            full = [0] * G.ambient_dim
-            for pos, j in enumerate(structure.support):
-                full[j] = cell[pos]
-            for pos, j in enumerate(structure.free):
-                full[j] = free_digits[pos]
-            weights[tuple(full)] = w * free_weight
-    return CellMeasure(k, weights)
 
 
 class AtomicMeasure:
@@ -244,7 +205,6 @@ def sample_sigma(
     fam: fm.SequenceFamily,
     n_samples: int,
     seed: int,
-    sample_cap: int = DEFAULT_SAMPLE_CAP,
 ) -> AtomicMeasure:
     """Monte Carlo draws from the product of level measures P_k.
 
@@ -254,8 +214,10 @@ def sample_sigma(
     """
     if n_samples < 1:
         raise PreconditionError("need at least one sample")
-    if n_samples > sample_cap:
-        raise CapExceeded(f"{n_samples} samples exceed the cap {sample_cap}")
+    if n_samples > SAMPLE_CAP:
+        raise CapExceeded(f"{n_samples} samples exceed the cap {SAMPLE_CAP}")
+    if s.depth < 1:
+        raise PreconditionError("sampling needs a schedule of depth at least 1")
     if G.ambient_dim != fam.size:
         raise PreconditionError("group dimension differs from family size")
     report = check_schedule(s, fam)
@@ -331,7 +293,6 @@ class DichotomyRow:
 @dataclass
 class DichotomyReport:
     rows: list[DichotomyRow]
-    coeff_bound: int
     tolerance: float
 
     def max_deviation(self, level: int | None = None) -> float:
@@ -358,8 +319,6 @@ def verify_dichotomy(
     G: lat.Lattice,
     coeff_bound: int,
     tol: float,
-    levels: Sequence[int] | None = None,
-    coeff_cap: int = 5,
 ) -> DichotomyReport:
     """Compare sigma-hat(sum a_j phi_j(n_k)) with the exact group character.
 
@@ -367,14 +326,14 @@ def verify_dichotomy(
     deviation per (level, vector) and passes when the top level stays within
     the tolerance.
     """
-    if coeff_bound > coeff_cap:
+    if coeff_bound < 0:
+        raise PreconditionError("coefficient bound must be nonnegative")
+    if coeff_bound > COEFF_CAP:
         raise CapExceeded(
-            f"coefficient bound {coeff_bound} exceeds the cap {coeff_cap}"
+            f"coefficient bound {coeff_bound} exceeds the cap {COEFF_CAP}"
         )
-    if levels is None:
-        levels = range(1, s.depth + 1)
     rows = []
-    for k in levels:
+    for k in range(1, s.depth + 1):
         vals = fm.evaluate(fam, s.indices[k - 1])
         for a in product(range(-coeff_bound, coeff_bound + 1), repeat=fam.size):
             t = sum(c * v for c, v in zip(a, vals))
@@ -383,7 +342,7 @@ def verify_dichotomy(
             rows.append(
                 DichotomyRow(k, a, coeff, target, abs(coeff - target))
             )
-    return DichotomyReport(rows, coeff_bound, tol)
+    return DichotomyReport(rows, tol)
 
 
 def build_measure_for_group(
@@ -393,7 +352,6 @@ def build_measure_for_group(
     n_samples: int,
     seed: int,
     search_budget: int | None = None,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
 ):
     """Reduction, schedule, sampling and rescaling in one pipeline.
 
@@ -401,11 +359,6 @@ def build_measure_for_group(
     the rigidity/mixing dichotomy of (fam, G) through the image group of the
     reduction and the final scale pushforward.
     """
-    if depth > depth_cap:
-        raise CapExceeded(
-            f"depth {depth} exceeds the cap {depth_cap}; raise depth_cap "
-            "explicitly for deep runs"
-        )
     if fam.kind != fm.POLYNOMIAL:
         raise PreconditionError("measure pipeline requires a polynomial family")
     if not fm.is_adequate(fam):

@@ -32,7 +32,7 @@ from .errors import PreconditionError, SearchExhausted
 
 DEFAULT_BUDGET = 4000
 MAX_DEPTH = 16
-_M_CANDIDATES = 192
+_M_CANDIDATES = 96  # per stream of m
 _PLAIN_CANDIDATES = 32
 
 
@@ -180,7 +180,9 @@ def _alpha_candidates(phi_j: int, others: list[int], window_top: Fraction, calib
 
     Integer m makes the calibration residual exactly zero; multiples of
     phi_j / gcd(phi_j, gcd(others)) additionally make the off-diagonal phase
-    an exact integer plus a term the index divisibility cancels.
+    an exact integer plus a term the index divisibility cancels.  Three
+    streams of m follow one another (targeted, structured multiples, plain
+    m upward from the low end), then the window top as the last resort.
     """
     if phi_j == 0:
         return
@@ -202,7 +204,6 @@ def _alpha_candidates(phi_j: int, others: list[int], window_top: Fraction, calib
         g = math.gcd(g, abs(o))
     unit = abs(phi_j) // math.gcd(abs(phi_j), g) if g else 1
     seen = set()
-    half = _M_CANDIDATES // 2
     # Targeted candidates: land phi_i (c + m) / phi_j on an integer for each
     # other coordinate i, which pins the fastest-moving off-diagonal phase.
     for o in others:
@@ -229,31 +230,24 @@ def _alpha_candidates(phi_j: int, others: list[int], window_top: Fraction, calib
             emitted += 1
     # Structured multiples make the off-diagonal phase integral up to the
     # cancelled part; small |m| keeps the generic phases small, so both scans
-    # start at the low end before trying the top of the window.
+    # count up from the low end of the window.
     if unit > 1:
         m = (lo_int // unit) * unit
         if m < lo_int:
             m += unit
         count = 0
-        while m <= hi_int and count < half:
+        while m <= hi_int and count < _M_CANDIDATES:
             if m not in seen:
                 seen.add(m)
                 yield (calib + m) / phi_j
             m += unit
             count += 1
     m, count = lo_int, 0
-    while m <= hi_int and count < half:
+    while m <= hi_int and count < _M_CANDIDATES:
         if m not in seen:
             seen.add(m)
             yield (calib + m) / phi_j
         m += 1
-        count += 1
-    m, count = hi_int, 0
-    while m >= lo_int and count < half:
-        if m not in seen:
-            seen.add(m)
-            yield (calib + m) / phi_j
-        m -= 1
         count += 1
     yield window_top
 

@@ -49,13 +49,6 @@ from .measure import AtomicMeasure
 _ROW_BLOCK = 256
 
 
-@dataclass(frozen=True)
-class SkewSystem:
-    """T(x, y) = (x, y + x) mod 1 with nu = base x Lebesgue."""
-
-    base: AtomicMeasure
-
-
 def _arc_intersection_lengths(starts: np.ndarray, length: float) -> np.ndarray:
     """Measure of the intersection of arcs [s_i, s_i + length) per row.
 
@@ -71,11 +64,11 @@ def _arc_intersection_lengths(starts: np.ndarray, length: float) -> np.ndarray:
     return total
 
 
-def skew_correlation(sys: SkewSystem, B: CircleSet, shifts: Sequence[int]) -> Fraction:
+def skew_correlation(base: AtomicMeasure, B: CircleSet, shifts: Sequence[int]) -> Fraction:
     """nu(A and T^-s1 A and ...) for A = T x B, exact over the base atoms."""
     shifts = [int(t) for t in shifts]
     total = Fraction(0)
-    for x, w in sys.base.atoms:
+    for x, w in base.atoms:
         total += w * intersection_measure(B, [(t * x) % 1 for t in shifts])
     return total
 

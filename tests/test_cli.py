@@ -25,6 +25,21 @@ def families(tmp_path):
     return paths
 
 
+def fill_placeholders(argv, families, tmp_path):
+    """Replace FAMILY, GROUP, OUT and SIGMA by files; SIGMA is a measure
+    bundle of (n, n^2) built on the spot."""
+    names = {
+        "FAMILY": families["n_nsq"],
+        "GROUP": families["g23"],
+        "OUT": str(tmp_path / "out.json"),
+        "SIGMA": str(tmp_path / "sigma.json"),
+    }
+    if "SIGMA" in argv:
+        assert run(["measure", names["FAMILY"], "--group", names["GROUP"], "--depth", "2",
+                    "--samples", "50", "--out", names["SIGMA"]]) == 0
+    return [names.get(a, a) for a in argv]
+
+
 class TestParsePolyExpr:
     def test_basic_terms(self):
         assert parse_poly_expr("n") == [0, 1]
@@ -204,10 +219,14 @@ class TestExitCodes:
              "relations": {"ambient_dim": 2, "basis": [[2.0, -1]]}},
             {"kind": "explicit", "values": [[1, 2], [2, 4]],
              "relations": {"ambient_dim": 2.0, "basis": [[2, -1]]}},
+            {"kind": "beatty", "alphas": ["1.5", "2.25"], "independent": "no"},
+            {"kind": "beatty", "alphas": ["1.5", "2.25"], "independent": 1},
+            {"kind": "beatty", "alphas": ["1.5", "2.25"], "independent": None},
         ],
         ids=["polynomial_not_integers", "beatty_not_strings", "polynomial_float",
              "polynomial_bool", "polynomial_string", "explicit_float",
-             "group_basis_float", "group_dim_float"],
+             "group_basis_float", "group_dim_float", "beatty_independent_string",
+             "beatty_independent_int", "beatty_independent_null"],
     )
     def test_family_value_wrong_type(self, tmp_path, capsys, spec):
         bad = tmp_path / "bad.json"
@@ -223,14 +242,31 @@ class TestExitCodes:
             ["demo", "cor66", "--p", "n^2+n", "--ell", "2"],
             ["demo", "cor67", "--primes", "2,x"],
             ["splits", "FAMILY", "--F", "1,a"],
+            ["gaussian"],
+            ["verify-dichotomy", "SIGMA", "--bound", "-1"],
+            ["measure", "FAMILY", "--group", "GROUP", "--depth", "0", "--out", "OUT"],
         ],
-        ids=["cor66_no_p_q", "cor66_no_q", "cor67_bad_primes", "splits_bad_F"],
+        ids=["cor66_no_p_q", "cor66_no_q", "cor67_bad_primes", "splits_bad_F",
+             "gaussian_no_sigma_no_rho", "dichotomy_negative_bound", "measure_depth_0"],
     )
-    def test_malformed_option_value(self, families, capsys, argv):
-        argv = [families["n_nsq"] if a == "FAMILY" else a for a in argv]
-        assert run(argv) == 2
+    def test_malformed_option_value(self, families, tmp_path, capsys, argv):
+        assert run(fill_placeholders(argv, families, tmp_path)) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "PreconditionError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measure", "FAMILY", "--group", "GROUP", "--depth", "7", "--out", "OUT"],
+            ["measure", "FAMILY", "--group", "GROUP", "--samples", "10000001", "--out", "OUT"],
+            ["verify-dichotomy", "SIGMA", "--bound", "6"],
+        ],
+        ids=["measure_depth_7", "measure_samples", "dichotomy_bound_6"],
+    )
+    def test_option_cap_exit_3(self, families, tmp_path, capsys, argv):
+        assert run(fill_placeholders(argv, families, tmp_path)) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CapExceeded"
 
     def test_parse_error_exit_1(self, capsys):
         assert run(["demo", "cor65", "--polys", "n^"]) == 1

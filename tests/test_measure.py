@@ -12,49 +12,50 @@ from hypothesis import strategies as st
 from rigidlab import families as fm
 from rigidlab import lattice as lat
 from rigidlab import measure as ms
-from rigidlab.errors import CapExceeded, PreconditionError, UnsupportedShape
+from rigidlab.errors import PreconditionError, UnsupportedShape
 from rigidlab.schedule import build_schedule
 
 FAM_N = fm.polynomial_family([[0, 1]])
 FAM_N_NSQ = fm.polynomial_family([[0, 1], [0, 0, 1]])
 
 
+def support_cells(G, k):
+    """The exact level-k cell weights that sample_sigma draws from."""
+    return dict(ms._support_cells(ms.group_cell_structure(G), k))
+
+
 class TestCellWeights:
     def test_full_group_single_cell(self):
-        cw = ms.cell_weights(lat.full(2), 4)
-        assert cw.weights == {(0, 0): F(1)}
+        assert support_cells(lat.full(2), 4) == {(0, 0): F(1)}
 
     def test_2z(self):
-        cw = ms.cell_weights(lat.canonicalize([(2,)], 1), 2)
-        assert cw.weights == {(0,): F(1, 2), (1,): F(1, 2)}
+        assert support_cells(lat.canonicalize([(2,)], 1), 2) == {(0,): F(1, 2), (1,): F(1, 2)}
 
     def test_3z_squared(self):
-        cw = ms.cell_weights(lat.canonicalize([(3, 0), (0, 3)], 2), 3)
-        assert set(cw.weights) == {(a, b) for a in (0, 2, 4) for b in (0, 2, 4)}
-        assert set(cw.weights.values()) == {F(1, 9)}
+        cells = support_cells(lat.canonicalize([(3, 0), (0, 3)], 2), 3)
+        assert set(cells) == {(a, b) for a in (0, 2, 4) for b in (0, 2, 4)}
+        assert set(cells.values()) == {F(1, 9)}
 
     def test_product_shape_free_coordinate(self):
-        cw = ms.cell_weights(lat.canonicalize([(2, 0)], 2), 2)
-        assert cw.total() == 1
-        assert len(cw.weights) == 4  # 2 support cells x 2 free digits
+        # the unconstrained second coordinate is left to uniform digits
+        structure = ms.group_cell_structure(lat.canonicalize([(2, 0)], 2))
+        assert structure.support == (0,) and structure.free == (1,)
+        cells = dict(ms._support_cells(structure, 2))
+        assert cells == {(0,): F(1, 2), (1,): F(1, 2)}
+        assert len(cells) * math.factorial(2) ** len(structure.free) == 4
 
     def test_rep_collision_merges(self):
         # 3Z at level 2: reps 0, 1/3, 2/3 fall into cells 0, 0, 1
-        cw = ms.cell_weights(lat.canonicalize([(3,)], 1), 2)
-        assert cw.weights == {(0,): F(2, 3), (1,): F(1, 3)}
+        assert support_cells(lat.canonicalize([(3,)], 1), 2) == {(0,): F(2, 3), (1,): F(1, 3)}
 
     def test_slanted_infinite_index_rejected(self):
         with pytest.raises(UnsupportedShape):
-            ms.cell_weights(lat.canonicalize([(2, -1)], 2), 2)
+            ms.group_cell_structure(lat.canonicalize([(2, -1)], 2))
 
     def test_totals_are_one(self):
         for G in (lat.full(1), lat.canonicalize([(5,)], 1), lat.canonicalize([(2, 0), (0, 3)], 2)):
             for k in (1, 2, 3, 4):
-                assert ms.cell_weights(G, k).total() == 1
-
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            ms.cell_weights(lat.trivial(2), 6, cell_cap=1000)
+                assert sum(support_cells(G, k).values()) == 1
 
 
 class TestSampling:

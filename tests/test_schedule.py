@@ -1,5 +1,7 @@
 """Diophantine schedule construction and exact residual checking."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -16,6 +18,10 @@ from rigidlab.schedule import (
 
 FAM_N = fm.polynomial_family([[0, 1]])
 FAM_N_NSQ = fm.polynomial_family([[0, 1], [0, 0, 1]])
+
+
+def schedule_sha256(s: Schedule) -> str:
+    return hashlib.sha256(json.dumps(s.to_json(), sort_keys=True).encode()).hexdigest()
 
 
 class TestCircleNorm:
@@ -66,16 +72,26 @@ class TestBuildSchedule:
     def test_deep_zero_constant_family(self):
         s = build_schedule(FAM_N_NSQ, 8, search_budget=20000)
         assert check_schedule(s, FAM_N_NSQ).all_pass()
+        # pins the chosen indices and alphas, not just their validity
+        assert schedule_sha256(s) == (
+            "b25947e2e2e64f4fd59a33568c4207c263101056fbabf8436787db115a8ee244"
+        )
 
     def test_same_degree_independent_pair(self):
         fam = fm.polynomial_family([[0, 0, 1], [0, 1, 1]])
         s = build_schedule(fam, 3, search_budget=8000)
         assert check_schedule(s, fam).all_pass()
+        assert schedule_sha256(s) == (
+            "584ee7e7908c1b107f1e7beccff1018656943a5bf5dcc837a80161651f662a78"
+        )
 
     def test_shifted_family_shallow(self):
         fam = fm.polynomial_family([[1, 1], [2, 0, 1]])
         s = build_schedule(fam, 2, search_budget=8000)
         assert check_schedule(s, fam).all_pass()
+        assert schedule_sha256(s) == (
+            "31df049307f05ba75807a2a7af896649758eb63a454761e1ab7d547a35166c48"
+        )
 
 
 class TestCheckSchedule:

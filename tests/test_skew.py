@@ -22,7 +22,6 @@ from rigidlab.gaussians import (
 from rigidlab.haar import FactorPattern, haar_correlation_limit
 from rigidlab.schedule import build_schedule
 from rigidlab.skew import (
-    SkewSystem,
     fs_tail,
     sampled_correlation,
     shifted_intersection_values,
@@ -34,16 +33,14 @@ B23 = CircleSet.interval(0, F(2, 3))
 
 class TestSkewCorrelation:
     def test_zero_shifts_give_base_measure(self):
-        sys = SkewSystem(ms.uniform_atoms([0, F(1, 7), F(3, 7)]))
-        assert skew_correlation(sys, B23, [0, 0, 0]) == F(2, 3)
+        base = ms.uniform_atoms([0, F(1, 7), F(3, 7)])
+        assert skew_correlation(base, B23, [0, 0, 0]) == F(2, 3)
 
     def test_dirac_zero_fibers_unmoved(self):
-        sys = SkewSystem(ms.dirac(0))
-        assert skew_correlation(sys, B23, [17, 51]) == F(2, 3)
+        assert skew_correlation(ms.dirac(0), B23, [17, 51]) == F(2, 3)
 
     def test_third_rotation_vanishes(self):
-        sys = SkewSystem(ms.dirac(F(1, 3)))
-        assert skew_correlation(sys, B23, [1, 2]) == 0
+        assert skew_correlation(ms.dirac(F(1, 3)), B23, [1, 2]) == 0
 
     def test_invariance_shift_zero_prepended(self):
         rng = random.Random(4)
@@ -59,9 +56,8 @@ class TestSkewCorrelation:
             hi = lo + F(rng.randint(1, 4), 10)
             Bset = CircleSet.interval(lo, min(hi, F(9, 10)))
             shifts = [rng.randint(-20, 20) for _ in range(rng.randint(1, 3))]
-            sys = SkewSystem(base)
-            assert skew_correlation(sys, Bset, shifts) == skew_correlation(
-                sys, Bset, [0] + shifts
+            assert skew_correlation(base, Bset, shifts) == skew_correlation(
+                base, Bset, [0] + shifts
             )
 
     def test_matches_haar_limit_for_cyclic_atoms(self):
@@ -69,9 +65,8 @@ class TestSkewCorrelation:
         # cyclic annihilator group, for every q up to 12
         for q in range(1, 13):
             base = ms.uniform_atoms([F(k, q) for k in range(q)])
-            sys = SkewSystem(base)
             for shifts in ([1], [1, 2], [2, 3]):
-                got = skew_correlation(sys, B23, shifts)
+                got = skew_correlation(base, B23, shifts)
                 reps = [(F(k, q),) for k in range(q)]
                 pattern = [
                     FactorPattern.of(rep_coeffs=(t,)) for t in shifts
@@ -85,7 +80,7 @@ class TestSkewCorrelation:
         m = ms.sample_sigma(G, s, fam, 300, seed=8)
         for shifts in ([1], [3, 7], [2, 5, 11]):
             fast, _ = sampled_correlation(m, B23, shifts, 300)
-            exact = skew_correlation(SkewSystem(m), B23, shifts)
+            exact = skew_correlation(m, B23, shifts)
             assert fast == pytest.approx(float(exact), abs=1e-9)
 
     def test_multi_interval_structured(self):
@@ -94,7 +89,7 @@ class TestSkewCorrelation:
         m = ms.sample_sigma(lat.canonicalize([(2,)], 1), s, fam, 200, seed=8)
         Bset = CircleSet.from_pairs([(0, F(1, 5)), (F(2, 5), F(4, 5))])
         fast, _ = sampled_correlation(m, Bset, [1, 3], 200)
-        exact = skew_correlation(SkewSystem(m), Bset, [1, 3])
+        exact = skew_correlation(m, Bset, [1, 3])
         assert fast == pytest.approx(float(exact), abs=1e-9)
 
 
