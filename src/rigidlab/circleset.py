@@ -103,16 +103,10 @@ class CircleSet:
         m = abs(c)
         for u, v in self.intervals:
             for k in range(m):
-                if c > 0:
-                    out.append(((u + k) / c, (v + k) / c))
-                else:
-                    # x in ((v+k)/c, (u+k)/c]; shift by epsilon-free trick:
-                    # mirror to half-open by negating and wrapping.
-                    lo, hi = (v + k) / c, (u + k) / c
-                    out.append((lo, hi))
-        # Negative scaling produces intervals open on the left; measure-wise
-        # (all downstream uses) the closure convention is immaterial, and we
-        # keep the half-open normal form.
+                # For c < 0 the preimage ((v+k)/c, (u+k)/c] is open on the
+                # left; every downstream use is measure-wise, so the closure
+                # convention is immaterial and the half-open form is kept.
+                out.append(tuple(sorted(((u + k) / c, (v + k) / c))))
         return CircleSet(_normalize(out))
 
     def intersect(self, other: "CircleSet") -> "CircleSet":

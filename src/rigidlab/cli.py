@@ -342,6 +342,8 @@ def cmd_demo(args) -> int:
     # discretization spike mu(B)/k! clears their small thresholds
     depth = args.depth if args.depth is not None else (6 if args.which == "cor65" else 7)
     k0_max = args.k0_max if args.k0_max is not None else (3 if args.which == "cor65" else 5)
+    if args.scan_csv and args.which == "cor67":
+        raise PreconditionError("--scan-csv applies to cor65 and cor66 only")
     if args.which == "cor65":
         if polys is None:
             raise PreconditionError("--polys is required for cor65")
@@ -362,7 +364,7 @@ def cmd_demo(args) -> int:
             args.ell, primes, depth, args.samples, args.seed, k0_max=k0_max
         )
     _json_out(report.to_json(), args.out)
-    if args.scan_csv and hasattr(report, "scans") and report.cutoff is not None:
+    if args.scan_csv and report.cutoff is not None:
         _csv_out(_scan_csv(report.scans[report.cutoff]), args.scan_csv)
     return 0 if report.passed else 2
 

@@ -25,8 +25,6 @@ class SplitVerdict:
     feasible: bool
     witness_vector: lat.IntVec | None = None
     witness_coordinate: int | None = None
-    witness_group: lat.Lattice | None = None
-    user_asserted: bool = False
 
     def __bool__(self) -> bool:
         return self.feasible
@@ -75,7 +73,6 @@ def split_feasible(
     has support escaping F only at j, and has a_j = 1.
     """
     A = fm.relation_group(fam)
-    user_asserted = fam.kind == fm.EXPLICIT
     F = set(F)
     size = A.ambient_dim
     if any(not 1 <= j <= size for j in F):
@@ -86,10 +83,8 @@ def split_feasible(
         slice_lattice = lat.intersect_coordinate_subspace(A, F | {j})
         if lat.coordinate_image_gcd(slice_lattice, j) == 1:
             w = _unit_coordinate_witness(slice_lattice, j)
-            return SplitVerdict(
-                False, witness_vector=w, witness_coordinate=j, user_asserted=user_asserted
-            )
-    return SplitVerdict(True, user_asserted=user_asserted)
+            return SplitVerdict(False, witness_vector=w, witness_coordinate=j)
+    return SplitVerdict(True)
 
 
 def all_splits(fam: fm.SequenceFamily) -> dict[frozenset[int], SplitVerdict]:

@@ -21,7 +21,7 @@ from .circleset import CircleSet
 from .errors import ConstructionFailed, PreconditionError
 from .haar import FactorPattern, haar_correlation_limit
 from .measure import AtomicMeasure, build_measure_for_group, fourier_coefficient
-from .schedule import Schedule
+from .schedule import DEFAULT_BUDGET, Schedule
 from .skew import fs_tail, sampled_correlation
 
 BELOW = "BELOW"
@@ -86,13 +86,33 @@ def scan_fs_tail(
 def smallest_passing_cutoff(
     base, B, polys, schedule, k0_max, threshold, n_samples
 ) -> tuple[int | None, dict[int, TailScan]]:
-    """Smallest k0 <= k0_max whose whole tail scans conclusively below."""
+    """Smallest k0 <= k0_max whose whole tail scans conclusively below; the
+    search stops at k0 = depth - 1, the last cutoff with a nonempty tail."""
     scans = {}
-    for k0 in range(k0_max + 1):
+    for k0 in range(min(k0_max, schedule.depth - 1) + 1):
         scans[k0] = scan_fs_tail(base, B, polys, schedule, k0, threshold, n_samples)
         if scans[k0].all_below:
             return k0, scans
     return None, scans
+
+
+def _sampled_scan(
+    group, degree, B, polys, threshold, depth, n_samples, seed, k0_max,
+    search_budget=DEFAULT_BUDGET,
+) -> tuple[AtomicMeasure, Schedule, int | None, dict[int, TailScan]]:
+    """Sample sigma for the monomials n, ..., n^degree on the rigidity group
+    and scan the finite-sums tail of its schedule for the smallest passing
+    cutoff.  Returns (sigma, schedule, cutoff, scans)."""
+    if k0_max < 0:
+        raise PreconditionError("k0_max must be non-negative")
+    monomials = fm.polynomial_family([[0] * d + [1] for d in range(1, degree + 1)])
+    sigma, sched, _, _ = build_measure_for_group(
+        monomials, group, depth, n_samples, seed, search_budget=search_budget
+    )
+    cutoff, scans = smallest_passing_cutoff(
+        sigma, B, polys, sched, k0_max, threshold, n_samples
+    )
+    return sigma, sched, cutoff, scans
 
 
 def cor65_representatives(ell: int) -> list[tuple[Fraction, ...]]:
@@ -125,7 +145,6 @@ class Cor65Report:
     exact_ledger_ok: bool
     cutoff: int | None
     scans: dict = field(repr=False, default_factory=dict)
-    schedule: Schedule | None = field(repr=False, default=None)
 
     @property
     def passed(self) -> bool:
@@ -196,7 +215,7 @@ def cor65_demo(
     n_samples: int,
     seed: int,
     k0_max: int = 3,
-    search_budget: int | None = None,
+    search_budget: int = DEFAULT_BUDGET,
 ) -> Cor65Report:
     """Non-IP* recurrence set for independent polynomials (exact ledger plus
     finite-sums scan of the sampled skew product)."""
@@ -210,7 +229,6 @@ def cor65_demo(
         raise PreconditionError("polynomials must be linearly independent")
 
     group, padded = build_cor65_group(family.polys)
-    degree = family.max_degree
     index = lat.index_in_ambient(group)
 
     B = CircleSet.interval(0, Fraction(2, 3))
@@ -230,20 +248,9 @@ def cor65_demo(
         and gap >= 2 * epsilon
     )
 
-    monomial_family = fm.polynomial_family(
-        [[0] * d + [1] for d in range(1, degree + 1)]
-    )
-    sigma, sched, red, _ = build_measure_for_group(
-        monomial_family,
-        group,
-        depth,
-        n_samples,
-        seed,
-        search_budget=search_budget,
-    )
-    threshold = float(nu_power - epsilon)
-    cutoff, scans = smallest_passing_cutoff(
-        sigma, B, family.polys, sched, k0_max, threshold, n_samples
+    _, _, cutoff, scans = _sampled_scan(
+        group, family.max_degree, B, family.polys, float(nu_power - epsilon),
+        depth, n_samples, seed, k0_max, search_budget,
     )
     return Cor65Report(
         ell=ell,
@@ -258,7 +265,6 @@ def cor65_demo(
         exact_ledger_ok=ledger_ok,
         cutoff=cutoff,
         scans=scans,
-        schedule=sched,
     )
 
 
@@ -304,7 +310,6 @@ def cor66_demo(
     n_samples: int,
     seed: int,
     k0_max: int = 2,
-    search_budget: int | None = None,
 ) -> Cor66Report:
     """Degree-matched pair (p, q) with deg(2p - q) strictly between: the set
     of large returns is shown non-IP* against a Behrend-type target set."""
@@ -337,25 +342,13 @@ def cor66_demo(
     group = lat.canonicalize(
         [lat.standard_basis(degree, j) for j in range(1, degree)], degree
     )
-    monomial_family = fm.polynomial_family(
-        [[0] * d + [1] for d in range(1, degree + 1)]
-    )
-    sigma, sched, red, _ = build_measure_for_group(
-        monomial_family,
-        group,
-        depth,
-        n_samples,
-        seed,
-        search_budget=search_budget,
+    sigma, sched, cutoff, scans = _sampled_scan(
+        group, degree, B, (tuple(pc), tuple(qc)), float(B.measure() ** ell),
+        depth, n_samples, seed, k0_max,
     )
     top = sched.indices[-1]
-    vals = fm.evaluate(monomial_family, top)
-    rigid = [fourier_coefficient(sigma, vals[j]).real for j in range(degree - 1)]
-    mixing = abs(fourier_coefficient(sigma, vals[degree - 1]))
-    threshold = float(B.measure() ** ell)
-    cutoff, scans = smallest_passing_cutoff(
-        sigma, B, (tuple(pc), tuple(qc)), sched, k0_max, threshold, n_samples
-    )
+    rigid = [fourier_coefficient(sigma, top**d).real for d in range(1, degree)]
+    mixing = abs(fourier_coefficient(sigma, top**degree))
     return Cor66Report(
         p=tuple(pc),
         q=tuple(qc),
@@ -445,7 +438,6 @@ def cor67_demo(
     n_samples: int,
     seed: int,
     k0_max: int = 2,
-    search_budget: int | None = None,
 ) -> Cor67Report:
     """Mixed pattern (n, 2n, n^2): exact prime-ladder limits converging to
     the uniform value under the Behrend bound, with a scan of the sampled
@@ -458,7 +450,6 @@ def cor67_demo(
     triple, _ = verify_behrend(B, ell)
     bound = B.measure() ** ell / 2 * B.measure()
     ledger_ok = uniform == triple * B.measure() and uniform <= bound
-    fam = fm.polynomial_family([[0, 1], [0, 0, 1]])
     rows = []
     for prime in primes:
         limit = cor67_exact_limit(B, prime)
@@ -466,19 +457,10 @@ def cor67_demo(
         cutoff = None
         inconclusive = 0
         if prime <= SCAN_PRIME_CAP:
-            group = lat.canonicalize([(prime, 0)], 2)
-            sigma, sched, red, _ = build_measure_for_group(
-                fam,
-                group,
-                depth,
-                n_samples,
-                seed,
-                search_budget=search_budget,
-            )
-            threshold = float(B.measure() ** ell)
-            scan_polys = ((0, 1), (0, 2), (0, 0, 1))
-            cutoff, scans = smallest_passing_cutoff(
-                sigma, B, scan_polys, sched, k0_max, threshold, n_samples
+            _, _, cutoff, scans = _sampled_scan(
+                lat.canonicalize([(prime, 0)], 2), 2, B,
+                ((0, 1), (0, 2), (0, 0, 1)), float(B.measure() ** ell),
+                depth, n_samples, seed, k0_max,
             )
             if cutoff is not None:
                 inconclusive = scans[cutoff].inconclusive_count

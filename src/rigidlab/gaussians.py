@@ -38,6 +38,8 @@ def gaussian_pair_mass(rho: float, I: tuple, J: tuple) -> float:
         raise PreconditionError("correlation must lie in [-1, 1]")
     a, b = float(I[0]), float(I[1])
     c, d = float(J[0]), float(J[1])
+    if any(math.isnan(x) for x in (a, b, c, d)):
+        raise PreconditionError("interval ends must not be NaN")
     if a > b or c > d:
         raise PreconditionError("intervals must be ordered (lo, hi)")
     if rho == 1:

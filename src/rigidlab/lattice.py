@@ -21,6 +21,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, DimensionMismatch, PreconditionError
@@ -404,25 +405,14 @@ def annihilator(G: Lattice, index_cap: int = DEFAULT_INDEX_CAP) -> "TorusSubgrou
         )
     v_cols = list(zip(*sd.right)) if sd.right else []
     reps: list[tuple[Fraction, ...]] = []
-    digits = [0] * len(sd.invariant_factors)
-    while True:
-        z = [Fraction(digits[i], sd.invariant_factors[i]) for i in range(len(digits))]
+    for digits in product(*(range(d) for d in sd.invariant_factors)):
+        z = [Fraction(a, d) for a, d in zip(digits, sd.invariant_factors)]
         y = [Fraction(0)] * n
         for i, zi in enumerate(z):
             if zi:
                 for row in range(n):
                     y[row] += zi * v_cols[i][row]
         reps.append(tuple(c % 1 for c in y))
-        # odometer over the digit box
-        pos = len(digits) - 1
-        while pos >= 0:
-            digits[pos] += 1
-            if digits[pos] < sd.invariant_factors[pos]:
-                break
-            digits[pos] = 0
-            pos -= 1
-        if pos < 0:
-            break
     reps = sorted(set(reps))
     torus_dirs = canonicalize(
         [v_cols[i] for i in range(len(sd.invariant_factors), n)], n

@@ -25,7 +25,7 @@ from . import deciders as dec
 from . import families as fm
 from . import lattice as lat
 from .errors import CapExceeded, PreconditionError, UnsupportedShape
-from .schedule import Schedule, build_schedule, check_schedule
+from .schedule import DEFAULT_BUDGET, Schedule, build_schedule, check_schedule
 
 SAMPLE_CAP = 10**7
 COEFF_CAP = 5
@@ -214,6 +214,8 @@ def sample_sigma(
     """
     if n_samples < 1:
         raise PreconditionError("need at least one sample")
+    if seed < 0:
+        raise PreconditionError("the seed must be non-negative")
     if n_samples > SAMPLE_CAP:
         raise CapExceeded(f"{n_samples} samples exceed the cap {SAMPLE_CAP}")
     if s.depth < 1:
@@ -351,7 +353,7 @@ def build_measure_for_group(
     depth: int,
     n_samples: int,
     seed: int,
-    search_budget: int | None = None,
+    search_budget: int = DEFAULT_BUDGET,
 ):
     """Reduction, schedule, sampling and rescaling in one pipeline.
 
@@ -370,8 +372,7 @@ def build_measure_for_group(
         )
     red, g_tilde = fm.reduce_family(fam, G)
     subfam = fm.subfamily(fam, red)
-    kwargs = {} if search_budget is None else {"search_budget": search_budget}
-    sched = build_schedule(subfam, depth, **kwargs)
+    sched = build_schedule(subfam, depth, search_budget)
     rho = sample_sigma(g_tilde, sched, subfam, n_samples, seed)
     sigma = pushforward_scale(rho, red.scale)
     return sigma, sched, red, g_tilde

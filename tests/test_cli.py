@@ -245,9 +245,21 @@ class TestExitCodes:
             ["gaussian"],
             ["verify-dichotomy", "SIGMA", "--bound", "-1"],
             ["measure", "FAMILY", "--group", "GROUP", "--depth", "0", "--out", "OUT"],
+            ["measure", "FAMILY", "--group", "GROUP", "--depth", "2", "--samples", "50",
+             "--seed", "-1", "--out", "OUT"],
+            ["demo", "cor65", "--polys", "n,n^2", "--depth", "3", "--samples", "100",
+             "--seed", "-1"],
+            ["demo", "cor65", "--polys", "n,n^2", "--depth", "3", "--samples", "100",
+             "--k0-max", "-1"],
+            ["gaussian", "--rho", "0.5", "--lo", "nan", "--hi", "0"],
+            ["gaussian", "--sigma", "SIGMA", "--lo", "nan"],
+            ["demo", "cor67", "--ell", "3", "--primes", "11", "--depth", "6", "--samples",
+             "8000", "--seed", "11", "--k0-max", "4", "--scan-csv", "OUT"],
         ],
         ids=["cor66_no_p_q", "cor66_no_q", "cor67_bad_primes", "splits_bad_F",
-             "gaussian_no_sigma_no_rho", "dichotomy_negative_bound", "measure_depth_0"],
+             "gaussian_no_sigma_no_rho", "dichotomy_negative_bound", "measure_depth_0",
+             "measure_negative_seed", "cor65_negative_seed", "cor65_negative_k0_max",
+             "gaussian_rho_nan_bound", "gaussian_sigma_nan_bound", "cor67_scan_csv"],
     )
     def test_malformed_option_value(self, families, tmp_path, capsys, argv):
         assert run(fill_placeholders(argv, families, tmp_path)) == 2

@@ -1,5 +1,7 @@
 """Counterexample demos: exact ledgers and small-scale scans."""
 
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +18,10 @@ from rigidlab.demos import (
 )
 from rigidlab.behrend import behrend_set
 from rigidlab.errors import PreconditionError
+
+
+def report_sha256(report) -> str:
+    return hashlib.sha256(json.dumps(report.to_json(), sort_keys=True).encode()).hexdigest()
 
 
 class TestCor65Group:
@@ -62,6 +68,9 @@ class TestCor65ExactLedger:
         assert rep.gap == F(2, 27)
         assert rep.epsilon == F(1, 27)
         assert rep.exact_ledger_ok
+        assert report_sha256(rep) == (
+            "69d4db0bf4576e4476332d83edfb9a1099a21f2bac637d7a1220bc8877bf01f9"
+        )
 
     def test_ell3_values(self):
         rep = cor65_demo(
@@ -72,6 +81,16 @@ class TestCor65ExactLedger:
         assert rep.nu_power == F(16, 81)
         assert rep.gap == F(4, 81)
         assert rep.exact_ledger_ok
+
+    def test_cutoff_search_stops_at_last_nonempty_tail(self):
+        # depth 3 has tails only for k0 = 0, 1, 2; k0_max = 3 must not reach
+        # an empty tail, and a negative k0_max is refused.
+        rep = cor65_demo(2, [(0, 1), (0, 0, 1)], depth=3, n_samples=100, seed=1, k0_max=3)
+        assert rep.cutoff is None
+        assert set(rep.scans) <= {0, 1, 2}
+        assert rep.to_json()["k0"] is None
+        with pytest.raises(PreconditionError, match="k0_max"):
+            cor65_demo(2, [(0, 1), (0, 0, 1)], depth=3, n_samples=100, seed=1, k0_max=-1)
 
     def test_dependent_rejected(self):
         with pytest.raises(PreconditionError, match="linearly independent"):
@@ -121,6 +140,9 @@ class TestCor66:
         # low coordinate rigid, top mixing
         assert rep.rigid_coefficients[0] == pytest.approx(1.0, abs=0.05)
         assert rep.mixing_coefficient < 0.2
+        assert report_sha256(rep) == (
+            "fa9d6b608c64ea05cca625e9bd54d442d6e07217f049316cae26b31dc281b310"
+        )
 
     def test_degree_rejections(self):
         with pytest.raises(PreconditionError):
@@ -168,3 +190,6 @@ class TestCor67:
         assert by_prime[11].cutoff is not None
         # limits decrease toward uniform
         assert by_prime[11].limit < by_prime[5].limit
+        assert report_sha256(rep) == (
+            "6c53e9c3c5f446bff620d763bc2c38775b4e211a2f295028f2fa82c19b70f4c7"
+        )
