@@ -9,10 +9,19 @@ integer arguments t are computed through exact per-column phases
 (t * scale * alpha mod 1 as a rational, then digit multiples mod 1), so no
 precision is lost to floating-point reduction of astronomically large
 products; the float stage only ever adds a handful of numbers in [0, 1).
+
+The words of a measure are distinct rows of its code matrix in increasing
+lexicographic order (np.unique and the explicit-atom arange produce them so),
+so the words sharing columns 0..j form contiguous runs.  phases walks that
+prefix tree column by column: each run adds its column's phase once to its
+parent run's partial sum, instead of every word gathering every column.  Each
+word still receives the same float additions in the same order, so the
+result is bitwise that of the word-by-word sum.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,6 +84,50 @@ def _support_cells(structure: GroupCellStructure, k: int):
     return sorted(merged.items())
 
 
+def _strictly_increasing(codes: np.ndarray) -> bool:
+    """Whether each row exceeds the one before at the first column they differ."""
+    n, cols = codes.shape
+    if n < 2:
+        return True
+    if cols == 0:
+        return False
+    rows = np.arange(n - 1)
+    first = (codes[1:] != codes[:-1]).argmax(axis=1)
+    return bool((codes[1:][rows, first] > codes[:-1][rows, first]).all())
+
+
+def _prefix_runs(codes: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray]]:
+    """Per column j, (parent, code) of the runs of rows sharing columns 0..j.
+
+    parent[r] is the run at column j - 1 that run r extends (None where the
+    runs map one to one or extend a single parent, so no gather is needed)
+    and code[r] its column-j code.  The last column's runs are the rows.
+    Refuses rows that are not strictly increasing in lexicographic order.
+    """
+    if not _strictly_increasing(codes):
+        raise PreconditionError(
+            "words must be distinct code rows in increasing lexicographic order"
+        )
+    n, cols = codes.shape
+    step = codes[1:] != codes[:-1]  # where row i + 1 differs from row i
+    splits = np.logical_or.accumulate(step, axis=1)
+    runs = []
+    prev_ids = np.zeros(n, dtype=np.intp)
+    prev_count = min(n, 1)
+    for col in range(cols):
+        starts = np.ones(n, dtype=bool)
+        starts[1:] = splits[:, col]
+        first = np.flatnonzero(starts)
+        parent = None
+        if prev_count not in (1, len(first)):
+            parent = prev_ids[first]
+        # intp codes index without a cast on every phases call
+        runs.append((parent, codes[first, col].astype(np.intp)))
+        prev_ids = np.cumsum(starts) - 1
+        prev_count = len(first)
+    return runs
+
+
 class AtomicMeasure:
     """Finite weighted point set on [0, 1) in product form.
 
@@ -87,6 +140,11 @@ class AtomicMeasure:
     for samples; Fourier analysis reduces t * digit * alpha mod 1 with raw
     integer arithmetic per category, so huge arguments lose nothing before
     the final float.
+
+    The rows of codes must be distinct and strictly increasing in
+    lexicographic order (PreconditionError otherwise): phases evaluates them
+    over the prefix tree of runs that order makes contiguous, built once here
+    and shared by pushforward_scale images.
     """
 
     def __init__(
@@ -123,6 +181,7 @@ class AtomicMeasure:
         self.codes = codes  # uint32 array (n_words, n_columns)
         self.weights = weights  # exact Fractions per word
         self.scale = scale
+        self._runs = _prefix_runs(codes)
 
     def total_weight(self) -> Fraction:
         return sum(self.weights, Fraction(0))
@@ -157,19 +216,25 @@ class AtomicMeasure:
 
         Per column, theta = t * scale * alpha mod 1 is reduced with integer
         divmod (no gcd normalization), each category digit multiplies in
-        modularly, and only then does float enter.
+        modularly, and only then does float enter.  The column phases are
+        summed over the prefix tree: partial_j = partial_{j-1}[parent_j] +
+        phase_j[code_j], starting from 0.0, which is the word-by-word sum
+        0.0 + phase_0 + ... + phase_{c-1} bit for bit.
         """
-        total = np.zeros(len(self.codes))
+        partial = np.zeros(min(len(self.codes), 1))  # the empty prefix
         ts = int(t) * int(self.scale)
-        for col, a in enumerate(self._flat_alphas()):
+        for (parent, code), a, digits in zip(
+            self._runs, self._flat_alphas(), self.categories
+        ):
             p, q = a.numerator, a.denominator
             base = (ts % q) * p % q
             # int/int true division is correctly rounded at any size
-            cat_phase = np.array(
-                [(int(d) * base % q) / q for d in self.categories[col]]
-            )
-            total += cat_phase[self.codes[:, col]]
-        return total % 1.0
+            cat_phase = np.array([(int(d) * base % q) / q for d in digits])
+            if parent is not None:
+                partial = partial[parent]
+            partial = partial + cat_phase[code]
+        # equals partial % 1.0 bit for bit on finite values, and is cheaper
+        return partial - np.floor(partial)
 
     def to_json(self) -> dict:
         return {
@@ -274,13 +339,10 @@ def pushforward_scale(m: AtomicMeasure, factor: int) -> AtomicMeasure:
     """Image measure under x -> factor * x mod 1; equal images merge in atoms."""
     if factor < 1:
         raise PreconditionError("scale factor must be a positive integer")
-    return AtomicMeasure(
-        alphas=m.alphas,
-        categories=m.categories,
-        codes=m.codes,
-        weights=m.weights,
-        scale=m.scale * factor,
-    )
+    image = copy.copy(m)  # shares codes, weights and their prefix runs
+    image.scale = m.scale * factor
+    image._atoms = None  # positions move; materialized again on demand
+    return image
 
 
 @dataclass

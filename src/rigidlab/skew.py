@@ -10,7 +10,12 @@ reduction and one of two vectorized arc kernels, the closed form over cyclic
 gaps for a single-interval B (_arc_intersection_lengths) and the endpoint
 sweep with a running cover count for a multi-interval B
 (_multi_arc_intersection_lengths), so the only inexactness is the final
-float, not the reduction of huge shifts.
+float, not the reduction of huge shifts.  The closed form orders each word's
+m + 1 arc starts with a compare-exchange network over whole columns instead
+of a row sort; min and max are exact, so for m < 8 its values are those of
+the sorted form bit for bit (beyond, numpy's row sum would add the gaps
+pairwise, the kernel still adds them left to right), and the budget below is
+unchanged.
 
 Error budget of a per-word value, against the exact measure for the exact
 phases, with K the arcs of B, m the shifts and 2^-53 the unit roundoff:
@@ -53,14 +58,22 @@ def _arc_intersection_lengths(starts: np.ndarray, length: float) -> np.ndarray:
     """Measure of the intersection of arcs [s_i, s_i + length) per row.
 
     Equal-length arcs: with cyclic gaps g_i between sorted start points the
-    intersection has measure sum_i max(0, g_i - (1 - length)).
+    intersection has measure sum_i max(0, g_i - (1 - length)).  The starts
+    are reduced by x - floor(x), which is x % 1.0 bit for bit, and each row
+    is sorted by a compare-exchange network over the columns; np.minimum and
+    np.maximum are exact, so the columns come out as np.sort's.  The terms
+    are added left to right, as numpy's row sum adds fewer than 8 terms.
     """
-    s = np.sort(starts % 1.0, axis=1)
-    gaps = np.diff(s, axis=1)
-    wrap = 1.0 - (s[:, -1] - s[:, 0])
+    reduced = starts - np.floor(starts)
+    s = [reduced[:, j] for j in range(reduced.shape[1])]
+    for last in range(len(s) - 1, 0, -1):
+        for j in range(last):
+            s[j], s[j + 1] = np.minimum(s[j], s[j + 1]), np.maximum(s[j], s[j + 1])
     slack = length - 1.0
-    total = np.clip(gaps + slack, 0.0, None).sum(axis=1)
-    total += np.clip(wrap + slack, 0.0, None)
+    total = np.zeros(len(reduced))
+    for lo, hi in zip(s, s[1:]):
+        total += np.maximum(hi - lo + slack, 0.0)
+    total += np.maximum(1.0 - (s[-1] - s[0]) + slack, 0.0)
     return total
 
 
@@ -127,14 +140,16 @@ def shifted_intersection_values(
 ) -> np.ndarray:
     """Per-word measure of B meet (B - s1 x) meet ... as floats."""
     n_atoms = len(base.codes)
+    if len(B.intervals) == 1:
+        (u, v), = B.intervals
+        # B - t x starts at u - t x; offsets cancel u
+        starts = np.zeros((n_atoms, len(shifts) + 1), order="F")
+        for col, t in enumerate(shifts, start=1):
+            np.negative(base.phases(t), out=starts[:, col])
+        return _arc_intersection_lengths(starts, float(v - u))
     phases = np.empty((n_atoms, len(shifts)))
     for col, t in enumerate(shifts):
         phases[:, col] = base.phases(t)
-    if len(B.intervals) == 1:
-        (u, v), = B.intervals
-        starts = np.zeros((n_atoms, len(shifts) + 1))
-        starts[:, 1:] = -phases  # B - t x starts at u - t x; offsets cancel u
-        return _arc_intersection_lengths(starts, float(v - u))
     arcs = np.array([(float(u), float(v)) for u, v in B.intervals]).reshape(-1, 2)
     return _multi_arc_intersection_lengths(arcs, phases)
 

@@ -148,6 +148,108 @@ class TestFourier:
         assert m.phases(t).tobytes() == want.tobytes()
 
 
+def _column_phases(m, t):
+    """Reference: the column-by-column gather that the prefix-tree evaluation
+    replaced, kept as the oracle it must reproduce bitwise."""
+    total = np.zeros(len(m.codes))
+    ts = int(t) * int(m.scale)
+    for col, a in enumerate(m._flat_alphas()):
+        p, q = a.numerator, a.denominator
+        base = (ts % q) * p % q
+        cat_phase = np.array([(int(d) * base % q) / q for d in m.categories[col]])
+        total += cat_phase[m.codes[:, col]]
+    return total % 1.0
+
+
+SCHEDULE_BY_SIZE = {
+    1: build_schedule(FAM_N, 1),  # one column
+    2: build_schedule(FAM_N_NSQ, 4),
+}
+
+
+def _sampled_2z_3z(n_samples, seed):
+    G = lat.canonicalize([(2, 0), (0, 3)], 2)
+    return ms.sample_sigma(G, SCHEDULE_BY_SIZE[2], FAM_N_NSQ, n_samples, seed)
+
+
+@st.composite
+def _sampled_measures(draw):
+    """Sampled measures of random finite-index groups, products with free
+    coordinates, the trivial group, or a one-column schedule."""
+    if draw(st.booleans()):
+        fam, G = FAM_N, lat.canonicalize([(draw(st.integers(1, 6)),)], 1)
+    else:
+        fam = FAM_N_NSQ
+        a, b, c = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(1, 4))
+        G = draw(st.sampled_from([
+            lat.canonicalize([(a, b), (0, c)], 2),
+            lat.canonicalize([(a, 0)], 2),  # second coordinate free
+            lat.canonicalize([(0, c)], 2),  # first coordinate free
+            lat.trivial(2),  # every coordinate free
+        ]))
+    n_samples = draw(st.sampled_from([1, 2, 50, 2000]))
+    m = ms.sample_sigma(G, SCHEDULE_BY_SIZE[fam.size], fam, n_samples, draw(st.integers(0, 2**32)))
+    factor = draw(st.sampled_from([1, 1, 2, 3, 6]))
+    return ms.pushforward_scale(m, factor) if factor > 1 else m
+
+
+class TestPrefixTreePhases:
+    """AtomicMeasure.phases over the prefix tree against the column gather."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=_sampled_measures(), t=st.integers(-(10**60), 10**60))
+    def test_sampled_matches_column_gather(self, m, t):
+        assert m.phases(t).tobytes() == _column_phases(m, t).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        positions=st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=10**15),
+            min_size=1,
+            max_size=12,
+        ),
+        factor=st.integers(1, 7),
+        t=st.integers(-(10**60), 10**60),
+    )
+    def test_explicit_and_pushforward_match_column_gather(self, positions, factor, t):
+        m = ms.AtomicMeasure([(x, 1) for x in positions])
+        for image in (m, ms.pushforward_scale(m, factor)):
+            assert image.phases(t).tobytes() == _column_phases(image, t).tobytes()
+
+    def test_one_word(self):
+        m = _sampled_2z_3z(1, 3)
+        assert m.codes.shape[0] == 1
+        for t in (0, 1, -5, 10**60):
+            assert m.phases(t).tobytes() == _column_phases(m, t).tobytes()
+
+    def test_pushforward_shares_the_words(self):
+        m = _sampled_2z_3z(500, 4)
+        image = ms.pushforward_scale(m, 6)
+        assert image.codes is m.codes and image._runs is m._runs
+        assert image.scale == 6 and m.scale == 1
+
+    def _rebuilt(self, m, codes):
+        return ms.AtomicMeasure(
+            alphas=m.alphas, categories=m.categories, codes=codes, weights=m.weights
+        )
+
+    def test_shuffled_rows_refused(self):
+        m = _sampled_2z_3z(500, 4)
+        assert len(m.codes) > 2
+        self._rebuilt(m, m.codes.copy())  # the sorted rows are accepted
+        shuffled = m.codes[np.random.default_rng(0).permutation(len(m.codes))]
+        with pytest.raises(PreconditionError):
+            self._rebuilt(m, shuffled)
+        with pytest.raises(PreconditionError):
+            self._rebuilt(m, m.codes[::-1])
+
+    def test_duplicate_rows_refused(self):
+        m = _sampled_2z_3z(500, 4)
+        doubled = np.repeat(m.codes, 2, axis=0)
+        with pytest.raises(PreconditionError):
+            self._rebuilt(m, doubled)
+
+
 class TestPushforward:
     def test_identity(self):
         m = ms.uniform_atoms([0, F(1, 3)])

@@ -211,6 +211,67 @@ class TestMultiArcKernel:
         assert got.tolist() == want
 
 
+def _sorted_closed_form(starts, length):
+    """Reference: the single-interval closed form with np.sort and % 1.0 that
+    the compare-exchange kernel replaced, kept as the oracle it must
+    reproduce bitwise."""
+    s = np.sort(starts % 1.0, axis=1)
+    gaps = np.diff(s, axis=1)
+    wrap = 1.0 - (s[:, -1] - s[:, 0])
+    slack = length - 1.0
+    total = np.clip(gaps + slack, 0.0, None).sum(axis=1)
+    total += np.clip(wrap + slack, 0.0, None)
+    return total
+
+
+# zero, values below 2^-53 and values just off 0 and 1
+_EDGE_PHASES = [0.0, 2.0**-60, 5e-324, 2.0**-53, 1 - 2.0**-53, 0.5, 1 / 3]
+
+
+class TestSingleArcKernel:
+    """The sort-free single-interval kernel against the np.sort closed form."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(0, 9),
+        n=st.sampled_from([1, 7, 300]),
+        length=st.sampled_from([1.0, 2 / 3, 0.5, 1e-3, 2.0**-60, float(F(1, 3**13))]),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_sorted_closed_form(self, m, n, length, fortran, seed):
+        rng = np.random.default_rng(seed)
+        # ties come from a small pool shared by the columns of a row
+        pool = np.concatenate([_EDGE_PHASES, rng.random(3)])
+        phases = np.where(
+            rng.random((n, m)) < 0.6, rng.choice(pool, size=(n, m)), rng.random((n, m))
+        )
+        starts = np.zeros((n, m + 1), order="F" if fortran else "C")
+        starts[:, 1:] = -phases
+        got = skew._arc_intersection_lengths(starts, length)
+        want = _sorted_closed_form(starts, length)
+        if m < 8:
+            assert got.tobytes() == want.tobytes()
+        else:  # numpy sums 8 or more gaps pairwise, the kernel left to right
+            assert np.abs(got - want).max() <= 2 * (m + 1) * 2.0**-53
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        xs=st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([-0.0, -1.0, -5e-324, -(2.0**-60), -(1 - 2.0**-53), -(2.0**53)]),
+                st.sampled_from(_EDGE_PHASES),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_floor_reduction_is_mod_one(self, xs):
+        x = np.array(xs)
+        assert (x - np.floor(x)).tobytes() == (x % 1.0).tobytes()
+
+
 class TestFsTail:
     def test_all_sums(self):
         assert sorted(fs_tail([1, 2, 4], 0).values()) == [1, 2, 3, 4, 5, 6, 7]
