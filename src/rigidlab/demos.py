@@ -21,7 +21,7 @@ from .circleset import CircleSet
 from .errors import ConstructionFailed, PreconditionError
 from .haar import FactorPattern, haar_correlation_limit
 from .measure import AtomicMeasure, build_measure_for_group, fourier_coefficient
-from .schedule import DEFAULT_BUDGET, Schedule
+from .schedule import Schedule
 from .skew import fs_tail, sampled_correlation
 
 BELOW = "BELOW"
@@ -97,8 +97,7 @@ def smallest_passing_cutoff(
 
 
 def _sampled_scan(
-    group, degree, B, polys, threshold, depth, n_samples, seed, k0_max,
-    search_budget=DEFAULT_BUDGET,
+    group, degree, B, polys, threshold, depth, n_samples, seed, k0_max
 ) -> tuple[AtomicMeasure, Schedule, int | None, dict[int, TailScan]]:
     """Sample sigma for the monomials n, ..., n^degree on the rigidity group
     and scan the finite-sums tail of its schedule for the smallest passing
@@ -107,7 +106,7 @@ def _sampled_scan(
         raise PreconditionError("k0_max must be non-negative")
     monomials = fm.polynomial_family([[0] * d + [1] for d in range(1, degree + 1)])
     sigma, sched, _, _ = build_measure_for_group(
-        monomials, group, depth, n_samples, seed, search_budget=search_budget
+        monomials, group, depth, n_samples, seed
     )
     cutoff, scans = smallest_passing_cutoff(
         sigma, B, polys, sched, k0_max, threshold, n_samples
@@ -215,7 +214,6 @@ def cor65_demo(
     n_samples: int,
     seed: int,
     k0_max: int = 3,
-    search_budget: int = DEFAULT_BUDGET,
 ) -> Cor65Report:
     """Non-IP* recurrence set for independent polynomials (exact ledger plus
     finite-sums scan of the sampled skew product)."""
@@ -250,7 +248,7 @@ def cor65_demo(
 
     _, _, cutoff, scans = _sampled_scan(
         group, family.max_degree, B, family.polys, float(nu_power - epsilon),
-        depth, n_samples, seed, k0_max, search_budget,
+        depth, n_samples, seed, k0_max,
     )
     return Cor65Report(
         ell=ell,

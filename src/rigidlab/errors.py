@@ -23,14 +23,7 @@ class CapExceeded(RigidlabError):
 
 
 class SearchExhausted(RigidlabError):
-    """A bounded search ran out of budget (SEARCH_EXHAUSTED).
-
-    Carries the best residual report found, when there is one.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """A bounded search ran out of budget (SEARCH_EXHAUSTED)."""
 
 
 class PrecisionInsufficient(RigidlabError):

@@ -96,14 +96,19 @@ def polynomial_family(polys: Sequence[Sequence[int]]) -> SequenceFamily:
 
 
 def beatty_family(decimals: Sequence[str], independent: bool) -> SequenceFamily:
-    """Multipliers given as decimal strings; precision is what was written."""
+    """Multipliers given as decimal strings; precision is what was written.
+
+    The error is one unit in the last written digit, 10^(e - digits) for a
+    mantissa with that many digits after the point and exponent e.
+    """
     alphas, errs = [], []
     for text in decimals:
         text = text.strip()
         f = Fraction(text)
-        digits = len(text.split(".")[1]) if "." in text else 0
+        mantissa, _, exponent = text.lower().partition("e")
+        digits = len(mantissa.partition(".")[2])
         alphas.append(f)
-        errs.append(Fraction(1, 10**digits))
+        errs.append(Fraction(10) ** (int(exponent or 0) - digits))
     return SequenceFamily(
         BEATTY,
         alphas=tuple(alphas),

@@ -34,7 +34,7 @@ from . import deciders as dec
 from . import families as fm
 from . import lattice as lat
 from .errors import CapExceeded, PreconditionError, UnsupportedShape
-from .schedule import DEFAULT_BUDGET, Schedule, build_schedule, check_schedule
+from .schedule import Schedule, build_schedule, check_schedule
 
 SAMPLE_CAP = 10**7
 COEFF_CAP = 5
@@ -415,7 +415,6 @@ def build_measure_for_group(
     depth: int,
     n_samples: int,
     seed: int,
-    search_budget: int = DEFAULT_BUDGET,
 ):
     """Reduction, schedule, sampling and rescaling in one pipeline.
 
@@ -434,7 +433,7 @@ def build_measure_for_group(
         )
     red, g_tilde = fm.reduce_family(fam, G)
     subfam = fm.subfamily(fam, red)
-    sched = build_schedule(subfam, depth, search_budget)
+    sched = build_schedule(subfam, depth)
     rho = sample_sigma(g_tilde, sched, subfam, n_samples, seed)
     sigma = pushforward_scale(rho, red.scale)
     return sigma, sched, red, g_tilde

@@ -16,14 +16,18 @@ landing in the window, which satisfies the calibration exactly; m is further
 steered to integer multiples that cancel the off-diagonal phases.  Candidate
 indices n_k run through multiples of k! and then of a divisibility modulus
 assembled from the previous levels, which for zero-constant-term families
-cancels every history phase exactly.  Remaining residuals are always checked
-exactly, and the search reports the best failing residuals when the budget
-runs out.
+cancels every history phase exactly.  The window, and the calibration of
+every candidate but the window-top fallback, hold by construction; the
+builder tests the calibration of that fallback, the off-diagonal and the
+history inequalities on exact integer residues (`_near_integer`), and
+check_schedule replays all four in Fraction as the postcondition.  The
+search raises SearchExhausted when the budget runs out.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -175,17 +179,30 @@ def check_schedule(s: Schedule, fam: fm.SequenceFamily) -> ResidualReport:
     return report
 
 
-def _alpha_candidates(phi_j: int, others: list[int], window_top: Fraction, calib: Fraction):
+def _near_integer(num: int, den: int, bound: int) -> bool:
+    """||num/den|| < 1/bound exactly, for den > 0 and bound > 0."""
+    r = num % den
+    return min(r, den - r) * bound < den
+
+
+def _alpha_candidates(
+    phi_j: int, others: Sequence[int], window_top: Fraction, calib: Fraction
+):
     """Candidate alphas (c + m)/phi within the window, best-structured first.
 
-    Integer m makes the calibration residual exactly zero; multiples of
-    phi_j / gcd(phi_j, gcd(others)) additionally make the off-diagonal phase
-    an exact integer plus a term the index divisibility cancels.  Three
-    streams of m follow one another (targeted, structured multiples, plain
-    m upward from the low end), then the window top as the last resort.
+    Each candidate is an unreduced pair (num, den) with den > 0.  Every one
+    but the last comes from an integer m in the window's range, so it lies in
+    (0, window_top] and its calibration residual phi alpha - c is exactly m;
+    multiples of phi_j / gcd(phi_j, gcd(others)) additionally make the
+    off-diagonal phase an exact integer plus a term the index divisibility
+    cancels.  Three streams of m follow one another (targeted, structured
+    multiples, plain m upward from the low end), then the window top as the
+    last resort.
     """
     if phi_j == 0:
         return
+    c_num, c_den = calib.numerator, calib.denominator
+    sign, den = (1 if phi_j > 0 else -1), c_den * abs(phi_j)
     if phi_j > 0:
         lo_m = -calib  # exclusive
         hi_m = window_top * phi_j - calib  # inclusive
@@ -197,59 +214,58 @@ def _alpha_candidates(phi_j: int, others: list[int], window_top: Fraction, calib
         hi_int = math.ceil(-calib) - 1
     if hi_int < lo_int:
         # No exact-calibration candidate; fall back to the window top.
-        yield window_top
+        yield window_top.numerator, window_top.denominator
         return
-    g = 0
-    for o in others:
-        g = math.gcd(g, abs(o))
-    unit = abs(phi_j) // math.gcd(abs(phi_j), g) if g else 1
+    g = math.gcd(*others)
+    unit = abs(phi_j) // math.gcd(phi_j, g) if g else 1
+
+    def m_streams():
+        # Targeted candidates: land o (c + m) / phi_j on an integer s for each
+        # other coordinate o, which pins the fastest-moving off-diagonal
+        # phase; s takes up to 25 evenly spaced values between the ends of
+        # the m range (v_lo, v_hi are numerators over den).
+        for o in filter(None, others):
+            v_lo, v_hi = sorted(sign * o * (c_num + m * c_den) for m in (lo_int, hi_int))
+            s_lo, s_hi = -(-v_lo // den), v_hi // den
+            for s in range(s_lo, s_hi + 1, max(1, (s_hi - s_lo + 1) // 24))[:25]:
+                yield round(Fraction(s * phi_j * c_den - o * c_num, o * c_den))
+        # Structured multiples make the off-diagonal phase integral up to the
+        # cancelled part; small |m| keeps the generic phases small, so both
+        # scans count up from the low end of the window.
+        if unit > 1:
+            yield from range(-(-lo_int // unit) * unit, hi_int + 1, unit)[:_M_CANDIDATES]
+        yield from range(lo_int, hi_int + 1)[:_M_CANDIDATES]
+
     seen = set()
-    # Targeted candidates: land phi_i (c + m) / phi_j on an integer for each
-    # other coordinate i, which pins the fastest-moving off-diagonal phase.
-    for o in others:
-        if o == 0:
-            continue
-        v_lo = Fraction(o) * (calib + lo_int) / phi_j
-        v_hi = Fraction(o) * (calib + hi_int) / phi_j
-        if v_lo > v_hi:
-            v_lo, v_hi = v_hi, v_lo
-        s_lo, s_hi = math.ceil(v_lo), math.floor(v_hi)
-        if s_hi < s_lo:
-            continue
-        count = s_hi - s_lo + 1
-        stride = max(1, count // 24)
-        s = s_lo
-        emitted = 0
-        while s <= s_hi and emitted < 25:
-            m_exact = Fraction(s) * phi_j / o - calib
-            m = round(m_exact)
-            if lo_int <= m <= hi_int and m not in seen:
-                seen.add(m)
-                yield (calib + m) / phi_j
-            s += stride
-            emitted += 1
-    # Structured multiples make the off-diagonal phase integral up to the
-    # cancelled part; small |m| keeps the generic phases small, so both scans
-    # count up from the low end of the window.
-    if unit > 1:
-        m = (lo_int // unit) * unit
-        if m < lo_int:
-            m += unit
-        count = 0
-        while m <= hi_int and count < _M_CANDIDATES:
-            if m not in seen:
-                seen.add(m)
-                yield (calib + m) / phi_j
-            m += unit
-            count += 1
-    m, count = lo_int, 0
-    while m <= hi_int and count < _M_CANDIDATES:
-        if m not in seen:
+    for m in m_streams():
+        if lo_int <= m <= hi_int and m not in seen:
             seen.add(m)
-            yield (calib + m) / phi_j
-        m += 1
-        count += 1
-    yield window_top
+            yield sign * (c_num + m * c_den), den
+    yield window_top.numerator, window_top.denominator
+
+
+def _pick_alpha(
+    phi: int, others: Sequence[int], top: Fraction, calib: Fraction, exact_only: bool
+) -> Fraction | None:
+    """The first candidate alpha for one coordinate that passes, or None.
+
+    The window holds by construction, and so does the calibration for every
+    candidate but the window-top fallback.  The calibration, the exact_only
+    deferral (give up at the first candidate whose calibration residual is
+    not an integer) and the off-diagonal bound are tested on integer
+    residues.  calib = c_num/d in lowest terms has d = 2 (k!)^2, the inverse
+    of both bounds.
+    """
+    c_num, d = calib.numerator, calib.denominator
+    for num, den in _alpha_candidates(phi, others, top, calib):
+        residual = phi * num * d - c_num * den  # over den * d
+        if exact_only and residual % (den * d):
+            return None
+        if _near_integer(residual, den * d, d) and all(
+            _near_integer(o * num, den, d) for o in others
+        ):
+            return Fraction(num, den)
+    return None
 
 
 def _chain_modulus(
@@ -264,27 +280,17 @@ def _chain_modulus(
     whole (not merely up to lcm overlap), so phi of any multiple keeps the
     full factor and the c_s part of every earlier alpha lands in Z.  The
     2 (depth!)^2 factor additionally clears the cross terms that finite sums
-    of indices produce against deeper levels' calibration offsets.
+    of indices produce against deeper levels' calibration offsets.  k!
+    divides the 2 (k!)^3 term, so every multiple keeps k! | n_k.
     """
-    kf = math.factorial(k)
-    df = math.factorial(depth) if depth else 1
-    m = kf * 2 * kf * kf
-    cross = 2 * df * df
-    m = m * cross // math.gcd(m, cross)
+    kf, df = math.factorial(k), math.factorial(depth)
+    terms = [2 * kf**3, 2 * df * df]
     if fam.kind == fm.POLYNOMIAL:
-        for p in fam.polys:
-            content = 0
-            for c in p:
-                content = math.gcd(content, c)
-            if content:
-                m = m * content // math.gcd(m, content)
+        terms += [math.gcd(*p) for p in fam.polys]
     for s_prev, vals in enumerate(schedule_values, start=1):
         sf = math.factorial(s_prev)
-        for v in vals:
-            if v:
-                term = 2 * sf * sf * abs(v)
-                m = m * term // math.gcd(m, term)
-    return m
+        terms += [2 * sf * sf * abs(v) for v in vals]
+    return math.lcm(*(t for t in terms if t))
 
 
 def build_schedule(
@@ -292,10 +298,13 @@ def build_schedule(
 ) -> Schedule:
     """Search a passing schedule of the requested depth.
 
-    Requires an asymptotically linearly independent family.  Raises
-    SearchExhausted with the best residual report when the budget runs out
-    (shifted-constant families beyond depth 2 typically need a larger budget
-    or do not admit the structured candidates at all).
+    Requires an asymptotically linearly independent family.  Window and
+    calibration hold by construction of the candidate alphas (see
+    _alpha_candidates); the off-diagonal and history bounds, and the
+    calibration of the window-top fallback, are tested on integer residues.
+    The result passes check_schedule.  Raises SearchExhausted when the
+    budget runs out (shifted-constant families beyond depth 2 typically need
+    a larger budget or do not admit the structured candidates at all).
     """
     if depth < 0 or depth > MAX_DEPTH:
         raise PreconditionError(f"depth must be between 0 and {MAX_DEPTH}")
@@ -333,10 +342,8 @@ def build_schedule(
         if alpha_cap is not None and k < depth:
             top = min(top, alpha_cap)
         calib = _calibration(k)
-        tight = Fraction(1, 2 * kf * kf)
-        hist_bound = Fraction(1, k * k * kf)
+        hist_bound = k * k * kf
         chain = _chain_modulus(fam, k, values, depth)
-        chain = chain * kf // math.gcd(chain, kf)
 
         def raw_indices(limit):
             n, seen = kf * (floor_index // kf + 1), 0
@@ -360,36 +367,19 @@ def build_schedule(
                 if any(v == 0 for v in vals):
                     continue
                 if not all(
-                    circle_norm(vals[j] * alphas[s_prev][j2]) < hist_bound
-                    for s_prev in range(k - 1)
-                    for j in range(size)
-                    for j2 in range(size)
+                    _near_integer(v * a.numerator, a.denominator, hist_bound)
+                    for row in alphas
+                    for v in vals
+                    for a in row
                 ):
                     continue
-                level_alphas: list[Fraction | None] = [None] * size
-                ok = True
+                level_alphas = []
                 for j in range(size):
-                    chosen = None
-                    for a in _alpha_candidates(vals[j], [vals[i] for i in range(size) if i != j], top, calib):
-                        if exact_only and (vals[j] * a - calib).denominator != 1:
-                            break  # window-top fallback reached; defer
-                        if not 0 < a <= top:
-                            continue
-                        if circle_norm(vals[j] * a - calib) >= tight:
-                            continue
-                        if any(
-                            circle_norm(vals[i] * a) >= tight
-                            for i in range(size)
-                            if i != j
-                        ):
-                            continue
-                        chosen = a
+                    a = _pick_alpha(vals[j], vals[:j] + vals[j + 1:], top, calib, exact_only)
+                    if a is None:
                         break
-                    if chosen is None:
-                        ok = False
-                        break
-                    level_alphas[j] = chosen
-                if ok:
+                    level_alphas.append(a)
+                else:
                     yield n_k, tuple(level_alphas), vals
 
     def descend(k: int, indices: list[int], alphas: list, values: list) -> bool:
@@ -410,10 +400,8 @@ def build_schedule(
     alphas: list[tuple[Fraction, ...]] = []
     values: list[tuple[int, ...]] = []
     if not descend(1, indices, alphas, values):
-        partial = Schedule(len(indices), tuple(indices), tuple(alphas))
         raise SearchExhausted(
-            f"no schedule of depth {depth} found within budget {search_budget}",
-            best=check_schedule(partial, fam).to_json() if indices else None,
+            f"no schedule of depth {depth} found within budget {search_budget}"
         )
     sched = Schedule(depth, tuple(indices), tuple(alphas))
     report = check_schedule(sched, fam)

@@ -267,7 +267,6 @@ def test_criterion_08_cor65_empirical_scan():
         n_samples=10**5,
         seed=42,
         k0_max=3,
-        search_budget=40000,
     )
     elapsed = time.monotonic() - t0
     ok = rep.exact_ledger_ok and rep.cutoff is not None and rep.cutoff <= 3

@@ -1,6 +1,7 @@
 """Sequence families: relation groups, adequacy, evaluation, reduction."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -150,6 +151,14 @@ class TestEvaluate:
         f = fam.beatty_family(["0.50"], independent=True)
         with pytest.raises(PrecisionInsufficient):
             fam.evaluate(f, 2)
+
+    def test_beatty_precision_from_exponent(self):
+        # 1.4142e2 = 141.42 is written to 1/100, so 7 alpha = 989.94 may
+        # reach 990.01 and floor(7 alpha) is not certified.
+        f = fam.beatty_family(["1.4142e2", "2.5E1"], independent=True)
+        assert f.alpha_errors == (Fraction(1, 100), Fraction(1))
+        with pytest.raises(PrecisionInsufficient):
+            fam.evaluate(f, 7)
 
     def test_explicit_table(self):
         f = fam.explicit_family([[5, 7, 9]])

@@ -6,11 +6,17 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rigidlab import families as fm
 from rigidlab.errors import PreconditionError, SearchExhausted
 from rigidlab.schedule import (
     Schedule,
+    _alpha_candidates,
+    _calibration,
+    _near_integer,
+    _pick_alpha,
     build_schedule,
     check_schedule,
     circle_norm,
@@ -92,6 +98,105 @@ class TestBuildSchedule:
         assert schedule_sha256(s) == (
             "31df049307f05ba75807a2a7af896649758eb63a454761e1ab7d547a35166c48"
         )
+
+
+    @pytest.mark.parametrize(
+        "polys, depth, digest",
+        [
+            ([[0, 1], [0, 0, 1]], 6,
+             "c218e9ade5a1001cdb86cdeba95bf75ba9ac189478cb9a303c203d2b748f941b"),
+            ([[0, 1], [0, 0, 1]], 7,
+             "debc943f907775bd4c931bf1b5569c0bd2804c2523d390338ba6ff5e81073a24"),
+            ([[0, 1], [0, 0, 1]], 11,
+             "e9fa5b0c9c113af7869cf8464e27896c552f2893f81fa717c48df17c143a06a7"),
+            ([[0, 1], [0, 0, 1]], 13,
+             "59b984e4a44fc845c6d988dce0143ac7e168bfbe05cac26aa0fba5c95dced833"),
+            ([[1, 1], [2, 0, 1]], 2,
+             "31df049307f05ba75807a2a7af896649758eb63a454761e1ab7d547a35166c48"),
+        ],
+        ids=["n_nsq-6", "n_nsq-7", "n_nsq-11", "n_nsq-13", "shifted-2"],
+    )
+    def test_benchmarked_schedules_pinned(self, polys, depth, digest):
+        # The schedules the demos, the CLI pipeline and criterion 8 build at
+        # the default budget: a change in search order fails here.
+        s = build_schedule(fm.polynomial_family(polys), depth)
+        assert schedule_sha256(s) == digest
+
+
+def pick_alpha_reference(phi, others, top, calib, exact_only, k):
+    """The Fraction loop the integer picker replaced, over the same candidates."""
+    tight = Fraction(1, 2 * math.factorial(k) ** 2)
+    for num, den in _alpha_candidates(phi, others, top, calib):
+        a = Fraction(num, den)
+        if exact_only and (phi * a - calib).denominator != 1:
+            return None  # window-top fallback reached; defer
+        if not 0 < a <= top:
+            continue
+        if circle_norm(phi * a - calib) >= tight:
+            continue
+        if any(circle_norm(o * a) >= tight for o in others):
+            continue
+        return a
+    return None
+
+
+nonzero = st.integers(-(10**12), 10**12).filter(bool)
+windows = st.builds(Fraction, st.integers(1, 3), st.integers(1, 10**15))
+
+
+class TestIntegerResidues:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.integers(-(10**60), 10**60),
+        st.integers(1, 10**60),
+        st.integers(1, 10**60),
+    )
+    @example(7, 4, 4)  # ||7/4|| = 1/4 is not below 1/4
+    @example(-5, 2, 3)  # ||-5/2|| = 1/2
+    def test_near_integer_matches_circle_norm(self, num, den, bound):
+        assert _near_integer(num, den, bound) == (
+            circle_norm(Fraction(num, den)) < Fraction(1, bound)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 8),
+        nonzero,
+        st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=3),
+        windows,
+        st.booleans(),
+    )
+    def test_pick_alpha_matches_fraction_loop(self, k, phi, others, top, exact_only):
+        calib = _calibration(k)
+        assert _pick_alpha(phi, others, top, calib, exact_only) == (
+            pick_alpha_reference(phi, others, top, calib, exact_only, k)
+        )
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("phi", [12345, -12345])
+    def test_narrow_window_falls_back_to_top(self, k, phi):
+        # A window too narrow for any integer m leaves only the window top;
+        # exact_only defers it unless its calibration residual is an integer.
+        top = Fraction(1, 10**12)
+        calib = _calibration(k)
+        others = [phi * 7 + 1]
+        assert list(_alpha_candidates(phi, others, top, calib)) == [(1, 10**12)]
+        for exact_only in (True, False):
+            assert _pick_alpha(phi, others, top, calib, exact_only) == (
+                pick_alpha_reference(phi, others, top, calib, exact_only, k)
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8), nonzero, st.lists(nonzero, max_size=3), windows)
+    def test_candidates_hold_window_and_calibration(self, k, phi, others, top):
+        calib = _calibration(k)
+        cands = list(_alpha_candidates(phi, others, top, calib))
+        assert cands[-1] == (top.numerator, top.denominator)
+        for num, den in cands[:-1]:
+            assert den > 0
+            a = Fraction(num, den)
+            assert 0 < a <= top
+            assert (phi * a - calib).denominator == 1
 
 
 class TestCheckSchedule:
