@@ -22,7 +22,7 @@ from .errors import ConstructionFailed, PreconditionError
 from .haar import FactorPattern, haar_correlation_limit
 from .measure import AtomicMeasure, build_measure_for_group, fourier_coefficient
 from .schedule import Schedule
-from .skew import fs_tail, sampled_correlation
+from .skew import ShiftResidues, fs_tail, sampled_correlation
 
 BELOW = "BELOW"
 ABOVE = "ABOVE"
@@ -55,22 +55,20 @@ class TailScan:
 
 
 def scan_fs_tail(
-    base: AtomicMeasure,
+    shifts: ShiftResidues,
     B: CircleSet,
-    polys: Sequence[Sequence[int]],
-    schedule: Schedule,
     start_index: int,
     threshold: float,
     n_samples: int,
 ) -> TailScan:
-    """Evaluate the finite sums of schedule indices past start_index in
-    order, stopping after the first point that is not BELOW; a scan that
-    comes back all_below therefore covers the whole tail."""
-    tail = fs_tail(schedule.indices, start_index)
+    """Evaluate the finite sums of the generators past start_index in order,
+    stopping after the first point that is not BELOW; a scan that comes back
+    all_below therefore covers the whole tail.  Each point's shifts p(n_alpha)
+    reach the correlation as their exact residues from the shared table."""
+    tail = fs_tail(shifts.generators, start_index)
     points = []
     for alpha, n_alpha in tail.sums:
-        shifts = [sum(c * n_alpha**i for i, c in enumerate(p)) for p in polys]
-        corr, err = sampled_correlation(base, B, shifts, n_samples)
+        corr, err = sampled_correlation(shifts.base, B, shifts.at(alpha), n_samples)
         if corr + 3 * err <= threshold:
             verdict = BELOW
         elif corr - 3 * err > threshold:
@@ -87,10 +85,12 @@ def smallest_passing_cutoff(
     base, B, polys, schedule, k0_max, threshold, n_samples
 ) -> tuple[int | None, dict[int, TailScan]]:
     """Smallest k0 <= k0_max whose whole tail scans conclusively below; the
-    search stops at k0 = depth - 1, the last cutoff with a nonempty tail."""
+    search stops at k0 = depth - 1, the last cutoff with a nonempty tail.
+    The tails share one residue table over the schedule indices."""
+    shifts = ShiftResidues(base, schedule.indices, polys)
     scans = {}
     for k0 in range(min(k0_max, schedule.depth - 1) + 1):
-        scans[k0] = scan_fs_tail(base, B, polys, schedule, k0, threshold, n_samples)
+        scans[k0] = scan_fs_tail(shifts, B, k0, threshold, n_samples)
         if scans[k0].all_below:
             return k0, scans
     return None, scans

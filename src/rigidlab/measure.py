@@ -5,18 +5,20 @@ Every measure keeps a product structure: each atom is a word of cell digits
 scale * sum digit * alpha mod 1.  Sampled measures have one column per
 schedule level and coordinate; explicit rational atoms are one column with
 alpha = 1/L, L the lcm of their denominators.  Fourier coefficients at huge
-integer arguments t are computed through exact per-column phases
-(t * scale * alpha mod 1 as a rational, then digit multiples mod 1), so no
-precision is lost to floating-point reduction of astronomically large
-products; the float stage only ever adds a handful of numbers in [0, 1).
+integer arguments t go through exact integers first: residues(t) gives
+t * scale * p mod q per column alpha = p/q (skew.ShiftResidues gives the same
+residues for the finite-sums scans without reducing t), and phases multiplies
+each digit in mod q before any float enters, so no precision is lost to
+floating-point reduction of astronomically large products; the float stage
+only ever adds a handful of numbers in [0, 1).
 
 The words of a measure are distinct rows of its code matrix in increasing
-lexicographic order (np.unique and the explicit-atom arange produce them so),
-so the words sharing columns 0..j form contiguous runs.  phases walks that
-prefix tree column by column: each run adds its column's phase once to its
-parent run's partial sum, instead of every word gathering every column.  Each
-word still receives the same float additions in the same order, so the
-result is bitwise that of the word-by-word sum.
+lexicographic order (sample_sigma's lexsort dedup and the explicit-atom
+arange produce them so), so the words sharing columns 0..j form contiguous
+runs.  phases walks that prefix tree column by column: each run adds its
+column's phase once to its parent run's partial sum, instead of every word
+gathering every column.  Each word still receives the same float additions
+in the same order, so the result is bitwise that of the word-by-word sum.
 """
 
 from __future__ import annotations
@@ -138,8 +140,8 @@ class AtomicMeasure:
     column with alpha = 1/L (L the lcm of the denominators) and digit x * L.
     Exact positions are cached for explicit atoms and materialized on demand
     for samples; Fourier analysis reduces t * digit * alpha mod 1 with raw
-    integer arithmetic per category, so huge arguments lose nothing before
-    the final float.
+    integer arithmetic (residues, then per category in phases), so huge
+    arguments lose nothing before the final float.
 
     The rows of codes must be distinct and strictly increasing in
     lexicographic order (PreconditionError otherwise): phases evaluates them
@@ -155,10 +157,10 @@ class AtomicMeasure:
         categories=None,
         codes=None,
         weights=None,
+        weights_np=None,
         scale=1,
     ):
         self._atoms = None
-        self._weights_np = None
         if atoms is not None:
             merged: dict = {}
             for x, w in atoms:
@@ -180,17 +182,14 @@ class AtomicMeasure:
         self.categories = categories  # list per column of digit values
         self.codes = codes  # uint32 array (n_words, n_columns)
         self.weights = weights  # exact Fractions per word
+        if weights_np is None:
+            weights_np = np.array([float(w) for w in weights])
+        self.weights_np = weights_np  # the correctly rounded floats of weights
         self.scale = scale
         self._runs = _prefix_runs(codes)
 
     def total_weight(self) -> Fraction:
         return sum(self.weights, Fraction(0))
-
-    @property
-    def weights_np(self):
-        if self._weights_np is None:
-            self._weights_np = np.array([float(w) for w in self.weights])
-        return self._weights_np
 
     def _flat_alphas(self) -> list[Fraction]:
         return [a for level in self.alphas for a in level]
@@ -211,25 +210,33 @@ class AtomicMeasure:
             self._atoms = tuple(sorted(merged.items()))
         return self._atoms
 
-    def phases(self, t: int):
-        """numpy array of (t * position mod 1) per word.
+    def residues(self, t: int) -> list[int]:
+        """Per column, t * scale * p mod q for the column's alpha p/q.
 
-        Per column, theta = t * scale * alpha mod 1 is reduced with integer
-        divmod (no gcd normalization), each category digit multiplies in
-        modularly, and only then does float enter.  The column phases are
-        summed over the prefix tree: partial_j = partial_{j-1}[parent_j] +
-        phase_j[code_j], starting from 0.0, which is the word-by-word sum
-        0.0 + phase_0 + ... + phase_{c-1} bit for bit.
+        The column phase of t is this residue over q; it is reduced with
+        integer divmod (no gcd normalization), so huge t lose nothing.
+        """
+        ts = int(t) * int(self.scale)
+        return [(ts % a.denominator) * a.numerator % a.denominator
+                for a in self._flat_alphas()]
+
+    def phases(self, residues: Sequence[int]):
+        """numpy array of (t * position mod 1) per word, given residues(t).
+
+        Any integers congruent to residues(t) modulo the column denominators
+        give the same result.  Each category digit multiplies into its
+        column's residue modularly, and only then does float enter.  The
+        column phases are summed over the prefix tree: partial_j =
+        partial_{j-1}[parent_j] + phase_j[code_j], starting from 0.0, which
+        is the word-by-word sum 0.0 + phase_0 + ... + phase_{c-1} bit for bit.
         """
         partial = np.zeros(min(len(self.codes), 1))  # the empty prefix
-        ts = int(t) * int(self.scale)
-        for (parent, code), a, digits in zip(
-            self._runs, self._flat_alphas(), self.categories
+        for (parent, code), a, digits, r in zip(
+            self._runs, self._flat_alphas(), self.categories, residues, strict=True
         ):
-            p, q = a.numerator, a.denominator
-            base = (ts % q) * p % q
+            q = a.denominator
             # int/int true division is correctly rounded at any size
-            cat_phase = np.array([(int(d) * base % q) / q for d in digits])
+            cat_phase = np.array([(int(d) * r % q) / q for d in digits])
             if parent is not None:
                 partial = partial[parent]
             partial = partial + cat_phase[code]
@@ -262,6 +269,17 @@ def dirac(position=0) -> AtomicMeasure:
 def uniform_atoms(positions: Sequence) -> AtomicMeasure:
     n = len(positions)
     return AtomicMeasure([(Fraction(x), Fraction(1, n)) for x in positions])
+
+
+def _distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a non-empty matrix in increasing lexicographic
+    order and their counts, as np.unique(matrix, axis=0, return_counts=True)
+    gives them, from one lexsort and a comparison of adjacent rows."""
+    ordered = matrix[np.lexsort(matrix.T[::-1])]
+    new_row = np.ones(len(ordered), dtype=bool)
+    new_row[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = np.flatnonzero(new_row)
+    return ordered[first], np.diff(first, append=len(ordered))
 
 
 def sample_sigma(
@@ -312,10 +330,7 @@ def sample_sigma(
                 )
             per_coord[j] = rng.integers(0, kf, size=n_samples, dtype=np.int64)
         columns.extend(per_coord)
-    matrix = np.column_stack(columns)
-    distinct, inverse, counts = np.unique(
-        matrix, axis=0, return_inverse=True, return_counts=True
-    )
+    distinct, counts = _distinct_rows(np.column_stack(columns))
     categories = []
     codes = np.empty(distinct.shape, dtype=np.uint32)
     for col in range(distinct.shape[1]):
@@ -324,13 +339,16 @@ def sample_sigma(
         codes[:, col] = inv
     weights = tuple(Fraction(int(c), n_samples) for c in counts)
     return AtomicMeasure(
-        alphas=s.alphas, categories=categories, codes=codes, weights=weights
+        alphas=s.alphas, categories=categories, codes=codes, weights=weights,
+        # c and N are below 2^53, so c / N is the correctly rounded quotient,
+        # which is float(Fraction(c, N)) bit for bit
+        weights_np=counts / n_samples,
     )
 
 
 def fourier_coefficient(m: AtomicMeasure, t: int) -> complex:
     """sigma-hat(t) = sum w * e^{2 pi i t x}, double precision output."""
-    angles = 2 * math.pi * m.phases(t)
+    angles = 2 * math.pi * m.phases(m.residues(t))
     w = m.weights_np
     return complex(np.dot(w, np.cos(angles)), np.dot(w, np.sin(angles)))
 

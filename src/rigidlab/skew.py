@@ -5,17 +5,18 @@ sigma and Lebesgue fibers; the correlation of A = T x B along integer shifts
 reduces per atom to the measure of an intersection of rotated copies of B.
 skew_correlation sums that measure exactly over the rational atoms of any
 base measure and is the reference value.  sampled_correlation is the Monte
-Carlo estimate used by the scans: it goes through the per-column phase
-reduction and one of two vectorized arc kernels, the closed form over cyclic
-gaps for a single-interval B (_arc_intersection_lengths) and the endpoint
-sweep with a running cover count for a multi-interval B
-(_multi_arc_intersection_lengths), so the only inexactness is the final
-float, not the reduction of huge shifts.  The closed form orders each word's
-m + 1 arc starts with a compare-exchange network over whole columns instead
-of a row sort; min and max are exact, so for m < 8 its values are those of
-the sorted form bit for bit (beyond, numpy's row sum would add the gaps
-pairwise, the kernel still adds them left to right), and the budget below is
-unchanged.
+Carlo estimate used by the scans: it goes through the exact per-column
+residues of each shift (AtomicMeasure.residues, or the ShiftResidues table
+for the finite-sums scans), their phases and one of two vectorized arc
+kernels, the closed form over cyclic gaps for a single-interval B
+(_arc_intersection_lengths) and the endpoint sweep with a running cover
+count for a multi-interval B (_multi_arc_intersection_lengths), so the only
+inexactness is the final float, not the reduction of huge shifts.  The
+closed form orders each word's m + 1 arc starts with a compare-exchange
+network over whole columns instead of a row sort; min and max are exact, so
+for m < 8 its values are those of the sorted form bit for bit (beyond,
+numpy's row sum would add the gaps pairwise, the kernel still adds them left
+to right), and the budget below is unchanged.
 
 Error budget of a per-word value, against the exact measure for the exact
 phases, with K the arcs of B, m the shifts and 2^-53 the unit roundoff:
@@ -39,9 +40,11 @@ that is below 2e-12, far under their Monte Carlo standard errors of ~1e-3.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -87,10 +90,14 @@ def skew_correlation(base: AtomicMeasure, B: CircleSet, shifts: Sequence[int]) -
 
 
 def sampled_correlation(
-    base: AtomicMeasure, B: CircleSet, shifts: Sequence[int], n_samples: int
+    base: AtomicMeasure,
+    B: CircleSet,
+    shifts: Sequence[int | Sequence[int]],
+    n_samples: int,
 ) -> tuple[float, float]:
     """Float correlation over the words of a sampled base, plus the Monte
-    Carlo standard error of the mean for n_samples draws."""
+    Carlo standard error of the mean for n_samples draws.  The shifts are
+    integers or their residues, as in shifted_intersection_values."""
     weights = base.weights_np
     values = shifted_intersection_values(base, B, shifts)
     mean = float(np.dot(weights, values))
@@ -136,20 +143,25 @@ def _multi_arc_intersection_lengths(arcs: np.ndarray, phases: np.ndarray) -> np.
 
 
 def shifted_intersection_values(
-    base: AtomicMeasure, B: CircleSet, shifts: Sequence[int]
+    base: AtomicMeasure, B: CircleSet, shifts: Sequence[int | Sequence[int]]
 ) -> np.ndarray:
-    """Per-word measure of B meet (B - s1 x) meet ... as floats."""
+    """Per-word measure of B meet (B - s1 x) meet ... as floats.
+
+    Each shift is an integer t or its per-column residues, base.residues(t)
+    or a row of ShiftResidues.at.
+    """
     n_atoms = len(base.codes)
+    residues = [base.residues(t) if isinstance(t, Integral) else t for t in shifts]
     if len(B.intervals) == 1:
         (u, v), = B.intervals
         # B - t x starts at u - t x; offsets cancel u
         starts = np.zeros((n_atoms, len(shifts) + 1), order="F")
-        for col, t in enumerate(shifts, start=1):
-            np.negative(base.phases(t), out=starts[:, col])
+        for col, r in enumerate(residues, start=1):
+            np.negative(base.phases(r), out=starts[:, col])
         return _arc_intersection_lengths(starts, float(v - u))
     phases = np.empty((n_atoms, len(shifts)))
-    for col, t in enumerate(shifts):
-        phases[:, col] = base.phases(t)
+    for col, r in enumerate(residues):
+        phases[:, col] = base.phases(r)
     arcs = np.array([(float(u), float(v)) for u, v in B.intervals]).reshape(-1, 2)
     return _multi_arc_intersection_lengths(arcs, phases)
 
@@ -178,3 +190,56 @@ def fs_tail(generators: Sequence[int], start_index: int) -> FSTail:
         for alpha in combinations(live, r):
             sums.append((alpha, sum(gens[i - 1] for i in alpha)))
     return FSTail(gens, start_index, tuple(sums))
+
+
+class ShiftResidues:
+    """Exact per-column residues of polynomial shifts at finite sums.
+
+    For n = sum_{i in alpha} n_i over generators n_i (1-based indices), n^d is
+    the sum, over the multisets M of d indices drawn from alpha, of mult(M) *
+    prod_{i in M} n_i, with mult(M) = d! / prod(multiplicity!) the multinomial
+    coefficient.  The table holds, per multiset of at most the polys' degree,
+    base.residues(mult(M) * prod_{i in M} n_i), filled on first use; the empty
+    multiset is the constant term's.  So at(alpha) costs additions of
+    residues below q and one reduction per column of a sum of magnitude at
+    most sum_d |c_d| * C(|alpha| + d - 1, d) * q, instead of reducing the huge
+    p(n_alpha) * scale; the result is base.residues(p(n_alpha)) exactly.
+    """
+
+    def __init__(
+        self,
+        base: AtomicMeasure,
+        generators: Sequence[int],
+        polys: Sequence[Sequence[int]],
+    ):
+        self.base = base
+        self.generators = tuple(generators)
+        self.polys = tuple(polys)
+        self._degree = max(len(p) for p in polys) - 1
+        self._moduli = np.array(
+            [a.denominator for a in base._flat_alphas()], dtype=object
+        )
+        self._entries: dict[tuple[int, ...], np.ndarray] = {}
+
+    def _entry(self, multiset: tuple[int, ...]) -> np.ndarray:
+        entry = self._entries.get(multiset)
+        if entry is None:
+            mult = math.factorial(len(multiset))
+            for count in Counter(multiset).values():
+                mult //= math.factorial(count)
+            value = mult * math.prod(self.generators[i - 1] for i in multiset)
+            entry = np.array(self.base.residues(value), dtype=object)
+            self._entries[multiset] = entry
+        return entry
+
+    def at(self, alpha: Sequence[int]) -> list[list[int]]:
+        """Per poly p, base.residues(p(n_alpha)) with n_alpha the sum of the
+        generators indexed by alpha (distinct 1-based indices)."""
+        power_sums = [
+            sum(self._entry(m) for m in combinations_with_replacement(alpha, d))
+            for d in range(self._degree + 1)
+        ]
+        return [
+            list(sum(c * s for c, s in zip(p, power_sums) if c) % self._moduli)
+            for p in self.polys
+        ]

@@ -145,7 +145,7 @@ class TestFourier:
         # reproduce the correctly rounded float of (t * x) mod 1 bit for bit.
         m = ms.AtomicMeasure([(x, 1) for x in positions])
         want = np.array([float((t * x) % 1) % 1.0 for x, _ in m.atoms])
-        assert m.phases(t).tobytes() == want.tobytes()
+        assert m.phases(m.residues(t)).tobytes() == want.tobytes()
 
 
 def _column_phases(m, t):
@@ -199,7 +199,7 @@ class TestPrefixTreePhases:
     @settings(max_examples=150, deadline=None)
     @given(m=_sampled_measures(), t=st.integers(-(10**60), 10**60))
     def test_sampled_matches_column_gather(self, m, t):
-        assert m.phases(t).tobytes() == _column_phases(m, t).tobytes()
+        assert m.phases(m.residues(t)).tobytes() == _column_phases(m, t).tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -214,13 +214,13 @@ class TestPrefixTreePhases:
     def test_explicit_and_pushforward_match_column_gather(self, positions, factor, t):
         m = ms.AtomicMeasure([(x, 1) for x in positions])
         for image in (m, ms.pushforward_scale(m, factor)):
-            assert image.phases(t).tobytes() == _column_phases(image, t).tobytes()
+            assert image.phases(image.residues(t)).tobytes() == _column_phases(image, t).tobytes()
 
     def test_one_word(self):
         m = _sampled_2z_3z(1, 3)
         assert m.codes.shape[0] == 1
         for t in (0, 1, -5, 10**60):
-            assert m.phases(t).tobytes() == _column_phases(m, t).tobytes()
+            assert m.phases(m.residues(t)).tobytes() == _column_phases(m, t).tobytes()
 
     def test_pushforward_shares_the_words(self):
         m = _sampled_2z_3z(500, 4)
@@ -248,6 +248,73 @@ class TestPrefixTreePhases:
         doubled = np.repeat(m.codes, 2, axis=0)
         with pytest.raises(PreconditionError):
             self._rebuilt(m, doubled)
+
+
+def _unique_rows(matrix):
+    """Reference: the np.unique row dedup that _distinct_rows replaced."""
+    return np.unique(matrix, axis=0, return_counts=True)
+
+
+def _assert_same_rows(matrix):
+    got_rows, got_counts = ms._distinct_rows(matrix)
+    want_rows, want_counts = _unique_rows(matrix)
+    assert got_rows.dtype == want_rows.dtype
+    assert np.array_equal(got_rows, want_rows)
+    assert np.array_equal(got_counts, want_counts)
+
+
+class TestDistinctRows:
+    """sample_sigma's lexsort dedup against np.unique(..., axis=0)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(1, 400),
+        cols=st.integers(1, 6),
+        high=st.sampled_from([1, 2, 3, 24, 720, 2**62]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_unique(self, rows, cols, high, seed):
+        rng = np.random.default_rng(seed)
+        _assert_same_rows(rng.integers(0, high, size=(rows, cols), dtype=np.int64))
+
+    def test_one_row_and_all_equal_rows(self):
+        _assert_same_rows(np.array([[3, 0, 5]], dtype=np.int64))
+        _assert_same_rows(np.full((50, 4), 7, dtype=np.int64))
+        rows, counts = ms._distinct_rows(np.full((50, 4), 7, dtype=np.int64))
+        assert rows.tolist() == [[7] * 4] and counts.tolist() == [50]
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, ms.SAMPLE_CAP), data=st.data())
+    def test_float_weights_are_the_fractions_floats(self, n, data):
+        counts = np.array(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=20)))
+        want = np.array([float(F(int(c), n)) for c in counts])
+        assert (counts / n).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 3000])
+    def test_sampler_matrices(self, monkeypatch, n_samples):
+        # the matrices sample_sigma draws: cor66's group (first coordinate
+        # Z, second free with k! uniform digits), a finite-index group and
+        # the trivial group; the weights are the exact counts over N
+        seen = []
+        original = ms._distinct_rows
+
+        def spy(matrix):
+            seen.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(ms, "_distinct_rows", spy)
+        sched = SCHEDULE_BY_SIZE[2]
+        for G in (
+            lat.canonicalize([lat.standard_basis(2, 1)], 2),
+            lat.canonicalize([(2, 0), (0, 3)], 2),
+            lat.trivial(2),
+        ):
+            m = ms.sample_sigma(G, sched, FAM_N_NSQ, n_samples, seed=5)
+            _assert_same_rows(seen[-1])
+            _, want_counts = _unique_rows(seen[-1])
+            assert m.weights == tuple(F(int(c), n_samples) for c in want_counts)
+            floats = np.array([float(w) for w in m.weights])
+            assert m.weights_np.tobytes() == floats.tobytes()
 
 
 class TestPushforward:

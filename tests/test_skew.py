@@ -206,7 +206,7 @@ class TestMultiArcKernel:
         shifts = [1, 6, 35]
         got = shifted_intersection_values(m, Bset, shifts)
         arcs = [(float(u), float(v)) for u, v in Bset.intervals]
-        cols = [m.phases(t) for t in shifts]
+        cols = [m.phases(m.residues(t)) for t in shifts]
         want = [_float_intersection(arcs, [c[i] for c in cols]) for i in range(len(got))]
         assert got.tolist() == want
 
@@ -293,6 +293,85 @@ class TestFsTail:
     def test_rejects_non_monotone(self):
         with pytest.raises(PreconditionError):
             fs_tail([5, 3], 0)
+
+
+_TABLE_SCHEDULES = [
+    (fam, build_schedule(fam, depth))
+    for fam, depth in (
+        (fm.polynomial_family([[0, 1]]), 6),
+        (fm.polynomial_family([[0, 1], [0, 0, 1]]), 5),
+        (fm.polynomial_family([[0, 1], [0, 0, 0, 1]]), 4),
+    )
+]
+
+
+@st.composite
+def _table_cases(draw):
+    """A sampled measure (random group, possibly with free coordinates, and
+    pushforward scale), generators (its schedule's indices or random
+    increasing integers), polys of degree 1-3 and a tail subset."""
+    fam, sched = draw(st.sampled_from(_TABLE_SCHEDULES))
+    a, b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if fam.size == 1:
+        G = lat.canonicalize([(a,)], 1)
+    else:
+        G = draw(st.sampled_from([
+            lat.canonicalize([(a, 0), (0, b)], 2),
+            lat.canonicalize([(a, 0)], 2),  # second coordinate free
+            lat.full(2),
+        ]))
+    m = ms.sample_sigma(G, sched, fam, draw(st.sampled_from([1, 40, 800])),
+                        draw(st.integers(0, 2**32)))
+    factor = draw(st.sampled_from([1, 2, 3, 6, 35]))
+    if factor > 1:
+        m = ms.pushforward_scale(m, factor)
+    if draw(st.booleans()):
+        gens = sched.indices
+    else:
+        gens = sorted(draw(st.sets(st.integers(1, 10**40), min_size=1, max_size=7)))
+    degree = st.integers(1, 3)
+    polys = draw(st.lists(
+        degree.flatmap(lambda d: st.tuples(
+            st.lists(st.integers(-9, 9), min_size=d, max_size=d),
+            st.integers(-9, 9).filter(bool),
+        ).map(lambda low_top: (*low_top[0], low_top[1]))),
+        min_size=1, max_size=3,
+    ))
+    alpha = sorted(draw(st.sets(st.integers(1, len(gens)), min_size=1)))
+    return m, gens, polys, alpha
+
+
+class TestShiftResidues:
+    """The finite-sums residue table against direct t * scale * p % q."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_table_cases())
+    def test_matches_direct_reduction(self, case):
+        m, gens, polys, alpha = case
+        table = skew.ShiftResidues(m, gens, polys)
+        n_alpha = sum(gens[i - 1] for i in alpha)
+        shifts = [sum(c * n_alpha**i for i, c in enumerate(p)) for p in polys]
+        rows = table.at(alpha)
+        for t, row in zip(shifts, rows):
+            assert row == [t * m.scale * a.numerator % a.denominator
+                           for a in m._flat_alphas()]
+            assert m.phases(row).tobytes() == m.phases(m.residues(t)).tobytes()
+        for B in (B23, CircleSet.from_pairs([(0, F(1, 9)), (F(2, 9), F(1, 3))])):
+            got = shifted_intersection_values(m, B, rows)
+            assert got.tobytes() == shifted_intersection_values(m, B, shifts).tobytes()
+
+    def test_tails_share_one_table(self):
+        fam, sched = _TABLE_SCHEDULES[1]
+        m = ms.sample_sigma(lat.canonicalize([(2, 0), (0, 3)], 2), sched, fam, 300, 1)
+        polys = [(0, 1), (0, 0, 1)]
+        table = skew.ShiftResidues(m, sched.indices, polys)
+        for k0 in range(sched.depth):
+            for alpha, n_alpha in fs_tail(sched.indices, k0).sums:
+                for p, row in zip(polys, table.at(alpha)):
+                    t = sum(c * n_alpha**i for i, c in enumerate(p))
+                    assert row == m.residues(t)
+        # one entry per multiset of at most two of the five indices
+        assert len(table._entries) == 1 + 5 + 15
 
 
 class TestGaussianPairMass:
