@@ -8,7 +8,7 @@ import sys
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(max(2_000_000, sys.get_int_max_str_digits()))
 
-from .behrend import behrend_set, verify_behrend
+from .behrend import behrend_certificate, behrend_set, verify_behrend
 from .circleset import CircleSet
 from .deciders import (
     all_splits,

@@ -3,10 +3,11 @@ progressions.
 
 verify_behrend computes the exact double integral of
 1_B(y) 1_B(y+z) 1_B(y+2z) over the torus square and compares it with
-mu(B)^l / 2.  behrend_set searches a parameter ladder of digit constructions
-(base-3 digit vectors avoiding the digit 2, embedded as half-width cells so
-that every off-cell near-progression contributes zero area) and returns the
-first candidate passing the exact verification.
+mu(B)^l / 2.  behrend_certificate searches a parameter ladder of digit
+constructions (base-3 digit vectors avoiding the digit 2, embedded as
+half-width cells so that every off-cell near-progression contributes zero
+area) and returns the first candidate passing the exact verification with
+the integral and bound that certified it; behrend_set returns the set alone.
 
 Feasibility drops off quickly in l.  A union of intervals of widths w_i
 always satisfies the lower bound
@@ -62,8 +63,10 @@ def candidate_ladder():
         yield _digit_candidate(t)
 
 
-def behrend_set(ell: int) -> CircleSet:
-    """Smallest ladder candidate whose exact verification passes for ell.
+def behrend_certificate(ell: int) -> tuple[CircleSet, Fraction, Fraction]:
+    """(B, value, bound): the smallest ladder candidate B whose exact
+    verification passes for ell, with verify_behrend(B, ell) as computed in
+    the search.
 
     Raises ConstructionFailed for every ell >= 4.  On the digit candidate t
     (2^t intervals of width 1/(2*3^t)) the exact integral equals the
@@ -84,9 +87,14 @@ def behrend_set(ell: int) -> CircleSet:
             continue
         value, bound = verify_behrend(cand, ell)
         if value <= bound:
-            return cand
+            return cand, value, bound
     raise ConstructionFailed(
         f"no interval construction passes the progression bound for ell={ell}: "
         "the same-interval floor sum(w_i^2)/2 forces progression-free interval "
         "patterns denser than any enumerable construction provides (l >= 4)"
     )
+
+
+def behrend_set(ell: int) -> CircleSet:
+    """The set of behrend_certificate(ell)."""
+    return behrend_certificate(ell)[0]

@@ -309,8 +309,7 @@ def cmd_gaussian(args) -> int:
 
 
 def cmd_behrend(args) -> int:
-    B = bh.behrend_set(args.ell)
-    value, bound = bh.verify_behrend(B, args.ell)
+    B, value, bound = bh.behrend_certificate(args.ell)
     _json_out(
         {
             "ell": args.ell,

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import families as fm
 from . import lattice as lat
-from .behrend import behrend_set, verify_behrend
+from .behrend import behrend_certificate
 from .circleset import CircleSet
 from .errors import ConstructionFailed, PreconditionError
 from .haar import FactorPattern, haar_correlation_limit
@@ -324,8 +324,7 @@ def cor66_demo(
             "need deg(p) = deg(q) > deg(2p - q) > 0 exactly"
         )
     degree = deg_p
-    B = behrend_set(ell)
-    triple, bound = verify_behrend(B, ell)
+    B, triple, bound = behrend_certificate(ell)
     lead = pc[degree]
     limit = haar_correlation_limit(
         [()],
@@ -443,9 +442,8 @@ def cor67_demo(
     primes = tuple(int(x) for x in primes)
     if any(b <= a for a, b in zip(primes, primes[1:])):
         raise PreconditionError("primes must be increasing")
-    B = behrend_set(ell)
+    B, triple, _ = behrend_certificate(ell)
     uniform = cor67_uniform_limit(B)
-    triple, _ = verify_behrend(B, ell)
     bound = B.measure() ** ell / 2 * B.measure()
     ledger_ok = uniform == triple * B.measure() and uniform <= bound
     rows = []

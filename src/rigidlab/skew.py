@@ -16,7 +16,11 @@ closed form orders each word's m + 1 arc starts with a compare-exchange
 network over whole columns instead of a row sort; min and max are exact, so
 for m < 8 its values are those of the sorted form bit for bit (beyond,
 numpy's row sum would add the gaps pairwise, the kernel still adds them left
-to right), and the budget below is unchanged.
+to right), and the budget below is unchanged.  In front of the sweep, a
+conservative contact prefilter (_contact_rows) keeps only the rows where
+some arc of B meets every shifted copy; the others are 0.0 without a sweep.
+On the cor66/cor67 scans it keeps about 23% of the rows, and 19% of all
+rows are nonzero.
 
 Error budget of a per-word value, against the exact measure for the exact
 phases, with K the arcs of B, m the shifts and 2^-53 the unit roundoff:
@@ -29,6 +33,13 @@ phases, with K the arcs of B, m the shifts and 2^-53 the unit roundoff:
   2K(m + 1) times that;
 - a value sums at most K(m + 1) + 1 nonnegative segment lengths of total at
   most 1, each one subtraction: at most (K(m + 1) + 1) * 2^-53 more.
+
+The prefilter adds nothing to this budget: its values are the sweep's bit
+for bit.  It reads the same float phases as the sweep and widens each
+contact interval by epsilon = 1e-9 on each side, many orders above the few
+ulp by which a float endpoint u - t can miss its real value.  So a row it
+drops has no segment of positive float length covered by every copy, the
+sweep would give it 0.0 too, and a kept row gets the sweep's own value.
 
 So either kernel is within K(m + 1) * (2 delta + 5 * 2^-53) of the exact
 value, K = 1 for the single-interval form (whose gaps, slack and wrap term
@@ -55,6 +66,10 @@ from .measure import AtomicMeasure
 
 # rows per block of the multi-arc sweep: bounds its (rows, 2K(m+1)) temporaries
 _ROW_BLOCK = 256
+# widening of the prefilter's contact intervals: many orders above the float
+# error of an arc endpoint (a few ulp), so the prefilter never drops a row
+# the sweep gives a positive value
+_CONTACT_EPS = 1e-9
 
 
 def _arc_intersection_lengths(starts: np.ndarray, length: float) -> np.ndarray:
@@ -106,7 +121,44 @@ def sampled_correlation(
     return mean, math.sqrt(variance / n_samples)
 
 
-def _multi_arc_intersection_lengths(arcs: np.ndarray, phases: np.ndarray) -> np.ndarray:
+def _contact_table(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints and packed arc masks of the multi-arc prefilter.
+
+    Arc i = [u_i, v_i) of B meets arc k of B - t in a segment of positive
+    length only for t in (u_k - v_i, v_k - u_i) mod 1.  Widened by
+    _CONTACT_EPS on each side, these K^2 contact intervals cut [0, 1) at
+    their sorted, distinct endpoints b_0 < ... < b_{P-1}.  For t in the open
+    cell c between b_{c-1} and b_c (cell 0 starts at 0, cell P ends at 1),
+    table[2c] holds the K-bit mask of the arcs i that B - t meets; for t
+    equal to b_c, table[2c + 1] holds the OR of cells c and c + 1.  The
+    masks are np.packbits rows of bools, so any K fits.
+    """
+    k = len(arcs)
+    u, v = arcs[:, 0], arcs[:, 1]
+    lo = (u[None, :] - v[:, None]).ravel() - _CONTACT_EPS  # pair (i, k) at i*K + k
+    hi = (v[None, :] - u[:, None]).ravel() + _CONTACT_EPS
+    whole = hi - lo >= 1.0
+    lo, hi = lo - np.floor(lo), hi - np.floor(hi)
+    breaks = np.unique(np.concatenate([lo, hi]))
+    arc = np.repeat(np.arange(k), k)
+    part = ~whole
+    # +1 from the cell after lo, -1 from the cell after hi, and +1 from cell 0
+    # for intervals that wrap through 0 or cover the circle
+    opens = np.concatenate([
+        (np.searchsorted(breaks, lo[part]) + 1) * k + arc[part],
+        arc[whole | (lo >= hi)],
+    ])
+    closes = (np.searchsorted(breaks, hi[part]) + 1) * k + arc[part]
+    size = (len(breaks) + 1) * k
+    delta = np.bincount(opens, minlength=size) - np.bincount(closes, minlength=size)
+    cells = np.cumsum(delta.reshape(-1, k), axis=0) > 0
+    table = np.empty((2 * len(cells) - 1, k), dtype=bool)
+    table[0::2] = cells
+    table[1::2] = cells[:-1] | cells[1:]
+    return breaks, np.packbits(table, axis=1)
+
+
+def _arc_sweep(arcs: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Measure of S_0 meet S_1 meet ... per row, with S_0 = B and S_j = B - t_j.
 
     arcs holds the K float arcs (u, v) of B, phases the (n, m) shifts t_j in
@@ -115,6 +167,7 @@ def _multi_arc_intersection_lengths(arcs: np.ndarray, phases: np.ndarray) -> np.
     wraps through 0 and covers it.  Sorting the 2K(m+1) endpoints of a row
     and taking the running cover count, the intersection is the union of
     the elementary segments covered m + 1 times, summed left to right.
+    Each row's value depends on that row alone.
     """
     n, m = phases.shape
     u, v = arcs[:, 0], arcs[:, 1]
@@ -139,6 +192,41 @@ def _multi_arc_intersection_lengths(arcs: np.ndarray, phases: np.ndarray) -> np.
         # cumsum adds left to right; .sum() is pairwise and would change the
         # last bits
         values[first:first + len(block)] = np.cumsum(segments, axis=1)[:, -1]
+    return values
+
+
+def _contact_rows(arcs: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Indices of the rows where S_0 meet ... meet S_m can have positive
+    measure, with S_0 = B and S_j = B - t_j as in _arc_sweep.
+
+    A segment covered by every S_j lies in some arc i of S_0, which then
+    meets every S_j, so a row is kept only if the AND over j of the masks
+    _contact_table gives t_j is nonzero.  The widening dwarfs the few-ulp
+    error of any float endpoint, so every row the sweep gives a positive
+    value is kept.  With m = 0 every row is kept, with an empty B none.
+    """
+    n, m = phases.shape
+    if not len(arcs):
+        return np.arange(0)
+    if m == 0:
+        return np.arange(n)
+    breaks, table = _contact_table(arcs)
+    mask = None
+    for col in phases.T:
+        cell = np.searchsorted(breaks, col)
+        at_break = breaks[np.minimum(cell, len(breaks) - 1)] == col
+        hits = table[2 * cell + at_break]
+        mask = hits if mask is None else mask & hits
+    return np.flatnonzero(mask.any(axis=1))
+
+
+def _multi_arc_intersection_lengths(arcs: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """_arc_sweep's values: the sweep runs on the _contact_rows alone, which
+    gives each of them the value it gets among all rows, and every other
+    row is 0.0."""
+    values = np.zeros(len(phases))
+    rows = _contact_rows(arcs, phases)
+    values[rows] = _arc_sweep(arcs, phases[rows])
     return values
 
 

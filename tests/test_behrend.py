@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from rigidlab.behrend import behrend_set, verify_behrend
+from rigidlab.behrend import behrend_certificate, behrend_set, verify_behrend
 from rigidlab.circleset import CircleSet
 from rigidlab.errors import ConstructionFailed
 
@@ -29,15 +29,18 @@ class TestVerify:
 class TestConstruction:
     @pytest.mark.parametrize("ell", (1, 2, 3))
     def test_constructible(self, ell):
-        B = behrend_set(ell)
-        value, bound = verify_behrend(B, ell)
+        B, value, bound = behrend_certificate(ell)
+        assert (value, bound) == verify_behrend(B, ell)
         assert value <= bound
+        assert behrend_set(ell) == B
 
     def test_infeasible_range_raises(self):
         # The same-interval floor sum(w_i^2)/2 makes ell >= 4 demand
         # progression-free patterns denser than any enumerable grid offers.
-        with pytest.raises(ConstructionFailed):
-            behrend_set(4)
+        for ell in (4, 5):
+            for construct in (behrend_certificate, behrend_set):
+                with pytest.raises(ConstructionFailed):
+                    construct(ell)
 
 
 class TestGridOracle:

@@ -12,6 +12,7 @@ from rigidlab import families as fm
 from rigidlab import lattice as lat
 from rigidlab import measure as ms
 from rigidlab import skew
+from rigidlab.behrend import behrend_set
 from rigidlab.circleset import CircleSet, intersection_measure
 from rigidlab.errors import PreconditionError
 from rigidlab.gaussians import (
@@ -130,45 +131,51 @@ def _budget(B, m):
 
 
 @st.composite
-def _arc_sets(draw):
-    """1-8 disjoint rational arcs, sometimes rotated to wrap through 0."""
-    den = draw(st.sampled_from([2, 3, 7, 10, 27, 1000, 3**13, 2**40]))
-    k = draw(st.integers(1, 8))
-    ends = draw(
-        st.lists(st.integers(0, den), min_size=2, max_size=2 * k, unique=True)
-        .map(sorted)
-        .filter(lambda e: len(e) >= 2)
+def _arc_sets(draw, max_pairs=8):
+    """k <= max_pairs disjoint rational arcs, sometimes rotated to wrap
+    through 0, which splits one arc into the pieces [u, 1) and [0, v)."""
+    k = draw(st.integers(1, max_pairs))
+    den = draw(
+        st.sampled_from([d for d in (2, 3, 7, 10, 27, 1000, 3**13, 2**40) if d >= 2 * k])
+    )
+    ends = sorted(
+        draw(st.lists(st.integers(0, den), min_size=2 * k, max_size=2 * k, unique=True))
     )
     pairs = [(F(a, den), F(b, den)) for a, b in zip(ends[::2], ends[1::2])]
     rot = F(draw(st.integers(0, den - 1)), den)
     return CircleSet.from_pairs([(u + rot, v + rot) for u, v in pairs])
 
 
+def _adversarial_phases(B, n, m, seed):
+    """(n, m) phases in [0, 1), half of them from a pool that puts endpoints
+    of shifted copies on top of each other (0.0 and endpoint differences,
+    taken in float and exactly) or on the edges of the prefilter's cells
+    (within 1e-12 of its breakpoints, and 1 - 2^-53), half uniform."""
+    exact_ends = [x for arc in B.intervals for x in arc]
+    ends = [float(x) for x in exact_ends]
+    arcs = np.array(ends).reshape(-1, 2)
+    pool = [0.0, 1.0 - 2.0**-53] + [(a - b) % 1.0 for a in ends for b in ends]
+    pool += [float((a - b) % 1) for a in exact_ends for b in exact_ends]
+    breaks, _ = skew._contact_table(arcs)
+    pool += [x % 1.0 for b in breaks for x in (b - 1e-12, b, b + 1e-12)]
+    pool = [x for x in pool if 0.0 <= x < 1.0]
+    rng = np.random.default_rng(seed)
+    return np.where(
+        rng.random((n, m)) < 0.5,
+        rng.choice(pool, size=(n, m)),
+        rng.random((n, m)),
+    )
+
+
 class TestMultiArcKernel:
     """The vectorized multi-arc sweep against the per-word float sweep
-    (bitwise) and against exact intersection_measure (within the budget)."""
+    (bitwise) and against exact intersection_measure (within the budget),
+    and its contact prefilter against the sweep."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        B=_arc_sets(),
-        m=st.integers(0, 3),
-        n=st.sampled_from([1, skew._ROW_BLOCK - 1, 2 * skew._ROW_BLOCK + 1]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_matches_float_sweep_and_exact(self, B, m, n, seed):
+    @staticmethod
+    def _check_against_oracles(B, m, n, seed):
         arcs = [(float(u), float(v)) for u, v in B.intervals]
-        exact_ends = [x for arc in B.intervals for x in arc]
-        ends = [float(x) for x in exact_ends]
-        # phases of 0.0 and at endpoint differences (taken in float and
-        # exactly) put endpoints of different shifted copies on top of each other
-        pool = [0.0] + [(a - b) % 1.0 for a in ends for b in ends]
-        pool += [float((a - b) % 1) for a in exact_ends for b in exact_ends]
-        rng = np.random.default_rng(seed)
-        phases = np.where(
-            rng.random((n, m)) < 0.5,
-            rng.choice(pool, size=(n, m)),
-            rng.random((n, m)),
-        )
+        phases = _adversarial_phases(B, n, m, seed)
         got = skew._multi_arc_intersection_lengths(np.array(arcs).reshape(-1, 2), phases)
         want = [_float_intersection(arcs, list(row)) for row in phases]
         assert got.tolist() == want
@@ -183,6 +190,49 @@ class TestMultiArcKernel:
             assert abs(F(got[i]) - exact) <= _budget(B, m)
             if closed is not None:
                 assert abs(F(closed[i]) - exact) <= _budget(B, m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        B=_arc_sets(),
+        m=st.integers(0, 4),
+        n=st.sampled_from([1, skew._ROW_BLOCK - 1, 2 * skew._ROW_BLOCK + 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_float_sweep_and_exact(self, B, m, n, seed):
+        self._check_against_oracles(B, m, n, seed)
+
+    # up to 64 arcs, as the digit candidate t = 6; the per-word oracle costs
+    # O(K^2) per shift, so fewer and shorter draws than above
+    @settings(max_examples=40, deadline=None)
+    @given(
+        B=_arc_sets(max_pairs=63),
+        m=st.integers(1, 4),
+        n=st.sampled_from([1, skew._ROW_BLOCK + 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_many_arcs_match_float_sweep_and_exact(self, B, m, n, seed):
+        self._check_against_oracles(B, m, n, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        B=_arc_sets(max_pairs=63),
+        m=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_prefilter_keeps_every_nonzero_row(self, B, m, seed):
+        arcs = np.array([(float(u), float(v)) for u, v in B.intervals])
+        phases = _adversarial_phases(B, 2 * skew._ROW_BLOCK + 1, m, seed)
+        nonzero = np.flatnonzero(skew._arc_sweep(arcs, phases))
+        assert np.isin(nonzero, skew._contact_rows(arcs, phases)).all()
+
+    def test_prefilter_skips_most_behrend_rows(self):
+        """On the cor66/cor67 set with uniform phases and m = 3 the prefilter
+        skips at least 40% of the rows, so it has not decayed into keeping
+        all of them."""
+        B = behrend_set(3)
+        arcs = np.array([(float(u), float(v)) for u, v in B.intervals])
+        phases = np.random.default_rng(11).random((4000, 3))
+        assert len(skew._contact_rows(arcs, phases)) <= 0.6 * len(phases)
 
     def test_no_shifts_and_empty_set(self):
         B = CircleSet.from_pairs(
