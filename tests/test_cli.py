@@ -1,6 +1,8 @@
 """CLI surface: parsing, subcommands, exit codes, determinism."""
 
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -347,3 +349,32 @@ class TestDeterminism:
         assert m.total_weight() == 1
         G = lat.Lattice.from_json(bundle["group"])
         assert G.to_json() == bundle["group"]
+
+    def test_decider_outputs_pinned(self, tmp_path):
+        # 12 seeded polynomial families of 4-7 sequences, degree 2-4,
+        # coefficients in [-3, 3], zero constant term.  One sha256 pins the
+        # bytes of analyze, splits --witness, interp and witness --F on the
+        # first feasible nonempty F of the splits table.
+        rng = random.Random(12)
+        digest = hashlib.sha256()
+        for i in range(12):
+            polys = []
+            for _ in range(rng.randint(4, 7)):
+                deg = rng.randint(2, 4)
+                p = [0] + [rng.randint(-3, 3) for _ in range(deg)]
+                p[deg] = rng.choice([-3, -2, -1, 1, 2, 3])
+                polys.append(p)
+            fam = tmp_path / f"fam{i}.json"
+            fam.write_text(json.dumps({"kind": "polynomial", "polys": polys}))
+            out = tmp_path / f"out{i}"
+            assert run(["splits", str(fam), "--witness", "--out", str(out)]) == 0
+            table = out.read_text().splitlines()[1:]
+            F = next(row.split(",")[0] for row in table[1:] if row.split(",")[1] == "true")
+            for argv in (["analyze", str(fam)], ["splits", str(fam), "--witness"],
+                         ["interp", str(fam)], ["witness", str(fam), "--F",
+                                                F.strip("{}").replace(" ", ",")]):
+                assert run(argv + ["--out", str(out)]) == 0
+                digest.update(out.read_bytes())
+        assert digest.hexdigest() == (
+            "621a019d39417f9fb8c04303b8473b0567052878d7445270fdde47425b57ce05"
+        )
