@@ -5,7 +5,11 @@ rigid along phi_j for j in F and mixing along the rest (on one sequence)
 exactly when no relation a in A(phi) has support escaping F in a single
 coordinate with |a_j| = 1.  That condition is decided per coordinate through
 gcds of lattice slices, with witnesses extracted by extended-gcd combinations
-whenever it fails.
+whenever it fails.  `all_splits` decides every F against one A(phi).
+`split_witness_group` does not decide F again: F escapes at j exactly when
+e_j lies in A(phi) + Z^F (e_j = a + f with f in Z^F gives the relation
+a = e_j - f with a_j = 1), and `lattice.finite_index_extension` refuses
+exactly those e_j.
 """
 
 from __future__ import annotations
@@ -63,21 +67,18 @@ def _unit_coordinate_witness(slice_lattice: lat.Lattice, j: int) -> lat.IntVec:
     return tuple(vec)
 
 
-def split_feasible(
-    fam: fm.SequenceFamily, F: Iterable[int]
-) -> SplitVerdict:
-    """Can one sequence make phi_j rigid exactly for j in F?
-
-    Infeasible iff some coordinate j outside F reaches gcd 1 in the slice of
-    A(phi) supported on F + {j}; the returned witness then lies in A(phi),
-    has support escaping F only at j, and has a_j = 1.
-    """
-    A = fm.relation_group(fam)
+def _subset(F: Iterable[int], size: int) -> set[int]:
     F = set(F)
-    size = A.ambient_dim
     if any(not 1 <= j <= size for j in F):
         raise PreconditionError("F contains an out-of-range index")
-    for j in range(1, size + 1):
+    return F
+
+
+def _escape(A: lat.Lattice, F: set[int] | frozenset[int]) -> SplitVerdict:
+    """Infeasible iff some coordinate j outside F reaches gcd 1 in the slice
+    of A supported on F + {j}; the witness then lies in A, has support
+    escaping F only at j, and has a_j = 1."""
+    for j in range(1, A.ambient_dim + 1):
         if j in F:
             continue
         slice_lattice = lat.intersect_coordinate_subspace(A, F | {j})
@@ -87,14 +88,21 @@ def split_feasible(
     return SplitVerdict(True)
 
 
+def split_feasible(fam: fm.SequenceFamily, F: Iterable[int]) -> SplitVerdict:
+    """Can one sequence make phi_j rigid exactly for j in F?"""
+    A = fm.relation_group(fam)
+    return _escape(A, _subset(F, A.ambient_dim))
+
+
 def all_splits(fam: fm.SequenceFamily) -> dict[frozenset[int], SplitVerdict]:
     size = fam.size
     if size > ALL_SPLITS_MAX_DIM:
         raise CapExceeded(f"2^{size} subsets exceed the enumeration cap")
+    A = fm.relation_group(fam)
     table = {}
     for mask in range(1 << size):
         F = frozenset(j + 1 for j in range(size) if mask >> j & 1)
-        table[F] = split_feasible(fam, F)
+        table[F] = _escape(A, F)
     return table
 
 
@@ -135,10 +143,8 @@ def poly_group_condition(fam: fm.SequenceFamily, F: Iterable[int]) -> bool:
         raise PreconditionError("the coefficient-space condition needs polynomials")
     if any(p[0] != 0 for p in fam.polys):
         raise PreconditionError("constant terms must vanish")
-    F = set(F)
     size = fam.size
-    if any(not 1 <= j <= size for j in F):
-        raise PreconditionError("F contains an out-of-range index")
+    F = _subset(F, size)
     matrix = fam.coefficient_matrix()
     vectors = [row[1:] for row in matrix]
     d = len(vectors[0])
@@ -147,19 +153,13 @@ def poly_group_condition(fam: fm.SequenceFamily, F: Iterable[int]) -> bool:
 
 
 def split_witness_group(fam: fm.SequenceFamily, F: Iterable[int]) -> lat.Lattice:
-    """Finite-index H with A(phi) <= H and e_j in H exactly for j in F."""
-    F = set(F)
-    verdict = split_feasible(fam, F)
-    if not verdict.feasible:
-        raise PreconditionError(
-            f"split infeasible for F={sorted(F)}; witness {verdict.witness_vector}"
-        )
+    """Finite-index H with A(phi) <= H and e_j in H exactly for j in F; an
+    infeasible F is refused by `finite_index_extension` (PreconditionError)."""
     A = fm.relation_group(fam)
     size = A.ambient_dim
+    F = _subset(F, size)
     G = lat.lattice_sum(
         A, lat.canonicalize([lat.standard_basis(size, i) for i in sorted(F)], size)
     )
     excluded = [lat.standard_basis(size, j) for j in range(1, size + 1) if j not in F]
-    if not excluded:
-        return G  # F covers every coordinate, so G is already Z^l
     return lat.finite_index_extension(G, excluded)

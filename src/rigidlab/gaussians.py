@@ -81,10 +81,6 @@ class GaussianTransferReport:
             r.deviation <= self.tolerance for r in self.rows if r.level == top_level
         )
 
-    def max_deviation(self, level: int | None = None) -> float:
-        rows = [r for r in self.rows if level is None or r.level == level]
-        return max(r.deviation for r in rows)
-
 
 def verify_gaussian_transfer(
     m: AtomicMeasure,

@@ -432,13 +432,6 @@ class TorusSubgroup:
     def is_finite(self) -> bool:
         return self.torus_directions is None or self.torus_directions.is_trivial()
 
-    def to_json(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "finite_reps": [[str(c) for c in rep] for rep in self.finite_reps],
-            "torus_directions": self.torus_directions.to_json(),
-        }
-
 
 def character_integral(G: Lattice, a: Sequence[int]) -> int:
     """Integral of y -> e^{2 pi i <a, y>} over A_G against Haar measure.

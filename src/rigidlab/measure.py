@@ -32,7 +32,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import deciders as dec
 from . import families as fm
 from . import lattice as lat
 from .errors import CapExceeded, PreconditionError, UnsupportedShape
@@ -438,17 +437,10 @@ def build_measure_for_group(
 
     Returns (measure, schedule, reduction, image_group); the measure targets
     the rigidity/mixing dichotomy of (fam, G) through the image group of the
-    reduction and the final scale pushforward.
+    reduction and the final scale pushforward.  `fm.reduce_family` owns the
+    preconditions: a polynomial, adequate family and a G of its dimension
+    that contains A(phi).
     """
-    if fam.kind != fm.POLYNOMIAL:
-        raise PreconditionError("measure pipeline requires a polynomial family")
-    if not fm.is_adequate(fam):
-        raise PreconditionError("family is not adequate")
-    if not dec.is_rigidity_group(G, fam):
-        raise PreconditionError(
-            "G does not contain the relation group A(phi); it is not a "
-            "rigidity group for this family"
-        )
     red, g_tilde = fm.reduce_family(fam, G)
     subfam = fm.subfamily(fam, red)
     sched = build_schedule(subfam, depth)

@@ -28,10 +28,12 @@ def families(tmp_path):
 
 
 def fill_placeholders(argv, families, tmp_path):
-    """Replace FAMILY, GROUP, OUT and SIGMA by files; SIGMA is a measure
-    bundle of (n, n^2) built on the spot."""
+    """Replace FAMILY, N_2N, GROUP, OUT and SIGMA by files; FAMILY is (n, n^2),
+    N_2N is (n, 2n), and SIGMA is a measure bundle of (n, n^2) built on the
+    spot."""
     names = {
         "FAMILY": families["n_nsq"],
+        "N_2N": families["n_2n"],
         "GROUP": families["g23"],
         "OUT": str(tmp_path / "out.json"),
         "SIGMA": str(tmp_path / "sigma.json"),
@@ -244,6 +246,7 @@ class TestExitCodes:
             ["demo", "cor66", "--p", "n^2+n", "--ell", "2"],
             ["demo", "cor67", "--primes", "2,x"],
             ["splits", "FAMILY", "--F", "1,a"],
+            ["witness", "N_2N", "--F", "1"],
             ["gaussian"],
             ["verify-dichotomy", "SIGMA", "--bound", "-1"],
             ["measure", "FAMILY", "--group", "GROUP", "--depth", "0", "--out", "OUT"],
@@ -259,7 +262,7 @@ class TestExitCodes:
              "8000", "--seed", "11", "--k0-max", "4", "--scan-csv", "OUT"],
         ],
         ids=["cor66_no_p_q", "cor66_no_q", "cor67_bad_primes", "splits_bad_F",
-             "gaussian_no_sigma_no_rho", "dichotomy_negative_bound", "measure_depth_0",
+             "witness_infeasible_F", "gaussian_no_sigma_no_rho", "dichotomy_negative_bound", "measure_depth_0",
              "measure_negative_seed", "cor65_negative_seed", "cor65_negative_k0_max",
              "gaussian_rho_nan_bound", "gaussian_sigma_nan_bound", "cor67_scan_csv"],
     )

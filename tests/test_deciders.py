@@ -209,9 +209,14 @@ class TestSplitWitnessGroup:
             fam = random_poly_family(rng, max_dim=3, max_deg=3, coeff=4)
             A = fm.relation_group(fam)
             size = fam.size
+            for bad in ({0}, {size + 1}):
+                with pytest.raises(PreconditionError):
+                    dec.split_witness_group(fam, bad)
             for mask in range(1 << size):
                 F = {j + 1 for j in range(size) if mask >> j & 1}
                 if not dec.split_feasible(fam, F).feasible:
+                    with pytest.raises(PreconditionError):
+                        dec.split_witness_group(fam, F)
                     continue
                 H = dec.split_witness_group(fam, F)
                 assert lat.index_in_ambient(H) != lat.INFINITE
@@ -227,9 +232,12 @@ class TestOracleAgreement:
         for _ in range(60):
             fam = random_poly_family(rng, max_dim=3, max_deg=3)
             size = fam.size
+            table = dec.all_splits(fam)
             for mask in range(1 << size):
                 F = {j + 1 for j in range(size) if mask >> j & 1}
                 verdict = dec.split_feasible(fam, F)
+                # Verdict, witness vector and coordinate, field by field.
+                assert table[frozenset(F)] == verdict
                 oracle_ok, oracle_a, _ = brute_force_split(fam, F)
                 # Every brute-force violation must be caught.
                 if not oracle_ok:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from rigidlab import families as fm
 from rigidlab import lattice as lat
 from rigidlab import measure as ms
-from rigidlab.errors import PreconditionError, UnsupportedShape
+from rigidlab.errors import DimensionMismatch, PreconditionError, UnsupportedShape
 from rigidlab.schedule import build_schedule
 
 FAM_N = fm.polynomial_family([[0, 1]])
@@ -394,6 +394,8 @@ class TestBuildMeasurePipeline:
         fam = fm.polynomial_family([[0, 1], [0, 2]])
         with pytest.raises(PreconditionError):
             ms.build_measure_for_group(fam, lat.trivial(2), 3, 100, 1)
+        with pytest.raises(DimensionMismatch):
+            ms.build_measure_for_group(fam, lat.full(3), 3, 100, 1)
 
 
 def sched_for_original(sched, red):
