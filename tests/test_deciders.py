@@ -49,6 +49,19 @@ def random_poly_family(rng, max_dim=4, max_deg=4, coeff=5):
     return fm.polynomial_family(polys)
 
 
+def with_dependent_member(fam, rng):
+    """fam plus c1*phi_1 + c2*phi_size, a member in the span of the others,
+    so that some splits are infeasible (random draws almost never have one)."""
+    first, last = fam.polys[0], fam.polys[-1]
+    c1, c2 = rng.choice([-2, -1, 1, 2]), rng.randint(-2, 2)
+    width = max(len(first), len(last))
+    pad = lambda p: list(p) + [0] * (width - len(p))
+    combo = [c1 * x + c2 * y for x, y in zip(pad(first), pad(last))]
+    if not any(combo[1:]):
+        combo = list(first)
+    return fm.polynomial_family(list(fam.polys) + [combo])
+
+
 FAM_N_2N = fm.polynomial_family([[0, 1], [0, 2]])
 FAM_N_NSQ = fm.polynomial_family([[0, 1], [0, 0, 1]])
 FAM_6_10_15 = fm.polynomial_family([[0, 6], [0, 10], [0, 15]])
@@ -204,50 +217,58 @@ class TestSplitWitnessGroup:
             dec.split_witness_group(FAM_N_2N, {1})
 
     def test_witness_group_soundness(self):
-        rng = random.Random(31)
+        rng, dep_rng = random.Random(31), random.Random(32)
+        refused = 0
         for _ in range(40):
-            fam = random_poly_family(rng, max_dim=3, max_deg=3, coeff=4)
-            A = fm.relation_group(fam)
-            size = fam.size
-            for bad in ({0}, {size + 1}):
-                with pytest.raises(PreconditionError):
-                    dec.split_witness_group(fam, bad)
-            for mask in range(1 << size):
-                F = {j + 1 for j in range(size) if mask >> j & 1}
-                if not dec.split_feasible(fam, F).feasible:
+            drawn = random_poly_family(rng, max_dim=3, max_deg=3, coeff=4)
+            for fam in (drawn, with_dependent_member(drawn, dep_rng)):
+                A = fm.relation_group(fam)
+                size = fam.size
+                for bad in ({0}, {size + 1}):
                     with pytest.raises(PreconditionError):
-                        dec.split_witness_group(fam, F)
-                    continue
-                H = dec.split_witness_group(fam, F)
-                assert lat.index_in_ambient(H) != lat.INFINITE
-                for row in A.basis:
-                    assert lat.member(H, row)
-                for j in range(1, size + 1):
-                    assert lat.member(H, lat.standard_basis(size, j)) == (j in F)
+                        dec.split_witness_group(fam, bad)
+                for mask in range(1 << size):
+                    F = {j + 1 for j in range(size) if mask >> j & 1}
+                    if not dec.split_feasible(fam, F).feasible:
+                        with pytest.raises(PreconditionError):
+                            dec.split_witness_group(fam, F)
+                        refused += 1
+                        continue
+                    H = dec.split_witness_group(fam, F)
+                    assert lat.index_in_ambient(H) != lat.INFINITE
+                    for row in A.basis:
+                        assert lat.member(H, row)
+                    for j in range(1, size + 1):
+                        assert lat.member(H, lat.standard_basis(size, j)) == (j in F)
+        assert refused > 0
 
 
 class TestOracleAgreement:
     def test_decider_matches_brute_force(self):
-        rng = random.Random(2024)
+        rng, dep_rng = random.Random(2024), random.Random(2025)
+        infeasible = 0
         for _ in range(60):
-            fam = random_poly_family(rng, max_dim=3, max_deg=3)
-            size = fam.size
-            table = dec.all_splits(fam)
-            for mask in range(1 << size):
-                F = {j + 1 for j in range(size) if mask >> j & 1}
-                verdict = dec.split_feasible(fam, F)
-                # Verdict, witness vector and coordinate, field by field.
-                assert table[frozenset(F)] == verdict
-                oracle_ok, oracle_a, _ = brute_force_split(fam, F)
-                # Every brute-force violation must be caught.
-                if not oracle_ok:
-                    assert not verdict.feasible
-                # Every decider infeasibility ships a valid witness.
-                if not verdict.feasible:
-                    a, j = verdict.witness_vector, verdict.witness_coordinate
-                    A = fm.relation_group(fam)
-                    assert lat.member(A, a)
-                    escape = [
-                        i + 1 for i, x in enumerate(a) if x and (i + 1) not in F
-                    ]
-                    assert escape == [j] and abs(a[j - 1]) == 1
+            drawn = random_poly_family(rng, max_dim=3, max_deg=3)
+            for fam in (drawn, with_dependent_member(drawn, dep_rng)):
+                size = fam.size
+                table = dec.all_splits(fam)
+                for mask in range(1 << size):
+                    F = {j + 1 for j in range(size) if mask >> j & 1}
+                    verdict = dec.split_feasible(fam, F)
+                    # Verdict, witness vector and coordinate, field by field.
+                    assert table[frozenset(F)] == verdict
+                    oracle_ok, oracle_a, _ = brute_force_split(fam, F)
+                    # Every brute-force violation must be caught.
+                    if not oracle_ok:
+                        assert not verdict.feasible
+                    # Every decider infeasibility ships a valid witness.
+                    if not verdict.feasible:
+                        infeasible += 1
+                        a, j = verdict.witness_vector, verdict.witness_coordinate
+                        A = fm.relation_group(fam)
+                        assert lat.member(A, a)
+                        escape = [
+                            i + 1 for i, x in enumerate(a) if x and (i + 1) not in F
+                        ]
+                        assert escape == [j] and abs(a[j - 1]) == 1
+        assert infeasible > 0
