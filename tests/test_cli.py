@@ -354,6 +354,24 @@ class TestDeterminism:
         G = lat.Lattice.from_json(bundle["group"])
         assert G.to_json() == bundle["group"]
 
+    def test_bundle_outputs_pinned(self, families, tmp_path):
+        # One sha256 pins the bytes of the explicit-atom bundle path: the
+        # measure bundle of (n, n^2) on G = 2Z x 3Z, the dichotomy CSV read
+        # back from it and its Gaussian transfer report.
+        bundle, csv_out, gauss = (tmp_path / n for n in ("s.json", "d.csv", "g.json"))
+        assert run(["measure", families["n_nsq"], "--group", families["g23"],
+                    "--depth", "5", "--samples", "3000", "--seed", "5",
+                    "--out", str(bundle)]) == 0
+        assert run(["verify-dichotomy", str(bundle), "--bound", "2",
+                    "--out", str(csv_out)]) == 0
+        assert run(["gaussian", "--sigma", str(bundle), "--out", str(gauss)]) == 0
+        digest = hashlib.sha256()
+        for path in (bundle, csv_out, gauss):
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == (
+            "1c914ac662dd428e4cdc058144194cb16bea5c394b2d1b18c307efc08f9254c4"
+        )
+
     def test_decider_outputs_pinned(self, tmp_path):
         # 12 seeded polynomial families of 4-7 sequences, degree 2-4,
         # coefficients in [-3, 3], zero constant term.  One sha256 pins the
