@@ -10,21 +10,33 @@ t * scale * p mod q per column alpha = p/q (skew.ShiftResidues gives the same
 residues for the finite-sums scans without reducing t), and phases multiplies
 each digit in mod q before any float enters, so no precision is lost to
 floating-point reduction of astronomically large products; the float stage
-only ever adds a handful of numbers in [0, 1).
+only ever adds a handful of numbers in [0, 1).  verify_dichotomy needs
+sigma-hat at every combination sum_j a_j phi_j(n_k) of a level: it reduces
+each digit against each phi_j(n_k) once and forms every combination's digit
+residues as small-integer combinations of those, which are the integers
+phases would reduce, so the floats are the same.
+
+Exact positions stay in integers as well: atoms sums each word's numerator
+over the common denominator L of the column alphas, and the explicit-atom
+constructor (and from_json, which reads "p/q" strings by int) merges and
+sorts on the numerators x * L mod L.  Only the distinct atoms handed out by
+atoms become Fractions.
 
 The words of a measure are distinct rows of its code matrix in increasing
 lexicographic order (sample_sigma's lexsort dedup and the explicit-atom
 arange produce them so), so the words sharing columns 0..j form contiguous
-runs.  phases walks that prefix tree column by column: each run adds its
-column's phase once to its parent run's partial sum, instead of every word
-gathering every column.  Each word still receives the same float additions
-in the same order, so the result is bitwise that of the word-by-word sum.
+runs.  phases, the dichotomy coefficients and atoms (on integer numerators)
+walk that prefix tree column by column: each run adds its column's value once
+to its parent run's partial sum, instead of every word gathering every
+column.  Each word still receives the same float additions in the same
+order, so the result is bitwise that of the word-by-word sum.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -136,11 +148,12 @@ class AtomicMeasure:
     exact digit categories[col][...] of word i, and the word's position is
     scale * sum_col digit * alpha_col mod 1.  sample_sigma builds one column
     per schedule level and coordinate; explicit rational atoms become one
-    column with alpha = 1/L (L the lcm of the denominators) and digit x * L.
-    Exact positions are cached for explicit atoms and materialized on demand
-    for samples; Fourier analysis reduces t * digit * alpha mod 1 with raw
-    integer arithmetic (residues, then per category in phases), so huge
-    arguments lose nothing before the final float.
+    column with alpha = 1/L (L the lcm of the denominators) and digit
+    x * L mod L.  Exact positions are materialized on demand by atoms, from
+    integer numerators over one common denominator; Fourier analysis reduces
+    t * digit * alpha mod 1 with raw integer arithmetic (residues, then per
+    category in phases), so huge arguments lose nothing before the final
+    float.
 
     The rows of codes must be distinct and strictly increasing in
     lexicographic order (PreconditionError otherwise): phases evaluates them
@@ -161,20 +174,23 @@ class AtomicMeasure:
     ):
         self._atoms = None
         if atoms is not None:
-            merged: dict = {}
+            ratios, merged = [], {}
             for x, w in atoms:
-                w = Fraction(w)
+                w = Fraction(*_ratio(w))
                 if w <= 0:
                     raise PreconditionError("atom weights must be positive")
-                key = x if isinstance(x, Fraction) else Fraction(x)
-                key %= 1
-                merged[key] = merged.get(key, Fraction(0)) + w
-            self._atoms = tuple(sorted(merged.items()))
-            L = math.lcm(*(x.denominator for x, _ in self._atoms))
-            alphas = ((Fraction(1, L),),)
-            categories = [[x.numerator * (L // x.denominator) for x, _ in self._atoms]]
-            codes = np.arange(len(self._atoms), dtype=np.uint32).reshape(-1, 1)
-            weights = tuple(w for _, w in self._atoms)
+                ratios.append((*_ratio(x), w))
+            L = math.lcm(*(den for _, den, _ in ratios))
+            for num, den, w in ratios:
+                key = num * (L // den) % L  # x mod 1 = key / L
+                merged[key] = merged[key] + w if key in merged else w
+            # unreduced "p/q" strings can leave a factor common to L and every key
+            g = math.gcd(L, *merged)
+            digits = sorted(merged)
+            alphas = ((Fraction(1, L // g),),)
+            categories = [[d // g for d in digits]]
+            codes = np.arange(len(digits), dtype=np.uint32).reshape(-1, 1)
+            weights = tuple(merged[d] for d in digits)
         elif codes is None:
             raise PreconditionError("measure needs atoms or a sampled structure")
         self.alphas = alphas
@@ -195,18 +211,26 @@ class AtomicMeasure:
 
     @property
     def atoms(self) -> tuple:
+        """Distinct (position, weight) pairs in increasing position order.
+
+        Each word's position is the integer numerator scale * sum d * p * (L/q)
+        over the common denominator L of the column alphas p/q, summed over
+        the prefix tree; words merge on equal numerators mod L, and only the
+        distinct atoms become Fractions.
+        """
         if self._atoms is None:
-            merged: dict = {}
             flat = self._flat_alphas()
-            for row, w in zip(self.codes, self.weights):
-                x = Fraction(0)
-                for col, code in enumerate(row):
-                    d = self.categories[col][code]
-                    if d:
-                        x += d * flat[col]
-                x = (self.scale * x) % 1
-                merged[x] = merged.get(x, Fraction(0)) + w
-            self._atoms = tuple(sorted(merged.items()))
+            L = math.lcm(*(a.denominator for a in flat))
+            scale = int(self.scale)
+            columns = []
+            for a, digits in zip(flat, self.categories, strict=True):
+                step = scale * a.numerator * (L // a.denominator)
+                columns.append(np.array([int(d) * step % L for d in digits], dtype=object))
+            merged: dict = {}
+            for x, w in zip(self._tree_sum(columns, object).tolist(), self.weights):
+                x %= L
+                merged[x] = merged[x] + w if x in merged else w
+            self._atoms = tuple((Fraction(x, L), merged[x]) for x in sorted(merged))
         return self._atoms
 
     def residues(self, t: int) -> list[int]:
@@ -224,21 +248,33 @@ class AtomicMeasure:
 
         Any integers congruent to residues(t) modulo the column denominators
         give the same result.  Each category digit multiplies into its
-        column's residue modularly, and only then does float enter.  The
-        column phases are summed over the prefix tree: partial_j =
-        partial_{j-1}[parent_j] + phase_j[code_j], starting from 0.0, which
-        is the word-by-word sum 0.0 + phase_0 + ... + phase_{c-1} bit for bit.
+        column's residue modularly, and only then does float enter.
         """
-        partial = np.zeros(min(len(self.codes), 1))  # the empty prefix
-        for (parent, code), a, digits, r in zip(
-            self._runs, self._flat_alphas(), self.categories, residues, strict=True
-        ):
-            q = a.denominator
+        denominators = [a.denominator for a in self._flat_alphas()]
+        return self._unit_phases(
             # int/int true division is correctly rounded at any size
-            cat_phase = np.array([(int(d) * r % q) / q for d in digits])
+            np.array([(int(d) * r % q) / q for d in digits])
+            for q, digits, r in zip(denominators, self.categories, residues, strict=True)
+        )
+
+    def _tree_sum(self, columns, dtype=float) -> np.ndarray:
+        """Per word, the sum of its category values, one array per column.
+
+        The values are summed over the prefix tree: partial_j =
+        partial_{j-1}[parent_j] + column_j[code_j], starting from zero, which
+        adds each run's value once and gives every word the word-by-word sum
+        0 + column_0 + ... + column_{c-1} in that order, bit for bit.
+        """
+        partial = np.zeros(min(len(self.codes), 1), dtype=dtype)  # the empty prefix
+        for (parent, code), column in zip(self._runs, columns, strict=True):
             if parent is not None:
                 partial = partial[parent]
-            partial = partial + cat_phase[code]
+            partial = partial + column[code]
+        return partial
+
+    def _unit_phases(self, cat_phases) -> np.ndarray:
+        """The float stage: per word, its column phases summed mod 1."""
+        partial = self._tree_sum(cat_phases)
         # equals partial % 1.0 bit for bit on finite values, and is cheaper
         return partial - np.floor(partial)
 
@@ -249,9 +285,7 @@ class AtomicMeasure:
 
     @staticmethod
     def from_json(obj: dict) -> "AtomicMeasure":
-        return AtomicMeasure(
-            [(Fraction(x), Fraction(w)) for x, w in obj["atoms"]]
-        )
+        return AtomicMeasure(obj["atoms"])
 
     def __eq__(self, other):
         return isinstance(other, AtomicMeasure) and self.atoms == other.atoms
@@ -259,6 +293,19 @@ class AtomicMeasure:
     def __repr__(self):
         words, cols = self.codes.shape
         return f"AtomicMeasure({words} words, {cols} columns)"
+
+
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of x: "p/q" and integer strings, as to_json
+    writes them, are read by int and left unreduced; anything else goes
+    through Fraction."""
+    if isinstance(x, str) and (match := _RATIO.fullmatch(x)):
+        return int(match[1]), int(match[2] or 1)
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    return x.numerator, x.denominator
 
 
 def dirac(position=0) -> AtomicMeasure:
@@ -345,11 +392,44 @@ def sample_sigma(
     )
 
 
-def fourier_coefficient(m: AtomicMeasure, t: int) -> complex:
-    """sigma-hat(t) = sum w * e^{2 pi i t x}, double precision output."""
-    angles = 2 * math.pi * m.phases(m.residues(t))
+def _transform(m: AtomicMeasure, phases: np.ndarray) -> complex:
+    angles = 2 * math.pi * phases
     w = m.weights_np
     return complex(np.dot(w, np.cos(angles)), np.dot(w, np.sin(angles)))
+
+
+def fourier_coefficient(m: AtomicMeasure, t: int) -> complex:
+    """sigma-hat(t) = sum w * e^{2 pi i t x}, double precision output."""
+    return _transform(m, m.phases(m.residues(t)))
+
+
+def _combination_coefficients(
+    m: AtomicMeasure, values: Sequence[int], vectors: Sequence[Sequence[int]]
+):
+    """sigma-hat(sum_j a_j values_j) per vector a, bitwise those of
+    fourier_coefficient.
+
+    residues(t) and each digit's product d * r mod q are linear in t modulo
+    the column denominator q, so the digit residues of sum_j a_j values_j are
+    sum_j a_j R_j mod q, with R_j the digit residues of values_j: computed
+    once per value, then one small-integer combination and one reduction
+    per digit and vector.  The reduced integers equal phases' own, so the
+    correctly rounded float phases do too.
+    """
+    denominators = [a.denominator for a in m._flat_alphas()]
+    residues = [m.residues(v) for v in values]
+    # per column, an (l, digits) matrix: row j holds d * r mod q per digit d,
+    # r the column residue of values_j
+    basis = [
+        np.array([[int(d) * r[col] % q for d in digits] for r in residues], dtype=object)
+        for col, (q, digits) in enumerate(zip(denominators, m.categories))
+    ]
+    for a in vectors:
+        a = np.array(a, dtype=object)  # Python ints: the combination stays exact
+        yield _transform(m, m._unit_phases(
+            # int/int true division is correctly rounded at any size
+            (a @ rows % q / q).astype(float) for q, rows in zip(denominators, basis)
+        ))
 
 
 def pushforward_scale(m: AtomicMeasure, factor: int) -> AtomicMeasure:
@@ -413,12 +493,11 @@ def verify_dichotomy(
         raise CapExceeded(
             f"coefficient bound {coeff_bound} exceeds the cap {COEFF_CAP}"
         )
+    vectors = list(product(range(-coeff_bound, coeff_bound + 1), repeat=fam.size))
     rows = []
     for k in range(1, s.depth + 1):
         vals = fm.evaluate(fam, s.indices[k - 1])
-        for a in product(range(-coeff_bound, coeff_bound + 1), repeat=fam.size):
-            t = sum(c * v for c, v in zip(a, vals))
-            coeff = fourier_coefficient(m, t)
+        for a, coeff in zip(vectors, _combination_coefficients(m, vals, vectors)):
             target = lat.character_integral(G, a)
             rows.append(
                 DichotomyRow(k, a, coeff, target, abs(coeff - target))

@@ -3,6 +3,7 @@
 import cmath
 import math
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
@@ -315,6 +316,172 @@ class TestDistinctRows:
             assert m.weights == tuple(F(int(c), n_samples) for c in want_counts)
             floats = np.array([float(w) for w in m.weights])
             assert m.weights_np.tobytes() == floats.tobytes()
+
+
+def _fraction_merge(atoms):
+    """Reference: the Fraction-keyed merge of explicit atoms that the integer
+    keys replaced, and the one-column structure it led to."""
+    merged = {}
+    for x, w in atoms:
+        key = F(x) % 1
+        merged[key] = merged.get(key, F(0)) + F(w)
+    atoms = tuple(sorted(merged.items()))
+    L = math.lcm(*(x.denominator for x, _ in atoms))
+    return atoms, ((F(1, L),),), [[x.numerator * (L // x.denominator) for x, _ in atoms]]
+
+
+def _fraction_atoms(m):
+    """Reference: the word-by-word Fraction loop that materialized positions
+    before integer numerators over one common denominator did."""
+    merged = {}
+    flat = m._flat_alphas()
+    for row, w in zip(m.codes, m.weights):
+        x = F(0)
+        for col, code in enumerate(row):
+            d = m.categories[col][code]
+            if d:
+                x += d * flat[col]
+        x = (m.scale * x) % 1
+        merged[x] = merged.get(x, F(0)) + w
+    return tuple(sorted(merged.items()))
+
+
+def _assert_explicit(m, atoms):
+    want_atoms, want_alphas, want_categories = _fraction_merge(atoms)
+    assert m.atoms == want_atoms
+    assert m.alphas == want_alphas and m.categories == want_categories
+    assert m.weights == tuple(w for _, w in want_atoms)
+    assert m.weights_np.tobytes() == np.array([float(w) for _, w in want_atoms]).tobytes()
+
+
+_POSITIONS = st.fractions(min_value=-5, max_value=5, max_denominator=10**40)
+_WEIGHTS = st.fractions(min_value=F(1, 10**6), max_value=5, max_denominator=10**6)
+
+
+@st.composite
+def _explicit_atoms(draw):
+    """Unsorted atoms with duplicates, also after integer shifts, x >= 1 and
+    negative x."""
+    base = draw(st.lists(_POSITIONS, min_size=1, max_size=10))
+    repeats = draw(st.lists(
+        st.tuples(st.sampled_from(base), st.integers(-3, 3)), max_size=6
+    ))
+    positions = base + [x + k for x, k in repeats]
+    weights = draw(st.lists(_WEIGHTS, min_size=len(positions), max_size=len(positions)))
+    return list(zip(draw(st.permutations(positions)), weights))
+
+
+@st.composite
+def _json_text(draw, value):
+    """value as a bundle string: canonical "p/q" or integer, unreduced,
+    padded with whitespace, or as a decimal where it has one."""
+    forms = [str(value), f"{value.numerator * 6}/{value.denominator * 6}", f" {value} "]
+    if value.denominator == 1:
+        forms.append(f"{value.numerator}/1")
+    if 10**12 % value.denominator == 0:
+        forms.append(f"{float(value.numerator * 10**12 // value.denominator) / 10**12!r}")
+    text = draw(st.sampled_from(forms))
+    assert F(text) == value
+    return text
+
+
+class TestExplicitAtoms:
+    """The integer-keyed explicit constructor, from_json and atoms against
+    the Fraction paths they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(atoms=_explicit_atoms())
+    def test_constructor_matches_fraction_merge(self, atoms):
+        _assert_explicit(ms.AtomicMeasure(atoms), atoms)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), atoms=_explicit_atoms())
+    def test_from_json_matches_fraction_merge(self, data, atoms):
+        pairs = [[data.draw(_json_text(x)), data.draw(_json_text(w))] for x, w in atoms]
+        _assert_explicit(ms.AtomicMeasure.from_json({"atoms": pairs}), atoms)
+
+    def test_from_json_text_forms(self):
+        pairs = [["3", "1/8"], ["-7/4", "2/16"], ["0.25", "0.125"], [" 1/2 ", "1/8"],
+                 ["1_000/3", "1/8"], ["-0.5", "2/8"], ["1e-1", "1/8"]]
+        atoms = [(F(x), F(w)) for x, w in pairs]
+        m = ms.AtomicMeasure.from_json({"atoms": pairs})
+        _assert_explicit(m, atoms)
+        assert m.total_weight() == 1
+        assert ms.AtomicMeasure.from_json(m.to_json()) == m
+
+    @pytest.mark.parametrize("text", ["1/0", "1/-2", "a/2", "1//2", ""])
+    def test_from_json_refuses_what_fraction_refuses(self, text):
+        with pytest.raises((ValueError, ZeroDivisionError)) as want:
+            F(text)
+        with pytest.raises(want.type):
+            ms.AtomicMeasure.from_json({"atoms": [[text, "1"]]})
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=_sampled_measures())
+    def test_sampled_atoms_match_fraction_loop(self, m):
+        assert m.atoms == _fraction_atoms(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(atoms=_explicit_atoms(), factor=st.integers(1, 7))
+    def test_explicit_pushforward_atoms_match_fraction_loop(self, atoms, factor):
+        image = ms.pushforward_scale(ms.AtomicMeasure(atoms), factor)
+        assert image.atoms == _fraction_atoms(image)
+
+
+def _bits(coefficients):
+    return np.array(list(coefficients), dtype=complex).tobytes()
+
+
+def _fourier_per_vector(m, values, vectors):
+    """Reference: one fourier_coefficient per vector, as verify_dichotomy
+    evaluated each level before the shared residue basis."""
+    return [ms.fourier_coefficient(m, sum(a * v for a, v in zip(vec, values))) for vec in vectors]
+
+
+@st.composite
+def _level(draw):
+    """A level's values phi_j(n_k), huge, zero or negative, and the vectors
+    of one coefficient bound in 0..COEFF_CAP."""
+    bound = draw(st.integers(0, ms.COEFF_CAP))
+    size = draw(st.integers(1, 3 if bound <= 2 else 2))
+    values = draw(st.lists(
+        st.one_of(st.integers(-(10**60), 10**60), st.sampled_from([0, 1, -1])),
+        min_size=size, max_size=size,
+    ))
+    return values, list(product(range(-bound, bound + 1), repeat=size))
+
+
+class TestCombinationCoefficients:
+    """verify_dichotomy's residue-basis coefficients against one
+    fourier_coefficient per vector, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=_sampled_measures(), level=_level())
+    def test_sampled_and_pushforward(self, m, level):
+        values, vectors = level
+        got = ms._combination_coefficients(m, values, vectors)
+        assert _bits(got) == _bits(_fourier_per_vector(m, values, vectors))
+
+    @settings(max_examples=80, deadline=None)
+    @given(atoms=_explicit_atoms(), factor=st.sampled_from([1, 2, 6]), level=_level())
+    def test_explicit_large_denominators(self, atoms, factor, level):
+        values, vectors = level
+        m = ms.pushforward_scale(ms.AtomicMeasure(atoms), factor)
+        got = ms._combination_coefficients(m, values, vectors)
+        assert _bits(got) == _bits(_fourier_per_vector(m, values, vectors))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_dichotomy_rows_match_fourier_loop(self, seed):
+        G = lat.canonicalize([(2, 0), (0, 3)], 2)
+        sigma, sched, _, _ = ms.build_measure_for_group(FAM_N_NSQ, G, 4, 3000, seed)
+        for m in (sigma, ms.AtomicMeasure.from_json(sigma.to_json())):
+            rep = ms.verify_dichotomy(m, sched, FAM_N_NSQ, G, 2, 0.2)
+            want = []
+            for k in range(1, sched.depth + 1):
+                values = fm.evaluate(FAM_N_NSQ, sched.indices[k - 1])
+                vectors = list(product(range(-2, 3), repeat=2))
+                want += _fourier_per_vector(m, values, vectors)
+            assert _bits(r.coefficient for r in rep.rows) == _bits(want)
 
 
 class TestPushforward:
