@@ -181,8 +181,7 @@ def cmd_analyze(args) -> int:
     out["coordinate_gcds"] = [
         lat.coordinate_image_gcd(A, j) for j in range(1, fam.size + 1)
     ]
-    interp = dec.interpolation_condition(fam)
-    out["interpolation"] = bool(interp)
+    out["interpolation"] = bool(dec._interpolation(fam, A))
     _json_out(out, args.out)
     return 0
 

@@ -122,9 +122,13 @@ def interpolation_condition(fam: fm.SequenceFamily) -> InterpolationVerdict:
     This is the algebraic gate for realizing every rigidity/mixing mixture
     lambda in [0,1]^l along a single sequence.
     """
+    return _interpolation(fam, fm.relation_group(fam))
+
+
+def _interpolation(fam: fm.SequenceFamily, A: lat.Lattice) -> InterpolationVerdict:
+    """interpolation_condition(fam) against its relation group A = A(phi)."""
     if fam.kind != fm.EXPLICIT and not fm.is_adequate(fam):
         return InterpolationVerdict(False)
-    A = fm.relation_group(fam)
     for j in range(1, A.ambient_dim + 1):
         if lat.coordinate_image_gcd(A, j) == 1:
             w = _unit_coordinate_witness(A, j)
@@ -153,8 +157,12 @@ def poly_group_condition(fam: fm.SequenceFamily, F: Iterable[int]) -> bool:
 
 
 def split_witness_group(fam: fm.SequenceFamily, F: Iterable[int]) -> lat.Lattice:
-    """Finite-index H with A(phi) <= H and e_j in H exactly for j in F; an
-    infeasible F is refused by `finite_index_extension` (PreconditionError)."""
+    """Finite-index H with A(phi) <= H and e_j in H exactly for j in F.
+
+    An infeasible F is refused by `finite_index_extension`; only then is the
+    escaping relation looked up, so the PreconditionError names it as
+    `split_feasible` would.
+    """
     A = fm.relation_group(fam)
     size = A.ambient_dim
     F = _subset(F, size)
@@ -162,4 +170,12 @@ def split_witness_group(fam: fm.SequenceFamily, F: Iterable[int]) -> lat.Lattice
         A, lat.canonicalize([lat.standard_basis(size, i) for i in sorted(F)], size)
     )
     excluded = [lat.standard_basis(size, j) for j in range(1, size + 1) if j not in F]
-    return lat.finite_index_extension(G, excluded)
+    try:
+        return lat.finite_index_extension(G, excluded)
+    except PreconditionError:
+        verdict = _escape(A, F)
+        raise PreconditionError(
+            f"split infeasible for F={sorted(F)}: the relation "
+            f"{verdict.witness_vector} of A(phi) escapes F only at coordinate "
+            f"{verdict.witness_coordinate}, where it is 1"
+        ) from None

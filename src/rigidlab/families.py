@@ -183,8 +183,10 @@ def is_adequate(fam: SequenceFamily) -> AdequacyVerdict:
     to infinity)?
 
     Polynomial criterion: the kernel of the degree >= 1 columns must equal the
-    kernel of the full matrix; a combination in the first but not the second
-    tends to a nonzero constant, and it is returned as the certificate.
+    kernel of the full matrix A(phi); a combination in the first but not the
+    second tends to a nonzero constant, and it is returned as the certificate.
+    A basis row of the first lies in A(phi) exactly when it also annihilates
+    the constant-term column, so A(phi) itself is not built.
     """
     if fam.kind == EXPLICIT:
         raise UndecidableFromSamples("adequacy is asymptotic; explicit tables cannot decide it")
@@ -193,9 +195,8 @@ def is_adequate(fam: SequenceFamily) -> AdequacyVerdict:
     m = fam.coefficient_matrix()
     higher = [row[1:] for row in m]
     k_higher = lat.kernel(higher, fam.size, len(m[0]) - 1)
-    k_full = relation_group(fam)
     for row in k_higher.basis:
-        if not lat.member(k_full, row):
+        if sum(a * coeffs[0] for a, coeffs in zip(row, m)):
             return AdequacyVerdict(False, row)
     return AdequacyVerdict(True)
 

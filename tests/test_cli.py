@@ -271,6 +271,13 @@ class TestExitCodes:
         assert run(fill_placeholders(argv, families, tmp_path)) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "PreconditionError"
+        if argv[0] == "witness":
+            # the refusal names the relation -2 phi_1 + phi_2 = 0 escaping
+            # F = {1} at coordinate 2, as `splits --F 1` reports it
+            assert err["detail"] == (
+                "split infeasible for F=[1]: the relation (-2, 1) of A(phi) "
+                "escapes F only at coordinate 2, where it is 1"
+            )
 
     @pytest.mark.parametrize(
         "argv",
