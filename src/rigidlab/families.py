@@ -182,9 +182,10 @@ def is_adequate(fam: SequenceFamily) -> AdequacyVerdict:
     """Do all integer combinations tend to 0 or +-infinity (and each |phi_j|
     to infinity)?
 
-    Polynomial criterion: the kernel of the degree >= 1 columns must equal the
-    kernel of the full matrix A(phi); a combination in the first but not the
-    second tends to a nonzero constant, and it is returned as the certificate.
+    Polynomial criterion: the kernel of the degree >= 1 columns must equal
+    A(phi), the kernel of the full matrix; a combination in the first but not
+    the second tends to a nonzero constant, and it is returned as the
+    certificate.
     A basis row of the first lies in A(phi) exactly when it also annihilates
     the constant-term column, so A(phi) itself is not built.
     """

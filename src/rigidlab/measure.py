@@ -393,6 +393,7 @@ def sample_sigma(
 
 
 def _transform(m: AtomicMeasure, phases: np.ndarray) -> complex:
+    """sum w * e^{2 pi i phase} over the words, given their phases t * x mod 1."""
     angles = 2 * math.pi * phases
     w = m.weights_np
     return complex(np.dot(w, np.cos(angles)), np.dot(w, np.sin(angles)))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 from itertools import product
 
@@ -379,7 +380,7 @@ def _json_text(draw, value):
     if value.denominator == 1:
         forms.append(f"{value.numerator}/1")
     if 10**12 % value.denominator == 0:
-        forms.append(f"{float(value.numerator * 10**12 // value.denominator) / 10**12!r}")
+        forms.append(str(Decimal(value.numerator) / value.denominator))  # exact here
     text = draw(st.sampled_from(forms))
     assert F(text) == value
     return text
