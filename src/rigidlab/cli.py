@@ -92,11 +92,11 @@ def _load_json(path: str):
 
 @contextmanager
 def _malformed(what: str):
-    """Report a missing key or a wrongly typed value in decoded JSON as a
-    precondition violation instead of a traceback."""
+    """Report a missing key, a wrongly typed value or a zero denominator in
+    decoded JSON as a precondition violation instead of a traceback."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise PreconditionError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 

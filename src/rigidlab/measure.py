@@ -18,9 +18,8 @@ phases would reduce, so the floats are the same.
 
 Exact positions stay in integers as well: atoms sums each word's numerator
 over the common denominator L of the column alphas, and the explicit-atom
-constructor (and from_json, which reads "p/q" strings by int) merges and
-sorts on the numerators x * L mod L.  Only the distinct atoms handed out by
-atoms become Fractions.
+constructor (and with it from_json) merges and sorts on the numerators
+x * L mod L.  Only the distinct atoms handed out by atoms become Fractions.
 
 The words of a measure are distinct rows of its code matrix in increasing
 lexicographic order (sample_sigma's lexsort dedup and the explicit-atom
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 import copy
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -174,21 +172,19 @@ class AtomicMeasure:
     ):
         self._atoms = None
         if atoms is not None:
-            ratios, merged = [], {}
+            parsed, merged = [], {}
             for x, w in atoms:
-                w = Fraction(*_ratio(w))
+                x, w = Fraction(x), Fraction(w)
                 if w <= 0:
                     raise PreconditionError("atom weights must be positive")
-                ratios.append((*_ratio(x), w))
-            L = math.lcm(*(den for _, den, _ in ratios))
-            for num, den, w in ratios:
-                key = num * (L // den) % L  # x mod 1 = key / L
+                parsed.append((x, w))
+            L = math.lcm(*(x.denominator for x, _ in parsed))
+            for x, w in parsed:
+                key = x.numerator * (L // x.denominator) % L  # x mod 1 = key / L
                 merged[key] = merged[key] + w if key in merged else w
-            # unreduced "p/q" strings can leave a factor common to L and every key
-            g = math.gcd(L, *merged)
             digits = sorted(merged)
-            alphas = ((Fraction(1, L // g),),)
-            categories = [[d // g for d in digits]]
+            alphas = ((Fraction(1, L),),)
+            categories = [digits]
             codes = np.arange(len(digits), dtype=np.uint32).reshape(-1, 1)
             weights = tuple(merged[d] for d in digits)
         elif codes is None:
@@ -251,11 +247,11 @@ class AtomicMeasure:
         column's residue modularly, and only then does float enter.
         """
         denominators = [a.denominator for a in self._flat_alphas()]
-        return self._unit_phases(
+        return _mod1(self._tree_sum([
             # int/int true division is correctly rounded at any size
             np.array([(int(d) * r % q) / q for d in digits])
             for q, digits, r in zip(denominators, self.categories, residues, strict=True)
-        )
+        ]))
 
     def _tree_sum(self, columns, dtype=float) -> np.ndarray:
         """Per word, the sum of its category values, one array per column.
@@ -271,12 +267,6 @@ class AtomicMeasure:
                 partial = partial[parent]
             partial = partial + column[code]
         return partial
-
-    def _unit_phases(self, cat_phases) -> np.ndarray:
-        """The float stage: per word, its column phases summed mod 1."""
-        partial = self._tree_sum(cat_phases)
-        # equals partial % 1.0 bit for bit on finite values, and is cheaper
-        return partial - np.floor(partial)
 
     def to_json(self) -> dict:
         return {
@@ -295,17 +285,9 @@ class AtomicMeasure:
         return f"AtomicMeasure({words} words, {cols} columns)"
 
 
-_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
-
-
-def _ratio(x) -> tuple[int, int]:
-    """(numerator, denominator) of x: "p/q" and integer strings, as to_json
-    writes them, are read by int and left unreduced; anything else goes
-    through Fraction."""
-    if isinstance(x, str) and (match := _RATIO.fullmatch(x)):
-        return int(match[1]), int(match[2] or 1)
-    x = x if isinstance(x, Fraction) else Fraction(x)
-    return x.numerator, x.denominator
+def _mod1(x: np.ndarray) -> np.ndarray:
+    """x mod 1: equals x % 1.0 bit for bit on finite values, and is cheaper."""
+    return x - np.floor(x)
 
 
 def dirac(position=0) -> AtomicMeasure:
@@ -427,10 +409,10 @@ def _combination_coefficients(
     ]
     for a in vectors:
         a = np.array(a, dtype=object)  # Python ints: the combination stays exact
-        yield _transform(m, m._unit_phases(
+        yield _transform(m, _mod1(m._tree_sum([
             # int/int true division is correctly rounded at any size
             (a @ rows % q / q).astype(float) for q, rows in zip(denominators, basis)
-        ))
+        ])))
 
 
 def pushforward_scale(m: AtomicMeasure, factor: int) -> AtomicMeasure:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -28,19 +29,24 @@ def families(tmp_path):
 
 
 def fill_placeholders(argv, families, tmp_path):
-    """Replace FAMILY, N_2N, GROUP, OUT and SIGMA by files; FAMILY is (n, n^2),
-    N_2N is (n, 2n), and SIGMA is a measure bundle of (n, n^2) built on the
-    spot."""
+    """Replace FAMILY, N_2N, GROUP, OUT, SIGMA and SIGMA_1_0 by files; FAMILY
+    is (n, n^2), N_2N is (n, 2n), SIGMA is a measure bundle of (n, n^2) built
+    on the spot, and SIGMA_1_0 that bundle with its first atom at "1/0"."""
     names = {
         "FAMILY": families["n_nsq"],
         "N_2N": families["n_2n"],
         "GROUP": families["g23"],
         "OUT": str(tmp_path / "out.json"),
         "SIGMA": str(tmp_path / "sigma.json"),
+        "SIGMA_1_0": str(tmp_path / "sigma_1_0.json"),
     }
-    if "SIGMA" in argv:
+    if {"SIGMA", "SIGMA_1_0"} & set(argv):
         assert run(["measure", names["FAMILY"], "--group", names["GROUP"], "--depth", "2",
                     "--samples", "50", "--out", names["SIGMA"]]) == 0
+    if "SIGMA_1_0" in argv:
+        bundle = json.loads(Path(names["SIGMA"]).read_text())
+        bundle["sigma"]["atoms"][0][0] = "1/0"
+        Path(names["SIGMA_1_0"]).write_text(json.dumps(bundle))
     return [names.get(a, a) for a in argv]
 
 
@@ -249,6 +255,7 @@ class TestExitCodes:
             ["witness", "N_2N", "--F", "1"],
             ["gaussian"],
             ["verify-dichotomy", "SIGMA", "--bound", "-1"],
+            ["verify-dichotomy", "SIGMA_1_0"],
             ["measure", "FAMILY", "--group", "GROUP", "--depth", "0", "--out", "OUT"],
             ["measure", "FAMILY", "--group", "GROUP", "--depth", "2", "--samples", "50",
              "--seed", "-1", "--out", "OUT"],
@@ -263,7 +270,8 @@ class TestExitCodes:
         ],
         ids=["cor66_no_p_q", "cor66_no_q", "cor67_bad_primes", "splits_bad_F",
              "witness_infeasible_F", "gaussian_no_sigma_no_rho",
-             "dichotomy_negative_bound", "measure_depth_0", "measure_negative_seed",
+             "dichotomy_negative_bound", "dichotomy_atom_zero_denominator",
+             "measure_depth_0", "measure_negative_seed",
              "cor65_negative_seed", "cor65_negative_k0_max",
              "gaussian_rho_nan_bound", "gaussian_sigma_nan_bound", "cor67_scan_csv"],
     )
@@ -271,6 +279,8 @@ class TestExitCodes:
         assert run(fill_placeholders(argv, families, tmp_path)) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "PreconditionError"
+        if "SIGMA_1_0" in argv:
+            assert "ZeroDivisionError" in err["detail"]
         if argv[0] == "witness":
             # the refusal names the relation -2 phi_1 + phi_2 = 0 escaping
             # F = {1} at coordinate 2, as `splits --F 1` reports it
