@@ -4,20 +4,19 @@ The Gaussian system attached to a spectral measure turns correlation values
 Re sigma-hat(n) into covariances of standard normal pairs; rigidity pushes
 the pair mass of a cylinder I to P(I) and mixing to P(I)^2.  Pair masses are
 computed by adaptive quadrature of the conditional normal CDF, accurate to
-1e-8 absolute.
+1e-8 absolute.  scipy is imported on the first pair mass, not with the
+module, so importing rigidlab does not pay for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from scipy.integrate import quad
-from scipy.special import ndtr
 
 from . import families as fm
 from . import lattice as lat
 from .errors import PreconditionError
-from .measure import AtomicMeasure, fourier_coefficient
+from .measure import AtomicMeasure, _combination_coefficients
 from .schedule import Schedule
 
 PAIR_MASS_TOL = 1e-8
@@ -25,6 +24,8 @@ PAIR_MASS_TOL = 1e-8
 
 def interval_probability(lo: float, hi: float) -> float:
     """P(X in [lo, hi]) for standard normal X."""
+    from scipy.special import ndtr
+
     return float(ndtr(hi) - ndtr(lo))
 
 
@@ -47,6 +48,9 @@ def gaussian_pair_mass(rho: float, I: tuple, J: tuple) -> float:
     if rho == -1:
         lo, hi = max(a, -d), min(b, -c)
         return interval_probability(lo, hi) if lo <= hi else 0.0
+    from scipy.integrate import quad
+    from scipy.special import ndtr
+
     s = math.sqrt(1 - rho * rho)
 
     def integrand(x):
@@ -94,15 +98,17 @@ def verify_gaussian_transfer(
 
     With rho_jk = Re sigma-hat(phi_j(n_k)), a rigid direction (e_j in G)
     must bring the pair mass of (interval, interval) near P(interval), and a
-    mixing one near P(interval)^2.
+    mixing one near P(interval)^2.  Each level's l coefficients come from
+    one residue basis, at the unit vectors (bitwise fourier_coefficient's).
     """
     p1 = interval_probability(float(interval[0]), float(interval[1]))
+    units = [lat.standard_basis(fam.size, j) for j in range(1, fam.size + 1)]
     rows = []
     for k in range(1, s.depth + 1):
         vals = fm.evaluate(fam, s.indices[k - 1])
-        for j in range(1, fam.size + 1):
-            rho = fourier_coefficient(m, vals[j - 1]).real
-            rho = max(-1.0, min(1.0, rho))
+        coeffs = _combination_coefficients(m, vals, units)
+        for j, coeff in enumerate(coeffs, start=1):
+            rho = max(-1.0, min(1.0, coeff.real))
             rigid = lat.member(G, lat.standard_basis(G.ambient_dim, j))
             target = p1 if rigid else p1 * p1
             mass = gaussian_pair_mass(rho, interval, interval)

@@ -7,14 +7,36 @@ schedule level and coordinate; explicit rational atoms are one column with
 alpha = 1/L, L the lcm of their denominators.  Fourier coefficients at huge
 integer arguments t go through exact integers first: residues(t) gives
 t * scale * p mod q per column alpha = p/q (skew.ShiftResidues gives the same
-residues for the finite-sums scans without reducing t), and phases multiplies
-each digit in mod q before any float enters, so no precision is lost to
+residues for the finite-sums scans without reducing t), and phases gives each
+digit the correctly rounded (d * r mod q) / q, so no precision is lost to
 floating-point reduction of astronomically large products; the float stage
-only ever adds a handful of numbers in [0, 1).  verify_dichotomy needs
-sigma-hat at every combination sum_j a_j phi_j(n_k) of a level: it reduces
+after it only ever adds a handful of numbers in [0, 1).  verify_dichotomy
+needs sigma-hat at every combination sum_j a_j phi_j(n_k) of a level: it reduces
 each digit against each phi_j(n_k) once and forms every combination's digit
 residues as small-integer combinations of those, which are the integers
 phases would reduce, so the floats are the same.
+
+Free columns skip the big-integer division.  A free coordinate's column holds
+up to k! small digits d, and at a near-rigid shift its residue x1 = r mod q
+is so small that no digit wraps (max(d) * x1 < q), so each phase is the
+correctly rounded d * x1 / q.  phases takes these from a float kernel
+(_certified_quotients) on columns of at least _KERNEL_FLOOR digits below
+2^26.  With y = x1 * 2^s / q scaled into [1/2, 1) and split once in integers
+into hi + mid (hi the correctly rounded y, mid the correctly rounded
+remainder), d * hi is exact as two products of at most 53 bits and one
+Fast2Sum (Dekker, 1971), and a second Fast2Sum gives R + u = head + tail,
+tail = e + d * mid.  Error budget: each of the three float stages, rounding
+mid, d * mid and tail, errs by at most 2^-53 of its result, plus 2^-1075 if
+it underflows, so
+
+    |d * y - (R + u)| <= 2^-52 (|d * mid| + |tail|)(1 + 2^-52) + 2^-1047.
+
+A digit keeps R only if |u| + 2^-51 (|d * mid| + |tail|) + 2^-1000 lies
+strictly inside half the gap from R to either neighbouring double (Ziv's
+rounding test, 1991); then R is the correctly rounded d * y, and R * 2^-s,
+exact where it is a normal double, the correctly rounded d * x1 / q.  Every
+other digit (ties, near-ties, d = 0, subnormal results) is recomputed from
+the integers, so the phases stay bitwise those of the exact expression.
 
 Exact positions stay in integers as well: atoms sums each word's numerator
 over the common denominator L of the column alphas, and the explicit-atom
@@ -49,6 +71,14 @@ from .schedule import Schedule, build_schedule, check_schedule
 
 SAMPLE_CAP = 10**7
 COEFF_CAP = 5
+# The certified column kernel takes digits below 2^26, so that each digit
+# times a 27-bit half of a double is exact, and columns of at least
+# _KERNEL_FLOOR digits: its fixed cost, ~30 us per column, against ~0.6 us
+# per digit of the exact expression, is paid back from ~50 digits on
+# (measured on the cor66/cor67 scan columns, 2-CPU x86-64 machine).
+_DIGIT_LIMIT = 2**26
+_KERNEL_FLOOR = 64
+_TINY = float(np.finfo(float).tiny)  # 2^-1022, the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -198,6 +228,7 @@ class AtomicMeasure:
         self.weights_np = weights_np  # the correctly rounded floats of weights
         self.scale = scale
         self._runs = _prefix_runs(codes)
+        self._float_columns: dict = {}  # filled by _float_column; images share it
 
     def total_weight(self) -> Fraction:
         return sum(self.weights, Fraction(0))
@@ -243,15 +274,36 @@ class AtomicMeasure:
         """numpy array of (t * position mod 1) per word, given residues(t).
 
         Any integers congruent to residues(t) modulo the column denominators
-        give the same result.  Each category digit multiplies into its
-        column's residue modularly, and only then does float enter.
+        give the same result.  Each column's digit phases are the correctly
+        rounded (d * r mod q) / q, bit for bit (_digit_phases): from the
+        exact integers, or, on a long column of small digits whose residue
+        does not wrap, from the float kernel _certified_quotients.  Its
+        budget (module docstring): per digit, the exact scaled quotient lies
+        within 2^-52 (|d * mid| + |tail|)(1 + 2^-52) + 2^-1047 of R + u, and
+        R is kept only where |u| + 2^-51 (|d * mid| + |tail|) + 2^-1000 is
+        below half the gap from R to its neighbours; the other digits fall
+        back to the exact integers.
         """
         denominators = [a.denominator for a in self._flat_alphas()]
         return _mod1(self._tree_sum([
-            # int/int true division is correctly rounded at any size
-            np.array([(int(d) * r % q) / q for d in digits])
-            for q, digits, r in zip(denominators, self.categories, residues, strict=True)
+            _digit_phases(q, digits, r, self._float_column(col))
+            for col, (q, digits, r) in enumerate(
+                zip(denominators, self.categories, residues, strict=True))
         ]))
+
+    def _float_column(self, col: int):
+        """(float64 digits, largest digit) of a column the certified kernel
+        may take, at least _KERNEL_FLOOR digits all in [0, 2^26), else None.
+        Built on first use into a dict that pushforward_scale images share,
+        so a measure converts each column once."""
+        if col not in self._float_columns:
+            digits = self.categories[col]
+            self._float_columns[col] = (
+                (np.array(digits, dtype=float), max(digits))
+                if len(digits) >= _KERNEL_FLOOR and 0 <= min(digits)
+                and max(digits) < _DIGIT_LIMIT else None
+            )
+        return self._float_columns[col]
 
     def _tree_sum(self, columns, dtype=float) -> np.ndarray:
         """Per word, the sum of its category values, one array per column.
@@ -283,6 +335,55 @@ class AtomicMeasure:
     def __repr__(self):
         words, cols = self.codes.shape
         return f"AtomicMeasure({words} words, {cols} columns)"
+
+
+def _digit_phases(q: int, digits, r: int, floats) -> np.ndarray:
+    """(d * r mod q) / q per digit d, correctly rounded.
+
+    floats is the column's _float_column entry.  Where it exists, r mod q is
+    nonzero and no digit wraps (max(d) * (r mod q) < q), the quotients come
+    from _certified_quotients; otherwise from the exact integers.
+    """
+    if floats is not None:
+        x1 = r % q
+        if x1 and floats[1] * x1 < q:
+            return _certified_quotients(floats[0], x1, q)
+    # int/int true division is correctly rounded at any size
+    return np.array([(int(d) * r % q) / q for d in digits])
+
+
+def _certified_quotients(d: np.ndarray, x1: int, q: int) -> np.ndarray:
+    """d * x1 / q per digit, the correctly rounded float of the exact
+    quotient, for float digits d in [0, 2^26) with max(d) * x1 < q.
+
+    hi = m / 2^53 is halved exactly into (m >> 27) / 2^26 + (m mod 2^27) /
+    2^53, so each digit's two products are exact; the error budget is the
+    module docstring's.  Its test b = 2^-51 (|d * mid| + |tail|) + 2^-1000
+    exceeds the bound also after its own rounding, and g / 2, half the
+    smaller gap from R to a neighbouring double, is a power of two, so the
+    float comparison |u| + b < g / 2 is never true when the exact one is
+    false.  R * 2^-s is exact where it exceeds the smallest normal double.
+    The digits the test refuses are recomputed from the exact integers.
+    """
+    s = q.bit_length() - x1.bit_length()
+    if x1 << s >= q:
+        s -= 1
+    hi = (x1 << s) / q  # in [1/2, 1]
+    m = int(hi * 2.0**53)
+    mid = ((x1 << (s + 53)) - m * q) / (q << 53)
+    p1 = d * ((m >> 27) / 2.0**26)
+    p2 = d * ((m & (2**27 - 1)) / 2.0**53)  # |p2| <= |p1|: Fast2Sum applies
+    head = p1 + p2
+    dm = d * mid
+    tail = (p2 - (head - p1)) + dm
+    R = head + tail  # |tail| <= |head|
+    u = tail - (R - head)
+    budget = (np.abs(dm) + np.abs(tail)) * 2.0**-51 + 2.0**-1000
+    gap = np.minimum(np.nextafter(R, np.inf) - R, R - np.nextafter(R, -np.inf))
+    out = np.ldexp(R, -s)
+    for i in np.flatnonzero(~((np.abs(u) + budget < 0.5 * gap) & (out > _TINY))):
+        out[i] = int(d[i]) * x1 / q  # d[i] is an exact integer; below q: no reduction
+    return out
 
 
 def _mod1(x: np.ndarray) -> np.ndarray:

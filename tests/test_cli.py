@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rigidlab
 from rigidlab.cli import parse_poly_expr, run
 from rigidlab.errors import ParseError
 
@@ -418,3 +422,15 @@ class TestDeterminism:
         assert digest.hexdigest() == (
             "621a019d39417f9fb8c04303b8473b0567052878d7445270fdde47425b57ce05"
         )
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the first Gaussian pair mass, not by importing
+    # the package and its command line
+    src = str(Path(rigidlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, rigidlab.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

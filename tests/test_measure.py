@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction as F
 from itertools import product
@@ -228,6 +229,7 @@ class TestPrefixTreePhases:
         m = _sampled_2z_3z(500, 4)
         image = ms.pushforward_scale(m, 6)
         assert image.codes is m.codes and image._runs is m._runs
+        assert image._float_columns is m._float_columns
         assert image.scale == 6 and m.scale == 1
 
     def _rebuilt(self, m, codes):
@@ -250,6 +252,164 @@ class TestPrefixTreePhases:
         doubled = np.repeat(m.codes, 2, axis=0)
         with pytest.raises(PreconditionError):
             self._rebuilt(m, doubled)
+
+
+def _exact_quotients(q, digits, r):
+    """Reference: the per-digit expression the certified kernel replaces."""
+    return np.array([(d * r % q) / q for d in digits])
+
+
+def _one_column(q, digits):
+    """A measure of one column, alpha = 1/q, with the given sorted digits;
+    its phases at residue r are that column's digit phases, bit for bit."""
+    n = len(digits)
+    return ms.AtomicMeasure(
+        alphas=((F(1, q),),), categories=[list(digits)],
+        codes=np.arange(n, dtype=np.uint32).reshape(-1, 1), weights=(F(1, n),) * n,
+    )
+
+
+def _assert_column_exact(q, digits, r):
+    """The column's digit phases, and the kernel itself wherever it applies,
+    are the exact quotients bit for bit, and the measure's phases are those
+    mod 1; returns whether the kernel applied."""
+    exact = _exact_quotients(q, digits, r)
+    want = exact.tobytes()
+    m = _one_column(q, digits)
+    assert ms._digit_phases(q, digits, r, m._float_column(0)).tobytes() == want
+    assert m.phases([r]).tobytes() == (exact % 1.0).tobytes()
+    x1 = r % q
+    applies = 0 < x1 and max(digits) * x1 < q and max(digits) < ms._DIGIT_LIMIT
+    if applies:
+        floats = np.array(digits, dtype=float)
+        assert ms._certified_quotients(floats, x1, q).tobytes() == want
+    return applies
+
+
+@st.composite
+def _kernel_columns(draw):
+    """(q, sorted digits, r): q up to 2 000 bits; digits in [0, 2^26) with
+    0 and often values next to 2^26, on both sides of the size floor; r
+    reduced, unreduced or 0 mod q, and mostly small enough not to wrap."""
+    q = draw(st.integers(2, 2**2000))
+    n = draw(st.sampled_from([1, 3, ms._KERNEL_FLOOR - 1, ms._KERNEL_FLOOR, 200]))
+    digit = st.one_of(
+        st.integers(0, ms._DIGIT_LIMIT - 1),
+        st.integers(ms._DIGIT_LIMIT - 100, ms._DIGIT_LIMIT - 1),
+    )
+    digits = sorted({0, *draw(st.lists(digit, min_size=n - 1, max_size=n - 1))})
+    top = (q - 1) // max(digits) if max(digits) else q - 1
+    if top >= 1 and draw(st.integers(0, 3)):
+        x1 = draw(st.one_of(st.integers(1, top), st.integers(max(1, top - 1000), top)))
+    else:
+        x1 = draw(st.integers(0, q - 1))  # wraps, or is 0
+    r = x1 + q * draw(st.sampled_from([0, 0, 1, 7, 2**70]))
+    return q, digits, r
+
+
+class TestCertifiedQuotients:
+    """phases' float kernel for non-wrapping columns against (d * r % q) / q,
+    compared with tobytes: no tolerance anywhere."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(column=_kernel_columns())
+    def test_matches_exact_quotients(self, column):
+        _assert_column_exact(*column)
+
+    def test_exact_and_near_ties(self):
+        # q a power of two: for d a power of two, d * x1 / q is a binary
+        # midpoint (x1 = 2^53 + 1 needs 54 bits), or just off one
+        digits = sorted({*range(100), *(2**j for j in range(26))})
+        for q, x1 in (
+            (2**80, 2**53 + 1),
+            (2**200, (2**53 + 1) * 2**100 + 1),
+            (2**200, (2**53 + 1) * 2**100 - 1),
+            (2**200 + 1, (2**53 + 1) * 2**100),
+        ):
+            assert _assert_column_exact(q, digits, x1)
+
+    def test_seeded_near_ties(self):
+        # d * x1 / q within 2^-100 of a midpoint of the 53-bit grid, on
+        # either side, half of them the midpoint just below a power of two;
+        # without its error budget, or with the larger of R's two gaps, the
+        # kernel rounds some of these the wrong way
+        rng = random.Random(3)
+        for _ in range(3000):
+            d = rng.choice([3, 12345, rng.randrange(3, ms._DIGIT_LIMIT)])
+            q = 2**400 + rng.choice([0, 1, rng.randrange(1, 2**100)])
+            j = rng.choice([2**53 - 1, rng.randrange(2**52, 2**53)])
+            midpoint = (2 * j + 1) << rng.randrange(317, 347)
+            offset = rng.choice([-1, 1]) * rng.randrange(1, 2**20) << rng.randrange(200)
+            x1 = (midpoint + offset) // d
+            if 0 < x1 and d * x1 < q:
+                floats = np.array([0.0, d])
+                assert ms._certified_quotients(floats, x1, q).tobytes() == (
+                    _exact_quotients(q, [0, d], x1).tobytes())
+
+    def test_subnormal_results(self):
+        # below 2^-1022 the kernel's scaled rounding would round twice, so
+        # those digits come from the integers; the q + 1 columns cross the
+        # smallest normal double near d = 2^18
+        digits = sorted({*range(100), *range(2**18 - 100, 2**18 + 100), ms._DIGIT_LIMIT - 1})
+        for q, x1 in ((2**1100 + 12345, 1), (2**1100 + 12345, 2**70 + 5),
+                      (2**1040, 1), (2**1040 + 1, 1), (3**700, 2**30 + 1)):
+            assert _assert_column_exact(q, digits, x1)
+            exact = _exact_quotients(q, digits, x1)
+            assert (exact[np.array(digits) > 0] < ms._TINY).any()
+        # x1 / q = (k + 1/2 - 2^-60) 2^-1074 for odd k: its 53-bit rounding
+        # is the midpoint of two subnormals, so rounding that again to the
+        # subnormal grid would round up
+        k = 2**20 + 1
+        x1 = (2 * k + 1) * 2**59 - 1
+        assert ms._certified_quotients(np.array([1.0]), x1, 2**1134)[0] == x1 / 2**1134
+
+    def test_wrapping_zero_and_large_digit_columns(self):
+        digits = list(range(200))
+        q = 10**30 + 57
+        assert not _assert_column_exact(q, digits, q // 3)  # wraps
+        assert not _assert_column_exact(q, digits, 5 * q)  # 0 mod q
+        large = [0, 5, ms._DIGIT_LIMIT, 2**40, *range(2**41, 2**41 + 100)]
+        assert _one_column(q, large)._float_column(0) is None
+        assert not _assert_column_exact(q, large, 3)
+
+
+@pytest.fixture(scope="module")
+def long_free_columns():
+    """The trivial group on (n, n^2) at depth 6: every coordinate is free,
+    so the last levels' columns hold up to 120 and 720 digits, past the
+    kernel's size floor."""
+    s = build_schedule(FAM_N_NSQ, 6)
+    m = ms.sample_sigma(lat.trivial(2), s, FAM_N_NSQ, 3000, seed=5)
+    assert max(len(digits) for digits in m.categories) > 5 * ms._KERNEL_FLOOR
+    return m, [v for k in range(1, 7) for v in fm.evaluate(FAM_N_NSQ, s.indices[k - 1])]
+
+
+class TestLongFreeColumns:
+    """phases on long free columns against the column-gather oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_column_gather(self, long_free_columns, data):
+        m, values = long_free_columns
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(values), max_size=len(values)))
+        # near-rigid shifts sum_k a_k phi_j(n_k) leave the deep free columns
+        # unwrapped; an arbitrary t wraps them
+        t = data.draw(st.one_of(
+            st.just(sum(a * v for a, v in zip(coeffs, values))),
+            st.integers(-(10**60), 10**60),
+        ))
+        for image in (m, ms.pushforward_scale(m, data.draw(st.sampled_from([2, 6, 35])))):
+            assert image.phases(image.residues(t)).tobytes() == _column_phases(image, t).tobytes()
+
+    def test_kernel_runs_on_schedule_values(self, long_free_columns, monkeypatch):
+        m, values = long_free_columns
+        calls = []
+        kernel = ms._certified_quotients
+        monkeypatch.setattr(ms, "_certified_quotients", lambda *a: calls.append(1) or kernel(*a))
+        for image in (m, ms.pushforward_scale(m, 6)):
+            for t in values:
+                assert image.phases(image.residues(t)).tobytes() == _column_phases(image, t).tobytes()
+        assert len(calls) >= 2 * len(values)
 
 
 def _unique_rows(matrix):
