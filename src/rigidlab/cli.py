@@ -270,11 +270,11 @@ def _load_bundle(path: str):
         G = lat.Lattice.from_json(bundle["group"])
         sched = Schedule.from_json(bundle["schedule"])
         sigma = ms.AtomicMeasure.from_json(bundle["sigma"])
-    return bundle, fam, G, sched, sigma
+    return fam, G, sched, sigma
 
 
 def cmd_verify_dichotomy(args) -> int:
-    bundle, fam, G, sched, sigma = _load_bundle(args.sigma)
+    fam, G, sched, sigma = _load_bundle(args.sigma)
     report = ms.verify_dichotomy(sigma, sched, fam, G, args.bound, args.tol)
     _csv_out(report.to_csv(), args.out)
     top = sched.depth
@@ -289,7 +289,7 @@ def cmd_gaussian(args) -> int:
         return 0
     if args.sigma is None:
         raise PreconditionError("gaussian needs --sigma or --rho")
-    bundle, fam, G, sched, sigma = _load_bundle(args.sigma)
+    fam, G, sched, sigma = _load_bundle(args.sigma)
     report = ga.verify_gaussian_transfer(sigma, sched, fam, G, interval, args.tol)
     rows = [
         {

@@ -80,18 +80,14 @@ def _g_kinks(B: CircleSet, offsets: list[Fraction], coefs: list[int]) -> set[Fra
             ci, cj = coefs[i], coefs[j]
             if ci == cj:
                 continue
-            g = gcd(ci, cj)
             denom = cj - ci
+            # The kinks y = (base + g k)/denom, g = gcd(ci, cj), form a
+            # progression of step s = g/|denom| <= 1, since g divides denom.
+            s = Fraction(gcd(ci, cj), abs(denom))
             for e in ends:
                 for e2 in ends:
                     base = cj * (e - offsets[i]) - ci * (e2 - offsets[j])
-                    # y = (base + g k)/denom for all k giving y in [0, 1)
-                    step = Fraction(g, denom)
-                    y0 = base / denom
-                    # Walk the progression through [0, 1).
-                    start = (y0 % abs(step)) if step else y0
-                    t = start % 1
-                    s = abs(step)
+                    t = (base / denom) % s  # the least kink in [0, 1)
                     while t < 1:
                         kinks.add(t)
                         t += s

@@ -8,8 +8,8 @@ comparison.
 
 `_hnf_rows` is the one echelon elimination.  `canonicalize` stores its rows;
 `kernel` and coordinate slices read theirs off a zero block of it.  Rank over
-Q is the number of HNF rows.  Only the Smith form eliminates on its own,
-because it needs the unimodular transforms.
+Q is the number of HNF rows.  `annihilator` reads a torus's directions and
+the saturation of a group off two such kernels.
 
 All arithmetic is exact (Python integers / fractions).  Values are immutable
 after construction and every operation is a pure function.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
@@ -115,20 +115,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def _pivot_xgcd(pivot: int, b: int) -> tuple[int, int, int]:
-    """xgcd(pivot, b), with t = 0 whenever pivot divides b.
-
-    xgcd(p, p) gives s = 0, t = 1, which would replace the pivot line by the
-    other line instead of clearing it; two such steps can undo each other
-    forever.  With t = 0 the pivot line only changes sign, so entries already
-    cleared stay cleared and every repeated pass shrinks |pivot|.
-    """
-    if b % pivot == 0:
-        g = abs(pivot)
-        return g, g // pivot, 0
-    return xgcd(pivot, b)
 
 
 @dataclass(frozen=True)
@@ -267,8 +253,10 @@ def index_in_ambient(L: Lattice):
 def finite_index_extension(G: Lattice, excluded: Sequence[Sequence[int]]) -> Lattice:
     """Smallest N >= 2 such that H = G + N Z^l excludes all given vectors.
 
-    Any vector outside G keeps a nonzero image in Z^l/(G + N Z^l) once N is a
-    suitable multiple of the invariant factors, so the scan terminates.
+    A vector outside G has a nonzero image x in Z^l/G = Z^r + T, T finite.
+    x stays outside N (Z^l/G), so the vector stays outside H, once N is a
+    multiple of the exponent of T larger than every coordinate of x in Z^r;
+    so the scan terminates.
     """
     excluded = [_as_intvec(v) for v in excluded]
     for v in excluded:
@@ -287,137 +275,50 @@ def finite_index_extension(G: Lattice, excluded: Sequence[Sequence[int]]) -> Lat
         n += 1
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U * B * V = diag(invariant_factors) padded with zero columns.
-
-    B is the (rank x ambient) HNF basis matrix of the source lattice; U and V
-    are unimodular.  free_rank = ambient - rank is the free part of Z^l / L.
-    """
-
-    invariant_factors: tuple[int, ...]
-    free_rank: int
-    left: tuple[IntVec, ...]
-    right: tuple[IntVec, ...]
-
-
-def smith_decomposition(L: Lattice) -> SmithDecomposition:
-    k, n = L.rank, L.ambient_dim
-    if k == 0:
-        ident = tuple(standard_basis(n, j + 1) for j in range(n))
-        return SmithDecomposition((), n, (), ident)
-    a = [list(row) for row in L.basis]
-    U = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def row_combine(i, j, s, t, u, v):
-        # (row_i, row_j) <- (s*row_i + t*row_j, u*row_i + v*row_j)
-        for mat in (a, U):
-            ri, rj = mat[i], mat[j]
-            mat[i] = [s * x + t * y for x, y in zip(ri, rj)]
-            mat[j] = [u * x + v * y for x, y in zip(ri, rj)]
-
-    def col_combine(i, j, s, t, u, v):
-        for mat in (a, V):
-            for row in mat:
-                x, y = row[i], row[j]
-                row[i] = s * x + t * y
-                row[j] = u * x + v * y
-
-    for s_idx in range(k):
-        while True:
-            # Move a nonzero of minimal magnitude into the corner.
-            best = None
-            for i in range(s_idx, k):
-                for j in range(s_idx, n):
-                    if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                raise PreconditionError("basis rows not independent")  # pragma: no cover
-            if best[0] != s_idx:
-                swap_rows(s_idx, best[0])
-            if best[1] != s_idx:
-                swap_cols(s_idx, best[1])
-            pivot = a[s_idx][s_idx]
-            for i in range(s_idx + 1, k):
-                if a[i][s_idx]:
-                    g, s, t = _pivot_xgcd(pivot, a[i][s_idx])
-                    row_combine(s_idx, i, s, t, -(a[i][s_idx] // g), pivot // g)
-                    pivot = a[s_idx][s_idx]
-            for j in range(s_idx + 1, n):
-                if a[s_idx][j]:
-                    g, s, t = _pivot_xgcd(pivot, a[s_idx][j])
-                    col_combine(s_idx, j, s, t, -(a[s_idx][j] // g), pivot // g)
-                    pivot = a[s_idx][s_idx]
-            if any(a[i][s_idx] for i in range(s_idx + 1, k)) or any(
-                a[s_idx][j] for j in range(s_idx + 1, n)
-            ):
-                continue
-            # Corner is isolated; enforce pivot | block before moving on.
-            bad_row = None
-            for i in range(s_idx + 1, k):
-                if any(a[i][j] % pivot for j in range(s_idx + 1, n)):
-                    bad_row = i
-                    break
-            if bad_row is None:
-                break
-            for j in range(n):
-                a[s_idx][j] += a[bad_row][j]
-            for j in range(k):
-                U[s_idx][j] += U[bad_row][j]
-        if a[s_idx][s_idx] < 0:
-            a[s_idx] = [-x for x in a[s_idx]]
-            U[s_idx] = [-x for x in U[s_idx]]
-    return SmithDecomposition(
-        tuple(a[i][i] for i in range(k)),
-        n - k,
-        tuple(tuple(r) for r in U),
-        tuple(tuple(r) for r in V),
-    )
-
-
-def annihilator(G: Lattice, index_cap: int = DEFAULT_INDEX_CAP) -> "TorusSubgroup":
+def annihilator(G: Lattice) -> "TorusSubgroup":
     """Exact parametrization of A_G = {y in T^l : <a, y> in Z for all a in G}.
 
-    With U B V = D (Smith form) the substitution z = V^-1 y turns the defining
-    conditions into d_i z_i in Z, leaving the remaining coordinates free; the
-    finite representatives are V z over the d_1 x ... x d_k digit box and the
-    connected part is spanned by the trailing columns of V.
+    With B the HNF basis of G (rank k), the connected part of A_G is the
+    torus spanned by kernel(B^T), and the kernel S of those directions is the
+    saturation of G.  G and S span the same rational space, so their HNFs
+    share the pivot columns P, and on P both are upper triangular with
+    B_P = C S_P for an integral triangular C.  A vector y supported on P lies
+    in A_G when B_P y_P = m is integral, and two such vectors differ by the
+    torus exactly when S_P (y - y')_P = C^-1 (m - m') is integral, i.e. when
+    m - m' lies in C Z^k.  The box 0 <= m_i < d_i over C's diagonal
+    d_i = B[i][P_i] / S[i][P_i] meets each class once, so the representatives
+    are sum m_i w_i mod 1, with w_i the columns of B_P^-1 placed on P: one
+    per component, [S : G] in all.
+
+    For full-rank G the torus is trivial, S = Z^l and the representatives are
+    all of A_G.  For rank-deficient G they are one valid choice of coset
+    representatives modulo the torus, not a canonical one.
     """
-    sd = smith_decomposition(G)
-    n = G.ambient_dim
-    count = 1
-    for d in sd.invariant_factors:
-        count *= d
-    if count > index_cap:
+    n, k = G.ambient_dim, G.rank
+    torus = kernel([[row[j] for row in G.basis] for j in range(n)], n, k)
+    S = kernel([[d[j] for d in torus.basis] for j in range(n)], n, torus.rank)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in G.basis]
+    box = [b[p] // s[p] for b, s, p in zip(G.basis, S.basis, pivots)]
+    count = math.prod(box)
+    if count > DEFAULT_INDEX_CAP:
         raise CapExceeded(
-            f"annihilator has {count} components, above the cap {index_cap}"
+            f"annihilator has {count} components, above the cap {DEFAULT_INDEX_CAP}"
         )
-    v_cols = list(zip(*sd.right)) if sd.right else []
-    reps: list[tuple[Fraction, ...]] = []
-    for digits in product(*(range(d) for d in sd.invariant_factors)):
-        z = [Fraction(a, d) for a, d in zip(digits, sd.invariant_factors)]
-        y = [Fraction(0)] * n
-        for i, zi in enumerate(z):
-            if zi:
-                for row in range(n):
-                    y[row] += zi * v_cols[i][row]
-        reps.append(tuple(c % 1 for c in y))
-    reps = sorted(set(reps))
-    torus_dirs = canonicalize(
-        [v_cols[i] for i in range(len(sd.invariant_factors), n)], n
+    # Column i of B_P^-1 by back-substitution up the triangle, placed on P.
+    lifts = [[Fraction(0)] * n for _ in range(k)]
+    for i, w in enumerate(lifts):
+        for r in reversed(range(i + 1)):
+            acc = Fraction(int(r == i))
+            acc -= sum(G.basis[r][p] * w[p] for p in pivots[r + 1 :])
+            w[pivots[r]] = acc / G.basis[r][pivots[r]]
+    reps = sorted(
+        tuple(
+            sum((m * w[j] for m, w in zip(digits, lifts) if m), Fraction(0)) % 1
+            for j in range(n)
+        )
+        for digits in product(*(range(d) for d in box))
     )
-    return TorusSubgroup(n, tuple(reps), torus_dirs)
+    return TorusSubgroup(n, tuple(reps), torus)
 
 
 @dataclass(frozen=True)
@@ -427,10 +328,10 @@ class TorusSubgroup:
 
     ambient_dim: int
     finite_reps: tuple[tuple[Fraction, ...], ...]
-    torus_directions: Lattice = field(default=None)
+    torus_directions: Lattice
 
     def is_finite(self) -> bool:
-        return self.torus_directions is None or self.torus_directions.is_trivial()
+        return self.torus_directions.is_trivial()
 
 
 def character_integral(G: Lattice, a: Sequence[int]) -> int:

@@ -92,10 +92,9 @@ class Schedule:
 
 @dataclass
 class ResidualReport:
-    """Exact pass/fail per property with the worst margin (bound - value)."""
+    """Exact pass/fail per property, with the violating (location, value, bound)."""
 
     passed: dict = field(default_factory=dict)
-    worst_margin: dict = field(default_factory=dict)
     violations: dict = field(default_factory=dict)
 
     PROPERTIES = ("window", "calibration", "offdiagonal", "history")
@@ -105,27 +104,9 @@ class ResidualReport:
 
     def record(self, prop: str, location, value: Fraction, bound: Fraction, strict: bool):
         ok = value < bound if strict else value <= bound
-        margin = bound - value
         self.passed[prop] = self.passed.get(prop, True) and ok
-        if prop not in self.worst_margin or margin < self.worst_margin[prop]:
-            self.worst_margin[prop] = margin
         if not ok:
             self.violations.setdefault(prop, []).append((location, value, bound))
-
-    def to_json(self) -> dict:
-        return {
-            prop: {
-                "passed": self.passed.get(prop, True),
-                "worst_margin": str(self.worst_margin[prop])
-                if prop in self.worst_margin
-                else None,
-                "violations": [
-                    {"at": list(loc), "value": str(v), "bound": str(b)}
-                    for loc, v, b in self.violations.get(prop, [])
-                ],
-            }
-            for prop in self.PROPERTIES
-        }
 
 
 def check_schedule(s: Schedule, fam: fm.SequenceFamily) -> ResidualReport:

@@ -5,10 +5,10 @@ import math
 import random
 import signal
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rigidlab import lattice as lat
@@ -335,7 +335,7 @@ class TestAnnihilator:
     def test_cap(self):
         G = lat.canonicalize([(1009, 0), (0, 1013)], 2)
         with pytest.raises(CapExceeded):
-            lat.annihilator(G, index_cap=10**5)
+            lat.annihilator(G)
 
 
 class TestCharacterIntegral:
@@ -391,59 +391,98 @@ def test_canonical_idempotence(data):
     assert lat.canonicalize(L.basis, dim) == L
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(1, 3).flatmap(
-        lambda d: st.tuples(
-            st.lists(st.tuples(*[st.integers(-8, 8)] * d), min_size=1, max_size=d),
-            st.tuples(*[st.integers(-8, 8)] * d),
-        ).map(lambda t: (d, *t))
+def _det(m):
+    """Integer determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
     )
-)
-def test_smith_reconstruction(data):
-    dim, vecs, _ = data
-    L = lat.canonicalize(vecs, dim)
-    sd = lat.smith_decomposition(L)
-    k = L.rank
-    assert len(sd.invariant_factors) == k
-    assert sd.free_rank == dim - k
-    for i in range(k - 1):
-        assert sd.invariant_factors[i + 1] % sd.invariant_factors[i] == 0
-    # U B V reproduces diag(d_1..d_k) padded with zeros.
-    if k:
-        B = [list(r) for r in L.basis]
-        U = [list(r) for r in sd.left]
-        V = [list(r) for r in sd.right]
-        UB = [
-            [sum(U[i][t] * B[t][j] for t in range(k)) for j in range(dim)]
-            for i in range(k)
-        ]
-        UBV = [
-            [sum(UB[i][t] * V[t][j] for t in range(dim)) for j in range(dim)]
-            for i in range(k)
-        ]
-        for i in range(k):
-            for j in range(dim):
-                expect = sd.invariant_factors[i] if i == j else 0
-                assert UBV[i][j] == expect
 
 
-def test_smith_terminates_on_repeated_pivot():
-    # xgcd(p, p) = (p, 0, 1) once replaced the pivot row by the other row
-    # instead of clearing it, and on this basis two such steps undid each
-    # other forever.  The alarm turns a relapse into a failure, not a hang.
+def _minor_gcd(basis, dim):
+    """gcd of the k x k minors of a k x dim basis: the index [S : G] of G in
+    its saturation S."""
+    g = 0
+    for cols in combinations(range(dim), len(basis)):
+        g = math.gcd(g, _det([[row[c] for c in cols] for row in basis]))
+    return g
+
+
+def _bases(dim_max, entry):
+    """(dim, 0 to dim + 1 generators with entries in [-entry, entry])."""
+    return st.integers(1, dim_max).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.integers(-entry, entry)] * d), min_size=0, max_size=d + 1
+        ).map(lambda vs: (d, vs))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bases(3, 4))
+def test_annihilator_full_rank_matches_brute_force(data):
+    # A full-rank G of index N has N Z^l inside it, so A_G lies in the
+    # N-torsion of T^l: it is the set of c/N with B c / N integral.
+    dim, vecs = data
+    G = lat.canonicalize(vecs, dim)
+    N = lat.index_in_ambient(G)
+    assume(N != lat.INFINITE and N**dim <= 20_000)
+    expected = {
+        tuple(Fraction(x, N) for x in c)
+        for c in product(range(N), repeat=dim)
+        if all(sum(b * x for b, x in zip(row, c)) % N == 0 for row in G.basis)
+    }
+    A = lat.annihilator(G)
+    assert set(A.finite_reps) == expected
+    assert list(A.finite_reps) == sorted(expected)
+    assert A.is_finite()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bases(4, 6))
+def test_annihilator_any_rank_oracles(data):
+    dim, vecs = data
+    G = lat.canonicalize(vecs, dim)
+    count = _minor_gcd(G.basis, dim)
+    assume(count <= 3_000)
+    A = lat.annihilator(G)
+    assert len(A.finite_reps) == count
+    dirs = A.torus_directions
+    transpose = [[row[j] for row in G.basis] for j in range(dim)]
+    assert dirs == lat.kernel(transpose, dim, G.rank)
+    assert dirs.rank == dim - G.rank
+    for d in dirs.basis:
+        assert all(sum(a * x for a, x in zip(row, d)) == 0 for row in G.basis)
+    for y in A.finite_reps:
+        assert all(0 <= c < 1 for c in y)
+        for row in G.basis:
+            assert sum(a * c for a, c in zip(row, y)) % 1 == 0
+    # y and y' differ by the torus exactly when every integer vector
+    # orthogonal to the directions pairs integrally with y - y'.
+    perp = lat.kernel(
+        [[d[j] for d in dirs.basis] for j in range(dim)], dim, dirs.rank
+    )
+    images = {
+        tuple(sum(a * c for a, c in zip(s, y)) % 1 for s in perp.basis)
+        for y in A.finite_reps
+    }
+    assert len(images) == count
+
+
+def test_annihilator_on_repeated_pivot_basis():
+    # An elimination that let xgcd(p, p) undo its own pivot step looped
+    # forever on this basis; the alarm turns a hang into a failure.
     def too_slow(signum, frame):
-        raise TimeoutError("smith_decomposition did not finish in 10 s")
+        raise TimeoutError("annihilator did not finish in 10 s")
 
     previous = signal.signal(signal.SIGALRM, too_slow)
     signal.alarm(10)
     try:
-        L = lat.canonicalize([(-3, -6, 5), (-5, 6, -4), (-7, 0, 2)], 3)
-        sd = lat.smith_decomposition(L)
+        G = lat.canonicalize([(-3, -6, 5), (-5, 6, -4), (-7, 0, 2)], 3)
+        A = lat.annihilator(G)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert sd.invariant_factors == (1, 1, 54)
-    UB = [[sum(u * b for u, b in zip(row, col)) for col in zip(*L.basis)] for row in sd.left]
-    UBV = [[sum(x * v for x, v in zip(row, col)) for col in zip(*sd.right)] for row in UB]
-    assert UBV == [[1, 0, 0], [0, 1, 0], [0, 0, 54]]
+    assert len(A.finite_reps) == 54 == lat.index_in_ambient(G)
+    assert A.is_finite()

@@ -217,11 +217,12 @@ class TestCheckSchedule:
         # the doubled alpha must surface in the window or calibration family
         assert not (report.passed["window"] and report.passed["calibration"])
 
-    def test_report_serializes(self):
+    def test_report_records_every_property(self):
         s = build_schedule(FAM_N_NSQ, 2)
-        obj = check_schedule(s, FAM_N_NSQ).to_json()
-        assert set(obj) == set(("window", "calibration", "offdiagonal", "history"))
-        assert all(v["passed"] for v in obj.values())
+        report = check_schedule(s, FAM_N_NSQ)
+        assert set(report.passed) == set(("window", "calibration", "offdiagonal", "history"))
+        assert all(report.passed.values())
+        assert report.violations == {}
 
     def test_roundtrip_json(self):
         s = build_schedule(FAM_N_NSQ, 3)
