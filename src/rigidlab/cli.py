@@ -196,6 +196,7 @@ def cmd_splits(args) -> int:
     header = "F,feasible,witness_vector,witness_coordinate"
     if args.witness:
         header += ",witness_group"
+        A = fm.relation_group(fam)
     lines = [header]
     for key in sorted(table, key=lambda s: (len(s), sorted(s))):
         v = table[key]
@@ -205,7 +206,7 @@ def cmd_splits(args) -> int:
         if args.witness:
             group = ""
             if v.feasible:
-                H = dec.split_witness_group(fam, key)
+                H = dec._split_witness_group(A, key)
                 group = " ".join(
                     "(" + " ".join(map(str, r)) + ")" for r in H.basis
                 )

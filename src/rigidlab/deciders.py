@@ -163,7 +163,11 @@ def split_witness_group(fam: fm.SequenceFamily, F: Iterable[int]) -> lat.Lattice
     escaping relation looked up, so the PreconditionError names it as
     `split_feasible` would.
     """
-    A = fm.relation_group(fam)
+    return _split_witness_group(fm.relation_group(fam), F)
+
+
+def _split_witness_group(A: lat.Lattice, F: Iterable[int]) -> lat.Lattice:
+    """split_witness_group(fam, F) against its relation group A = A(phi)."""
     size = A.ambient_dim
     F = _subset(F, size)
     G = lat.lattice_sum(

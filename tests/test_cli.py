@@ -390,7 +390,7 @@ class TestDeterminism:
         for path in (bundle, csv_out, gauss):
             digest.update(path.read_bytes())
         assert digest.hexdigest() == (
-            "1c914ac662dd428e4cdc058144194cb16bea5c394b2d1b18c307efc08f9254c4"
+            "6da82a96b8e4c490714dce764b786d8363af8335f463dc497792a4cfccdccc6f"
         )
 
     def test_decider_outputs_pinned(self, tmp_path):
@@ -424,13 +424,25 @@ class TestDeterminism:
         )
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is imported by the first Gaussian pair mass, not by importing
-    # the package and its command line
+def test_import_leaves_scipy_unloaded(families, tmp_path):
+    # numpy is the only runtime dependency: neither importing the command
+    # line nor running both Gaussian paths loads scipy, and the import does
+    # not load numpy.polynomial either
     src = str(Path(rigidlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, rigidlab.cli; print('scipy' in sys.modules)"
+    bundle = str(tmp_path / "s.json")
+    probe = f"""
+import sys, rigidlab.cli
+print('scipy' in sys.modules, 'numpy.polynomial' in sys.modules)
+run = rigidlab.cli.run
+out = {str(tmp_path / "g.json")!r}
+assert run(["measure", {families["n_nsq"]!r}, "--group", {families["g23"]!r},
+            "--depth", "2", "--samples", "50", "--out", {bundle!r}]) == 0
+assert run(["gaussian", "--rho", "0.5", "--lo", "-1", "--hi", "0", "--out", out]) == 0
+assert run(["gaussian", "--sigma", {bundle!r}, "--out", out]) == 0
+print('scipy' in sys.modules)
+"""
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split() == ["False", "False", "False"]

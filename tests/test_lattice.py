@@ -320,17 +320,16 @@ class TestAnnihilator:
         for _ in range(30):
             dim = rng.randint(1, 3)
             diag = [rng.randint(1, 5) for _ in range(dim)]
+            # Upper triangular with a nonzero diagonal: full rank, and the
+            # index is the product of the diagonal.
             gens = [
-                tuple(diag[i] if i == j else rng.randint(-3, 3) * diag[i] for i in range(dim))
+                tuple(0 if i < j else diag[j] if i == j else rng.randint(-9, 9) for i in range(dim))
                 for j in range(dim)
-            ]
-            # Force full rank by taking diag entries on the diagonal.
-            gens = [
-                tuple(diag[j] if i == j else 0 for i in range(dim)) for j in range(dim)
             ]
             G = lat.canonicalize(gens, dim)
             A = lat.annihilator(G)
-            assert len(A.finite_reps) == lat.index_in_ambient(G)
+            assert lat.index_in_ambient(G) == math.prod(diag)
+            assert len(A.finite_reps) == math.prod(diag)
 
     def test_cap(self):
         G = lat.canonicalize([(1009, 0), (0, 1013)], 2)

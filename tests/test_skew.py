@@ -1,5 +1,6 @@
 """Skew-product correlations, finite-sums tails, Gaussian transfer."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -451,6 +452,99 @@ class TestGaussianPairMass:
         assert gaussian_pair_mass(0.3, (-40, 40), (-40, 40)) == pytest.approx(
             1, abs=1e-6
         )
+
+    # One rho on each side of every branch cut of the orthant values: the 6,
+    # 12 and 20 node Sheppard rules (0.3, 0.75) and the asymptotic form
+    # (0.925), with both signs.
+    BRANCH_RHOS = [s * r for r in (0.29, 0.31, 0.74, 0.76, 0.92, 0.93, 0.95, 0.999)
+                   for s in (1, -1)]
+
+    @pytest.mark.parametrize("rho", BRANCH_RHOS)
+    def test_sheppard_quadrant_on_every_branch(self, rho):
+        got = gaussian_pair_mass(rho, (-math.inf, 0), (-math.inf, 0))
+        assert got == pytest.approx(0.25 + math.asin(rho) / (2 * math.pi), abs=1e-14)
+
+    @pytest.mark.parametrize("rho", BRANCH_RHOS + [0.0])
+    def test_symmetries(self, rho):
+        # (X, Y) and (Y, X), (-X, -Y) have the same law
+        intervals = [(-1, 0), (-0.5, 2), (0.3, 1.7), (-math.inf, 0.4), (-2, math.inf)]
+        for I in intervals:
+            for J in intervals:
+                p = gaussian_pair_mass(rho, I, J)
+                assert gaussian_pair_mass(rho, J, I) == pytest.approx(p, abs=1e-15)
+                flipped = gaussian_pair_mass(rho, (-I[1], -I[0]), (-J[1], -J[0]))
+                assert flipped == pytest.approx(p, abs=1e-15)
+
+    @pytest.mark.parametrize("rho", BRANCH_RHOS + [0.0, 1.0, -1.0])
+    def test_partition_of_the_plane_sums_to_one(self, rho):
+        xs = (-math.inf, -1.2, 0.1, 0.9, math.inf)
+        ys = (-math.inf, -0.4, 0.5, 2.0, math.inf)
+        total = sum(
+            gaussian_pair_mass(rho, I, J)
+            for I in zip(xs, xs[1:])
+            for J in zip(ys, ys[1:])
+        )
+        assert total == pytest.approx(1, abs=1e-12)
+
+    def test_matches_conditional_cdf_quadrature(self):
+        # The mass as the integral over I of phi(x) times the conditional
+        # probability of J, by composite 20-point Gauss-Legendre on panels no
+        # wider than the conditional standard deviation, split where the
+        # conditional mean crosses an end of J.  Only math.erfc is used.  The
+        # reference is good to ~1e-15, so 1e-12 also catches a misplaced
+        # branch cut (Sheppard's 20 nodes at rho = 0.99 are off by ~2e-10).
+        nodes = _gauss_legendre(20)
+
+        def ndtr(x):
+            return 0.5 * math.erfc(-x / math.sqrt(2))
+
+        def reference(rho, I, J):
+            a, b = max(I[0], -9.0), min(I[1], 9.0)
+            c, d = J
+            s = math.sqrt((1 - rho) * (1 + rho))
+            cuts = {v / rho for v in J if rho and math.isfinite(v) and a < v / rho < b}
+            ends = sorted({a, b} | cuts)
+            total = 0.0
+            for lo, hi in zip(ends, ends[1:]):
+                n = math.ceil((hi - lo) / min(0.25, s))
+                h = (hi - lo) / n
+                for i in range(n):
+                    mid = lo + (i + 0.5) * h
+                    for x, w in nodes:
+                        t = mid + x * h / 2
+                        total += (w * h / 2 * math.exp(-t * t / 2) / math.sqrt(2 * math.pi)
+                                  * (ndtr((d - rho * t) / s) - ndtr((c - rho * t) / s)))
+            return total
+
+        rhos = self.BRANCH_RHOS + [0.0, 0.1, -0.5, 0.6, 0.85, -0.88, 0.99, -0.99, 0.9999]
+        rects = [((-1, 0), (-1, 0)), ((-0.5, 2), (0.3, 1.7)), ((-3, 40), (0, 0.25)),
+                 ((-math.inf, 0.4), (-2, math.inf)), ((1, 3), (-3, -1)),
+                 ((-40, 2), (-3, 2)), ((0.2, 0.2), (-1, 1)), ((-2.5, -0.1), (-math.inf, 1.5))]
+        worst = max(
+            abs(gaussian_pair_mass(rho, I, J) - reference(rho, I, J))
+            for rho in rhos
+            for I, J in rects
+        )
+        assert worst <= 1e-12
+
+
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], by
+    Newton's method on the three-term recurrence."""
+    rule = []
+    for i in range(1, n + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(50):
+            p0, p1 = 1.0, x
+            for m in range(2, n + 1):
+                p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+            dp = n * (x * p1 - p0) / (x * x - 1)
+            step = p1 / dp
+            x -= step
+            if abs(step) < 1e-15:
+                break
+        rule.append((x, 2 / ((1 - x * x) * dp * dp)))
+    return rule
 
 
 class TestGaussianTransfer:
