@@ -10,6 +10,7 @@ Exact rationals serialize as "p/q" strings; floating-point outputs carry an
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -292,18 +293,7 @@ def cmd_gaussian(args) -> int:
         raise PreconditionError("gaussian needs --sigma or --rho")
     fam, G, sched, sigma = _load_bundle(args.sigma)
     report = ga.verify_gaussian_transfer(sigma, sched, fam, G, interval, args.tol)
-    rows = [
-        {
-            "coordinate": r.coordinate,
-            "level": r.level,
-            "rho": r.rho,
-            "mass": r.mass,
-            "target": r.target,
-            "rigid": r.rigid,
-            "deviation": r.deviation,
-        }
-        for r in report.rows
-    ]
+    rows = [dataclasses.asdict(r) for r in report.rows]
     _json_out({"rows": rows, "approx": True, "passes": report.passes(sched.depth)}, args.out)
     return 0 if report.passes(sched.depth) else 2
 

@@ -178,6 +178,12 @@ class AdequacyVerdict:
         return self.adequate
 
 
+def _higher_kernel(m: list[list[int]]) -> lat.Lattice:
+    """The integer kernel of the degree >= 1 columns of a polynomial
+    family's coefficient matrix m."""
+    return lat.kernel([row[1:] for row in m], len(m), len(m[0]) - 1)
+
+
 def is_adequate(fam: SequenceFamily) -> AdequacyVerdict:
     """Do all integer combinations tend to 0 or +-infinity (and each |phi_j|
     to infinity)?
@@ -194,9 +200,7 @@ def is_adequate(fam: SequenceFamily) -> AdequacyVerdict:
     if fam.kind == BEATTY:
         return AdequacyVerdict(True)
     m = fam.coefficient_matrix()
-    higher = [row[1:] for row in m]
-    k_higher = lat.kernel(higher, fam.size, len(m[0]) - 1)
-    for row in k_higher.basis:
+    for row in _higher_kernel(m).basis:
         if sum(a * coeffs[0] for a, coeffs in zip(row, m)):
             return AdequacyVerdict(False, row)
     return AdequacyVerdict(True)
@@ -209,9 +213,7 @@ def is_asymptotically_independent(fam: SequenceFamily) -> bool:
         return fam.independent
     if fam.kind == EXPLICIT:
         raise UndecidableFromSamples("asymptotic independence undecidable from samples")
-    m = fam.coefficient_matrix()
-    higher = [row[1:] for row in m]
-    return lat.kernel(higher, fam.size, len(m[0]) - 1).is_trivial()
+    return _higher_kernel(fam.coefficient_matrix()).is_trivial()
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,13 @@ def _ndtr(x: float) -> float:
 
 
 def interval_probability(lo: float, hi: float) -> float:
-    """P(X in [lo, hi]) for standard normal X."""
+    """P(X in [lo, hi]) for standard normal X.
+
+    An interval in the upper tail is taken as P(X >= lo) - P(X >= hi), from
+    two small values, so its mass keeps its relative accuracy there.
+    """
+    if lo > 0:
+        return _ndtr(-lo) - _ndtr(-hi)
     return _ndtr(hi) - _ndtr(lo)
 
 
@@ -200,16 +206,16 @@ def verify_gaussian_transfer(
     """
     p1 = interval_probability(float(interval[0]), float(interval[1]))
     units = [lat.standard_basis(fam.size, j) for j in range(1, fam.size + 1)]
+    rigid = [lat.member(G, e) for e in units]
     rows = []
     for k in range(1, s.depth + 1):
         vals = fm.evaluate(fam, s.indices[k - 1])
         coeffs = _combination_coefficients(m, vals, units)
-        for j, coeff in enumerate(coeffs, start=1):
+        for j, (coeff, in_G) in enumerate(zip(coeffs, rigid), start=1):
             rho = max(-1.0, min(1.0, coeff.real))
-            rigid = lat.member(G, lat.standard_basis(G.ambient_dim, j))
-            target = p1 if rigid else p1 * p1
+            target = p1 if in_G else p1 * p1
             mass = gaussian_pair_mass(rho, interval, interval)
             rows.append(
-                GaussianTransferRow(j, k, rho, mass, target, rigid, abs(mass - target))
+                GaussianTransferRow(j, k, rho, mass, target, in_G, abs(mass - target))
             )
     return GaussianTransferReport(rows, tol)

@@ -111,22 +111,6 @@ def _single_rep_integral(
             offs, cs = free_groups.setdefault(f.free_var, ([], []))
             offs.append(t)
             cs.append(f.free_coef)
-    if not free_groups:
-        if len(B.intervals) == 1:
-            # arcs of equal length: sum of max(0, gap - (1 - L)) over the
-            # cyclic gaps between the sorted start offsets
-            (u, v), = B.intervals
-            length = v - u
-            starts = sorted({Fraction(0)} | {(-t) % 1 for t in static_shifts})
-            total = Fraction(0)
-            slack = length - 1
-            for a, b in zip(starts, starts[1:]):
-                total += max(Fraction(0), b - a + slack)
-            total += max(Fraction(0), 1 - (starts[-1] - starts[0]) + slack)
-            return total
-        sets = [B] + [B.shift(-t) for t in static_shifts]
-        return intersect_all(sets).measure()
-
     constant_factor = Fraction(1)
     varying: list[tuple[list[Fraction], list[int]]] = []
     for offs, cs in free_groups.values():
@@ -134,6 +118,16 @@ def _single_rep_integral(
             constant_factor *= B.measure()  # single translate integrates freely
         else:
             varying.append((offs, cs))
+    if not varying and len(B.intervals) == 1:
+        # arcs of equal length: sum of max(0, gap - (1 - L)) over the cyclic
+        # gaps between the sorted start offsets
+        (u, v), = B.intervals
+        starts = sorted({Fraction(0)} | {(-t) % 1 for t in static_shifts})
+        slack = v - u - 1
+        total = max(Fraction(0), 1 - (starts[-1] - starts[0]) + slack)
+        for a, b in zip(starts, starts[1:]):
+            total += max(Fraction(0), b - a + slack)
+        return constant_factor * total
     static_sets = [B] + [B.shift(-t) for t in static_shifts]
     if not varying:
         return constant_factor * intersect_all(static_sets).measure()

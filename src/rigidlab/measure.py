@@ -38,10 +38,13 @@ exact where it is a normal double, the correctly rounded d * x1 / q.  Every
 other digit (ties, near-ties, d = 0, subnormal results) is recomputed from
 the integers, so the phases stay bitwise those of the exact expression.
 
-Exact positions stay in integers as well: atoms sums each word's numerator
-over the common denominator L of the column alphas, and the explicit-atom
-constructor (and with it from_json) merges and sorts on the numerators
-x * L mod L.  Only the distinct atoms handed out by atoms become Fractions.
+Exact positions and weights stay in integers as well.  Word i weighs
+counts[i] / W for one denominator W (n_samples when sampled, the lcm of the
+weight denominators for explicit atoms).  atoms sums each word's numerator
+over the common denominator L of the column alphas and merges the counts of
+equal numerators, and the explicit-atom constructor (and with it from_json)
+merges and sorts on the numerators x * L mod L.  Only the distinct atoms
+handed out by atoms become Fractions.
 
 The words of a measure are distinct rows of its code matrix in increasing
 lexicographic order (sample_sigma's lexsort dedup and the explicit-atom
@@ -115,26 +118,14 @@ def group_cell_structure(G: lat.Lattice) -> GroupCellStructure:
 
 
 def _support_cells(structure: GroupCellStructure, k: int):
-    """Merged (cell digits on support coords, weight) pairs at level k."""
+    """Merged (cell digits on support coords, count) pairs at level k; a
+    cell weighs its count of representatives over len(rep_points)."""
     kf = math.factorial(k)
-    merged: dict[tuple[int, ...], Fraction] = {}
-    share = Fraction(1, len(structure.rep_points))
+    merged: dict[tuple[int, ...], int] = {}
     for rep in structure.rep_points:
-        cell = tuple(int(y * kf) for y in rep)
-        merged[cell] = merged.get(cell, Fraction(0)) + share
+        cell = tuple(y.numerator * kf // y.denominator for y in rep)  # y in [0, 1)
+        merged[cell] = merged.get(cell, 0) + 1
     return sorted(merged.items())
-
-
-def _strictly_increasing(codes: np.ndarray) -> bool:
-    """Whether each row exceeds the one before at the first column they differ."""
-    n, cols = codes.shape
-    if n < 2:
-        return True
-    if cols == 0:
-        return False
-    rows = np.arange(n - 1)
-    first = (codes[1:] != codes[:-1]).argmax(axis=1)
-    return bool((codes[1:][rows, first] > codes[:-1][rows, first]).all())
 
 
 def _prefix_runs(codes: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray]]:
@@ -143,14 +134,16 @@ def _prefix_runs(codes: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray]
     parent[r] is the run at column j - 1 that run r extends (None where the
     runs map one to one or extend a single parent, so no gather is needed)
     and code[r] its column-j code.  The last column's runs are the rows.
-    Refuses rows that are not strictly increasing in lexicographic order.
+    Refuses rows that are not strictly increasing in lexicographic order:
+    each row must exceed the one before at the first column they differ.
     """
-    if not _strictly_increasing(codes):
+    n, cols = codes.shape
+    step = codes[1:] != codes[:-1]  # where row i + 1 differs from row i
+    at = (np.arange(n - 1), step.argmax(axis=1)) if cols else None
+    if n > 1 and (at is None or not (codes[1:][at] > codes[:-1][at]).all()):
         raise PreconditionError(
             "words must be distinct code rows in increasing lexicographic order"
         )
-    n, cols = codes.shape
-    step = codes[1:] != codes[:-1]  # where row i + 1 differs from row i
     splits = np.logical_or.accumulate(step, axis=1)
     runs = []
     prev_ids = np.zeros(n, dtype=np.intp)
@@ -173,8 +166,10 @@ class AtomicMeasure:
     """Finite weighted point set on [0, 1) in product form.
 
     Distinct words are encoded as category columns: codes[i, col] indexes the
-    exact digit categories[col][...] of word i, and the word's position is
-    scale * sum_col digit * alpha_col mod 1.  sample_sigma builds one column
+    exact digit categories[col][...] of word i, the word's position is
+    scale * sum_col digit * alpha_col mod 1, and its weight is the integer
+    count counts[i] over the one denominator shared by all words (weights_np
+    holds the correctly rounded floats).  sample_sigma builds one column
     per schedule level and coordinate; explicit rational atoms become one
     column with alpha = 1/L (L the lcm of the denominators) and digit
     x * L mod L.  Exact positions are materialized on demand by atoms, from
@@ -196,42 +191,45 @@ class AtomicMeasure:
         alphas=None,
         categories=None,
         codes=None,
-        weights=None,
-        weights_np=None,
-        scale=1,
+        counts=None,
+        denominator=None,
     ):
         self._atoms = None
         if atoms is not None:
-            parsed, merged = [], {}
+            parsed = []
             for x, w in atoms:
                 x, w = Fraction(x), Fraction(w)
                 if w <= 0:
                     raise PreconditionError("atom weights must be positive")
                 parsed.append((x, w))
             L = math.lcm(*(x.denominator for x, _ in parsed))
+            denominator = math.lcm(*(w.denominator for _, w in parsed))
+            merged: dict[int, int] = {}
             for x, w in parsed:
                 key = x.numerator * (L // x.denominator) % L  # x mod 1 = key / L
-                merged[key] = merged[key] + w if key in merged else w
+                count = w.numerator * (denominator // w.denominator)
+                merged[key] = merged.get(key, 0) + count
             digits = sorted(merged)
             alphas = ((Fraction(1, L),),)
             categories = [digits]
             codes = np.arange(len(digits), dtype=np.uint32).reshape(-1, 1)
-            weights = tuple(merged[d] for d in digits)
+            counts = [merged[d] for d in digits]
         elif codes is None:
             raise PreconditionError("measure needs atoms or a sampled structure")
         self.alphas = alphas
         self.categories = categories  # list per column of digit values
         self.codes = codes  # uint32 array (n_words, n_columns)
-        self.weights = weights  # exact Fractions per word
-        if weights_np is None:
-            weights_np = np.array([float(w) for w in weights])
-        self.weights_np = weights_np  # the correctly rounded floats of weights
-        self.scale = scale
+        self.counts = counts  # word i weighs counts[i] / denominator, ints
+        self.denominator = denominator
+        # int/int true division is correctly rounded at any size, so each
+        # entry is float(Fraction(c, denominator)) bit for bit
+        self.weights_np = np.array([c / denominator for c in counts])
+        self.scale = 1  # pushforward_scale images multiply it
         self._runs = _prefix_runs(codes)
         self._float_columns: dict = {}  # filled by _float_column; images share it
 
     def total_weight(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
+        return Fraction(sum(self.counts), self.denominator)
 
     def _flat_alphas(self) -> list[Fraction]:
         return [a for level in self.alphas for a in level]
@@ -242,8 +240,8 @@ class AtomicMeasure:
 
         Each word's position is the integer numerator scale * sum d * p * (L/q)
         over the common denominator L of the column alphas p/q, summed over
-        the prefix tree; words merge on equal numerators mod L, and only the
-        distinct atoms become Fractions.
+        the prefix tree; words merge their integer counts on equal numerators
+        mod L, and only the distinct atoms become Fractions.
         """
         if self._atoms is None:
             flat = self._flat_alphas()
@@ -253,11 +251,13 @@ class AtomicMeasure:
             for a, digits in zip(flat, self.categories, strict=True):
                 step = scale * a.numerator * (L // a.denominator)
                 columns.append(np.array([int(d) * step % L for d in digits], dtype=object))
-            merged: dict = {}
-            for x, w in zip(self._tree_sum(columns, object).tolist(), self.weights):
+            merged: dict[int, int] = {}
+            for x, c in zip(self._tree_sum(columns, object).tolist(), self.counts):
                 x %= L
-                merged[x] = merged[x] + w if x in merged else w
-            self._atoms = tuple((Fraction(x, L), merged[x]) for x in sorted(merged))
+                merged[x] = merged.get(x, 0) + c
+            self._atoms = tuple(
+                (Fraction(x, L), Fraction(merged[x], self.denominator)) for x in sorted(merged)
+            )
         return self._atoms
 
     def residues(self, t: int) -> list[int]:
@@ -421,8 +421,9 @@ def sample_sigma(
     """Monte Carlo draws from the product of level measures P_k.
 
     Each draw picks, independently per level, a support cell according to
-    lambda_G and uniform digits on the free coordinates; equal words merge
-    with accumulated weight count/N.  Reproducible from the seed.
+    lambda_G and uniform digits on the free coordinates; equal words merge,
+    and each weighs its integer count over N = n_samples.  Reproducible from
+    the seed.
     """
     if n_samples < 1:
         raise PreconditionError("need at least one sample")
@@ -444,7 +445,8 @@ def sample_sigma(
     for k in range(1, s.depth + 1):
         kf = math.factorial(k)
         cells = _support_cells(structure, k)
-        probs = np.array([float(w) for _, w in cells])
+        reps = len(structure.rep_points)
+        probs = np.array([c / reps for _, c in cells])  # correctly rounded weights
         probs /= probs.sum()
         picks = rng.choice(len(cells), size=n_samples, p=probs)
         per_coord = [None] * size
@@ -466,12 +468,9 @@ def sample_sigma(
         values, inv = np.unique(distinct[:, col], return_inverse=True)
         categories.append([int(v) for v in values])
         codes[:, col] = inv
-    weights = tuple(Fraction(int(c), n_samples) for c in counts)
     return AtomicMeasure(
-        alphas=s.alphas, categories=categories, codes=codes, weights=weights,
-        # c and N are below 2^53, so c / N is the correctly rounded quotient,
-        # which is float(Fraction(c, N)) bit for bit
-        weights_np=counts / n_samples,
+        alphas=s.alphas, categories=categories, codes=codes,
+        counts=counts.tolist(), denominator=n_samples,
     )
 
 
@@ -520,7 +519,7 @@ def pushforward_scale(m: AtomicMeasure, factor: int) -> AtomicMeasure:
     """Image measure under x -> factor * x mod 1; equal images merge in atoms."""
     if factor < 1:
         raise PreconditionError("scale factor must be a positive integer")
-    image = copy.copy(m)  # shares codes, weights and their prefix runs
+    image = copy.copy(m)  # shares codes, counts and their prefix runs
     image.scale = m.scale * factor
     image._atoms = None  # positions move; materialized again on demand
     return image
@@ -578,11 +577,12 @@ def verify_dichotomy(
             f"coefficient bound {coeff_bound} exceeds the cap {COEFF_CAP}"
         )
     vectors = list(product(range(-coeff_bound, coeff_bound + 1), repeat=fam.size))
+    targets = [lat.character_integral(G, a) for a in vectors]
     rows = []
     for k in range(1, s.depth + 1):
         vals = fm.evaluate(fam, s.indices[k - 1])
-        for a, coeff in zip(vectors, _combination_coefficients(m, vals, vectors)):
-            target = lat.character_integral(G, a)
+        coeffs = _combination_coefficients(m, vals, vectors)
+        for a, target, coeff in zip(vectors, targets, coeffs):
             rows.append(
                 DichotomyRow(k, a, coeff, target, abs(coeff - target))
             )

@@ -22,9 +22,16 @@ FAM_N = fm.polynomial_family([[0, 1]])
 FAM_N_NSQ = fm.polynomial_family([[0, 1], [0, 0, 1]])
 
 
+def _cell_weights(structure, k):
+    """The exact level-k cell weights: each cell's count over the number of
+    representatives."""
+    reps = len(structure.rep_points)
+    return {cell: F(c, reps) for cell, c in ms._support_cells(structure, k)}
+
+
 def support_cells(G, k):
     """The exact level-k cell weights that sample_sigma draws from."""
-    return dict(ms._support_cells(ms.group_cell_structure(G), k))
+    return _cell_weights(ms.group_cell_structure(G), k)
 
 
 class TestCellWeights:
@@ -43,7 +50,7 @@ class TestCellWeights:
         # the unconstrained second coordinate is left to uniform digits
         structure = ms.group_cell_structure(lat.canonicalize([(2, 0)], 2))
         assert structure.support == (0,) and structure.free == (1,)
-        cells = dict(ms._support_cells(structure, 2))
+        cells = _cell_weights(structure, 2)
         assert cells == {(0,): F(1, 2), (1,): F(1, 2)}
         assert len(cells) * math.factorial(2) ** len(structure.free) == 4
 
@@ -80,10 +87,8 @@ class TestSampling:
         m = ms.sample_sigma(lat.canonicalize([(2,)], 1), s, fam, 10**4, seed=9)
         col = 1  # level-2 column
         freq = sum(
-            float(w)
-            for row, w in zip(m.codes, m.weights)
-            if m.categories[col][row[col]] == 0
-        )
+            c for row, c in zip(m.codes, m.counts) if m.categories[col][row[col]] == 0
+        ) / m.denominator
         assert abs(freq - 0.5) < 3 * 0.5 / math.sqrt(10**4)
 
     def test_reproducible(self):
@@ -234,7 +239,8 @@ class TestPrefixTreePhases:
 
     def _rebuilt(self, m, codes):
         return ms.AtomicMeasure(
-            alphas=m.alphas, categories=m.categories, codes=codes, weights=m.weights
+            alphas=m.alphas, categories=m.categories, codes=codes,
+            counts=m.counts, denominator=m.denominator,
         )
 
     def test_shuffled_rows_refused(self):
@@ -252,6 +258,12 @@ class TestPrefixTreePhases:
         doubled = np.repeat(m.codes, 2, axis=0)
         with pytest.raises(PreconditionError):
             self._rebuilt(m, doubled)
+        # two empty words are equal rows too; there is no column to compare
+        with pytest.raises(PreconditionError):
+            ms.AtomicMeasure(
+                alphas=((),), categories=[], codes=np.empty((2, 0), dtype=np.uint32),
+                counts=[1, 1], denominator=2,
+            )
 
 
 def _exact_quotients(q, digits, r):
@@ -265,7 +277,7 @@ def _one_column(q, digits):
     n = len(digits)
     return ms.AtomicMeasure(
         alphas=((F(1, q),),), categories=[list(digits)],
-        codes=np.arange(n, dtype=np.uint32).reshape(-1, 1), weights=(F(1, n),) * n,
+        codes=np.arange(n, dtype=np.uint32).reshape(-1, 1), counts=[1] * n, denominator=n,
     )
 
 
@@ -446,11 +458,17 @@ class TestDistinctRows:
         assert rows.tolist() == [[7] * 4] and counts.tolist() == [50]
 
     @settings(max_examples=300, deadline=None)
-    @given(n=st.integers(1, ms.SAMPLE_CAP), data=st.data())
+    @given(n=st.one_of(st.integers(1, ms.SAMPLE_CAP), st.integers(1, 10**400)), data=st.data())
     def test_float_weights_are_the_fractions_floats(self, n, data):
-        counts = np.array(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=20)))
-        want = np.array([float(F(int(c), n)) for c in counts])
-        assert (counts / n).tobytes() == want.tobytes()
+        # the explicit-atom denominators are lcms of any size
+        counts = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=20))
+        m = ms.AtomicMeasure(
+            alphas=((F(1),),), categories=[list(range(len(counts)))],
+            codes=np.arange(len(counts), dtype=np.uint32).reshape(-1, 1),
+            counts=counts, denominator=n,
+        )
+        want = np.array([float(F(c, n)) for c in counts])
+        assert m.weights_np.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n_samples", [1, 2, 3000])
     def test_sampler_matrices(self, monkeypatch, n_samples):
@@ -474,8 +492,9 @@ class TestDistinctRows:
             m = ms.sample_sigma(G, sched, FAM_N_NSQ, n_samples, seed=5)
             _assert_same_rows(seen[-1])
             _, want_counts = _unique_rows(seen[-1])
-            assert m.weights == tuple(F(int(c), n_samples) for c in want_counts)
-            floats = np.array([float(w) for w in m.weights])
+            assert m.denominator == n_samples
+            assert m.counts == [int(c) for c in want_counts]
+            floats = np.array([float(F(c, n_samples)) for c in m.counts])
             assert m.weights_np.tobytes() == floats.tobytes()
 
 
@@ -496,14 +515,14 @@ def _fraction_atoms(m):
     before integer numerators over one common denominator did."""
     merged = {}
     flat = m._flat_alphas()
-    for row, w in zip(m.codes, m.weights):
+    for row, c in zip(m.codes, m.counts):
         x = F(0)
         for col, code in enumerate(row):
             d = m.categories[col][code]
             if d:
                 x += d * flat[col]
         x = (m.scale * x) % 1
-        merged[x] = merged.get(x, F(0)) + w
+        merged[x] = merged.get(x, F(0)) + F(c, m.denominator)
     return tuple(sorted(merged.items()))
 
 
@@ -511,7 +530,8 @@ def _assert_explicit(m, atoms):
     want_atoms, want_alphas, want_categories = _fraction_merge(atoms)
     assert m.atoms == want_atoms
     assert m.alphas == want_alphas and m.categories == want_categories
-    assert m.weights == tuple(w for _, w in want_atoms)
+    assert m.denominator == math.lcm(*(F(w).denominator for _, w in atoms))
+    assert tuple(F(c, m.denominator) for c in m.counts) == tuple(w for _, w in want_atoms)
     assert m.weights_np.tobytes() == np.array([float(w) for _, w in want_atoms]).tobytes()
 
 

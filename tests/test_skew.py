@@ -425,6 +425,25 @@ class TestShiftResidues:
         assert len(table._entries) == 1 + 5 + 15
 
 
+def _normal_mass(lo, hi, panels=200):
+    """Reference: the standard normal density integrated over [lo, hi] by
+    a composite 20-point Gauss-Legendre rule, summing positive terms only."""
+    rule = _gauss_legendre(20)
+    width = (hi - lo) / panels
+    total = 0.0
+    for i in range(panels):
+        mid = lo + (i + 0.5) * width
+        total += sum(w * math.exp(-((mid + x * width / 2) ** 2) / 2) for x, w in rule)
+    return total * width / 2 / math.sqrt(2 * math.pi)
+
+
+class TestIntervalProbability:
+    @pytest.mark.parametrize("lo, hi", [(8, 9), (5, 6), (3, 40), (0.5, 2)])
+    def test_relative_accuracy_in_the_upper_tail(self, lo, hi):
+        want = _normal_mass(lo, hi)
+        assert abs(interval_probability(lo, hi) - want) <= 1e-12 * want
+
+
 class TestGaussianPairMass:
     def test_independence(self):
         got = gaussian_pair_mass(0.0, (-1.5, 0.5), (0, 2))
