@@ -47,13 +47,14 @@ merges and sorts on the numerators x * L mod L.  Only the distinct atoms
 handed out by atoms become Fractions.
 
 The words of a measure are distinct rows of its code matrix in increasing
-lexicographic order (sample_sigma's lexsort dedup and the explicit-atom
-arange produce them so), so the words sharing columns 0..j form contiguous
-runs.  phases, the dichotomy coefficients and atoms (on integer numerators)
-walk that prefix tree column by column: each run adds its column's value once
-to its parent run's partial sum, instead of every word gathering every
-column.  Each word still receives the same float additions in the same
-order, so the result is bitwise that of the word-by-word sum.
+lexicographic order (sample_sigma's lexsort of its packed mixed-radix word
+keys and the explicit-atom arange produce them so), so the words sharing
+columns 0..j form contiguous runs.  phases, the dichotomy coefficients and
+atoms (on integer numerators) walk that prefix tree column by column: each
+run adds its column's value once to its parent run's partial sum, instead of
+every word gathering every column.  Each word still receives the same float
+additions in the same order, so the result is bitwise that of the
+word-by-word sum.
 """
 
 from __future__ import annotations
@@ -400,15 +401,41 @@ def uniform_atoms(positions: Sequence) -> AtomicMeasure:
     return AtomicMeasure([(Fraction(x), Fraction(1, n)) for x in positions])
 
 
-def _distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a non-empty matrix in increasing lexicographic
-    order and their counts, as np.unique(matrix, axis=0, return_counts=True)
-    gives them, from one lexsort and a comparison of adjacent rows."""
-    ordered = matrix[np.lexsort(matrix.T[::-1])]
-    new_row = np.ones(len(ordered), dtype=bool)
-    new_row[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    first = np.flatnonzero(new_row)
-    return ordered[first], np.diff(first, append=len(ordered))
+def _fold(words: list, code: np.ndarray, radix: int) -> None:
+    """Append one column to the mixed-radix words: code holds uint64 values
+    in [0, radix), and words is a list of (key, radices) pairs, the first
+    key most significant.  The column joins the last key, or a new one where
+    the product of that key's radices times radix would pass 2^64."""
+    if math.prod(words[-1][1]) * radix > 2**64:
+        words.append((np.zeros(len(code), dtype=np.uint64), []))
+    key, radices = words[-1]
+    key *= np.uint64(radix)
+    key += code
+    radices.append(radix)
+
+
+def _distinct_words(words: list) -> tuple[list, np.ndarray]:
+    """The distinct words of a non-empty _fold list, in increasing order of
+    their keys, first key first, as a list of the same form, and the count
+    of each: one lexsort over the keys and a comparison of adjacent rows."""
+    order = np.lexsort([key for key, _ in reversed(words)])
+    ordered = [(key[order], radices) for key, radices in words]
+    changed = np.zeros(len(order) - 1, dtype=bool)
+    for key, _ in ordered:
+        changed |= key[1:] != key[:-1]
+    first = np.flatnonzero(np.concatenate(([True], changed)))
+    return [(key[first], radices) for key, radices in ordered], np.diff(first, append=len(order))
+
+
+def _unpack(words: list):
+    """Yield (column, code) for every column of a _fold list, last column
+    first: each key's codes are the digits of its mixed-radix value."""
+    col = sum(len(radices) for _, radices in words)
+    for key, radices in reversed(words):
+        for radix in reversed(radices):
+            col -= 1
+            key, code = np.divmod(key, np.uint64(radix))
+            yield col, code
 
 
 def sample_sigma(
@@ -424,6 +451,19 @@ def sample_sigma(
     lambda_G and uniform digits on the free coordinates; equal words merge,
     and each weighs its integer count over N = n_samples.  Reproducible from
     the seed.
+
+    No samples x columns matrix is built.  Right after its draw, each column
+    becomes a code that increases with its digit (a support coordinate's
+    rank among the level's cell values, a free coordinate's digit itself,
+    of radix k!) and is folded into uint64 mixed-radix keys, most
+    significant column first (_fold).  A key starts anew before the product
+    of its radices would pass 2^64, so no key overflows: a key with radices
+    r_1, ..., r_m holds sum_i c_i prod_{i' > i} r_i' <= prod_i r_i - 1 <
+    2^64.  As the codes increase with the digits, the order of the key lists
+    is the lexicographic order of the words, so one lexsort and a comparison
+    of adjacent rows give the distinct words in the order AtomicMeasure
+    requires (_distinct_words).  Their codes, read back from the keys
+    (_unpack), index each column's digits in increasing order.
     """
     if n_samples < 1:
         raise PreconditionError("need at least one sample")
@@ -439,9 +479,13 @@ def sample_sigma(
     if not report.all_pass():
         raise PreconditionError("schedule does not pass its exact residual check")
     structure = group_cell_structure(G)
-    size = fam.size
+    if structure.free and math.factorial(s.depth) > 2**62:
+        raise CapExceeded(
+            "free-coordinate sampling is limited to levels with k! below 2^62"
+        )
     rng = np.random.default_rng(seed)
-    columns = []
+    words = [(np.zeros(n_samples, dtype=np.uint64), [])]
+    digits = []  # per column, its digits indexed by code (range(k!) when free)
     for k in range(1, s.depth + 1):
         kf = math.factorial(k)
         cells = _support_cells(structure, k)
@@ -449,25 +493,24 @@ def sample_sigma(
         probs = np.array([c / reps for _, c in cells])  # correctly rounded weights
         probs /= probs.sum()
         picks = rng.choice(len(cells), size=n_samples, p=probs)
-        per_coord = [None] * size
+        per_coord = [None] * fam.size
         for pos, j in enumerate(structure.support):
-            values = np.array([int(cell[pos]) for cell, _ in cells], dtype=np.int64)
-            per_coord[j] = values[picks]
+            values = sorted({cell[pos] for cell, _ in cells})
+            rank = {v: i for i, v in enumerate(values)}
+            ranks = np.array([rank[cell[pos]] for cell, _ in cells], dtype=np.uint64)
+            per_coord[j] = (ranks[picks], values)
         for j in structure.free:
-            if kf > 2**62:
-                raise CapExceeded(
-                    "free-coordinate sampling is limited to levels with "
-                    "k! below 2^62"
-                )
-            per_coord[j] = rng.integers(0, kf, size=n_samples, dtype=np.int64)
-        columns.extend(per_coord)
-    distinct, counts = _distinct_rows(np.column_stack(columns))
-    categories = []
-    codes = np.empty(distinct.shape, dtype=np.uint32)
-    for col in range(distinct.shape[1]):
-        values, inv = np.unique(distinct[:, col], return_inverse=True)
-        categories.append([int(v) for v in values])
-        codes[:, col] = inv
+            drawn = rng.integers(0, kf, size=n_samples, dtype=np.int64)
+            per_coord[j] = (drawn.view(np.uint64), range(kf))
+        for code, values in per_coord:
+            _fold(words, code, len(values))
+            digits.append(values)
+    distinct, counts = _distinct_words(words)
+    categories = [None] * len(digits)
+    codes = np.empty((len(counts), len(digits)), dtype=np.uint32)
+    for col, code in _unpack(distinct):
+        present, codes[:, col] = np.unique(code, return_inverse=True)
+        categories[col] = [digits[col][c] for c in present.tolist()]
     return AtomicMeasure(
         alphas=s.alphas, categories=categories, codes=codes,
         counts=counts.tolist(), denominator=n_samples,

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction as F
 from itertools import product
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 from rigidlab import families as fm
 from rigidlab import lattice as lat
 from rigidlab import measure as ms
-from rigidlab.errors import DimensionMismatch, PreconditionError, UnsupportedShape
+from rigidlab import schedule as sc
+from rigidlab.demos import build_cor65_group
+from rigidlab.errors import CapExceeded, DimensionMismatch, PreconditionError, UnsupportedShape
 from rigidlab.schedule import build_schedule
 
 FAM_N = fm.polynomial_family([[0, 1]])
@@ -425,20 +428,88 @@ class TestLongFreeColumns:
 
 
 def _unique_rows(matrix):
-    """Reference: the np.unique row dedup that _distinct_rows replaced."""
+    """Reference: the np.unique row dedup that the packed word keys replaced."""
     return np.unique(matrix, axis=0, return_counts=True)
 
 
-def _assert_same_rows(matrix):
-    got_rows, got_counts = ms._distinct_rows(matrix)
+def _drawn_matrix(G, s, fam, n_samples, seed):
+    """Reference: the samples x columns matrix of digits that sample_sigma
+    drew before it packed words into keys, with the same RNG calls."""
+    structure = ms.group_cell_structure(G)
+    rng = np.random.default_rng(seed)
+    columns = []
+    for k in range(1, s.depth + 1):
+        kf = math.factorial(k)
+        cells = ms._support_cells(structure, k)
+        reps = len(structure.rep_points)
+        probs = np.array([c / reps for _, c in cells])
+        probs /= probs.sum()
+        picks = rng.choice(len(cells), size=n_samples, p=probs)
+        per_coord = [None] * fam.size
+        for pos, j in enumerate(structure.support):
+            values = np.array([int(cell[pos]) for cell, _ in cells], dtype=np.int64)
+            per_coord[j] = values[picks]
+        for j in structure.free:
+            per_coord[j] = rng.integers(0, kf, size=n_samples, dtype=np.int64)
+        columns.extend(per_coord)
+    return np.column_stack(columns)
+
+
+def _oracle_sigma(G, s, fam, n_samples, seed):
+    """Reference: the column-stack + np.unique(axis=0) sampler's categories,
+    codes, counts and float weights."""
+    rows, counts = _unique_rows(_drawn_matrix(G, s, fam, n_samples, seed))
+    categories = []
+    codes = np.empty(rows.shape, dtype=np.uint32)
+    for col in range(rows.shape[1]):
+        values, inv = np.unique(rows[:, col], return_inverse=True)
+        categories.append([int(v) for v in values])
+        codes[:, col] = inv
+    weights = np.array([float(F(int(c), n_samples)) for c in counts])
+    return categories, codes, [int(c) for c in counts], weights
+
+
+def _word_rows(m):
+    """The digit rows of a measure's words."""
+    return np.array([[m.categories[col][code] for col, code in enumerate(row)] for row in m.codes])
+
+
+def _packed_rows(matrix, radix):
+    """A non-negative matrix below radix through _fold, _distinct_words and
+    _unpack: its distinct rows, their counts and the number of keys."""
+    words = [(np.zeros(len(matrix), dtype=np.uint64), [])]
+    for column in matrix.T:
+        ms._fold(words, column.astype(np.uint64), radix)
+    distinct, counts = ms._distinct_words(words)
+    rows = np.empty((len(counts), matrix.shape[1]), dtype=np.int64)
+    for col, code in ms._unpack(distinct):
+        rows[:, col] = code
+    return rows, counts, len(words)
+
+
+def _assert_same_rows(matrix, radix):
+    got_rows, got_counts, _ = _packed_rows(matrix, radix)
     want_rows, want_counts = _unique_rows(matrix)
-    assert got_rows.dtype == want_rows.dtype
     assert np.array_equal(got_rows, want_rows)
     assert np.array_equal(got_counts, want_counts)
 
 
+# sample_sigma inputs: cor66's group (first coordinate Z, second free with k!
+# uniform digits), the full group, a finite-index group, the trivial group
+# at depth 7 (radix product (1! 2! ... 7!)^2 ~ 2^73.7: two keys), and a
+# slanted three-coordinate group with a free third coordinate
+FAM_CUBE = fm.polynomial_family([[0, 1], [0, 0, 1], [0, 0, 0, 1]])
+SAMPLER_CASES = [
+    (lat.canonicalize([lat.standard_basis(2, 1)], 2), SCHEDULE_BY_SIZE[2], FAM_N_NSQ),
+    (lat.full(2), SCHEDULE_BY_SIZE[2], FAM_N_NSQ),
+    (lat.canonicalize([(2, 0), (0, 3)], 2), SCHEDULE_BY_SIZE[2], FAM_N_NSQ),
+    (lat.trivial(2), build_schedule(FAM_N_NSQ, 7), FAM_N_NSQ),
+    (lat.canonicalize([(1, 2, 0), (0, 3, 0)], 3), build_schedule(FAM_CUBE, 4), FAM_CUBE),
+]
+
+
 class TestDistinctRows:
-    """sample_sigma's lexsort dedup against np.unique(..., axis=0)."""
+    """sample_sigma's packed-key dedup against np.unique(..., axis=0)."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -449,13 +520,25 @@ class TestDistinctRows:
     )
     def test_matches_unique(self, rows, cols, high, seed):
         rng = np.random.default_rng(seed)
-        _assert_same_rows(rng.integers(0, high, size=(rows, cols), dtype=np.int64))
+        _assert_same_rows(rng.integers(0, high, size=(rows, cols), dtype=np.int64), high)
 
     def test_one_row_and_all_equal_rows(self):
-        _assert_same_rows(np.array([[3, 0, 5]], dtype=np.int64))
-        _assert_same_rows(np.full((50, 4), 7, dtype=np.int64))
-        rows, counts = ms._distinct_rows(np.full((50, 4), 7, dtype=np.int64))
+        _assert_same_rows(np.array([[3, 0, 5]], dtype=np.int64), 6)
+        _assert_same_rows(np.full((50, 4), 7, dtype=np.int64), 8)
+        rows, counts, _ = _packed_rows(np.full((50, 4), 7, dtype=np.int64), 8)
         assert rows.tolist() == [[7] * 4] and counts.tolist() == [50]
+
+    def test_keys_split_before_two_to_the_64(self):
+        # radix products up to 2^64 share a key; one more radix-2 column
+        # starts a second key, and the largest words still round-trip
+        for cols, keys in ((64, 1), (65, 2)):
+            matrix = np.array([[0] * cols, [1] * cols, [1] + [0] * (cols - 1)], dtype=np.int64)
+            rows, counts, n_keys = _packed_rows(matrix, 2)
+            assert n_keys == keys
+            assert np.array_equal(rows, np.unique(matrix, axis=0)) and counts.tolist() == [1, 1, 1]
+        matrix = np.array([[2**62 - 1, 3], [2**62 - 1, 0], [0, 3]], dtype=np.int64)
+        rows, _, n_keys = _packed_rows(matrix, 2**62)
+        assert n_keys == 2 and np.array_equal(rows, np.unique(matrix, axis=0))
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.one_of(st.integers(1, ms.SAMPLE_CAP), st.integers(1, 10**400)), data=st.data())
@@ -471,31 +554,73 @@ class TestDistinctRows:
         assert m.weights_np.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n_samples", [1, 2, 3000])
-    def test_sampler_matrices(self, monkeypatch, n_samples):
-        # the matrices sample_sigma draws: cor66's group (first coordinate
-        # Z, second free with k! uniform digits), a finite-index group and
-        # the trivial group; the weights are the exact counts over N
-        seen = []
-        original = ms._distinct_rows
-
-        def spy(matrix):
-            seen.append(matrix)
-            return original(matrix)
-
-        monkeypatch.setattr(ms, "_distinct_rows", spy)
-        sched = SCHEDULE_BY_SIZE[2]
-        for G in (
-            lat.canonicalize([lat.standard_basis(2, 1)], 2),
-            lat.canonicalize([(2, 0), (0, 3)], 2),
-            lat.trivial(2),
-        ):
-            m = ms.sample_sigma(G, sched, FAM_N_NSQ, n_samples, seed=5)
-            _assert_same_rows(seen[-1])
-            _, want_counts = _unique_rows(seen[-1])
+    def test_sampler_matrices(self, n_samples):
+        # the words and counts are the distinct rows of the drawn matrix;
+        # the weights are the exact counts over N
+        for G, sched, fam in SAMPLER_CASES:
+            m = ms.sample_sigma(G, sched, fam, n_samples, seed=5)
+            want_rows, want_counts = _unique_rows(_drawn_matrix(G, sched, fam, n_samples, 5))
+            assert np.array_equal(_word_rows(m), want_rows)
             assert m.denominator == n_samples
             assert m.counts == [int(c) for c in want_counts]
             floats = np.array([float(F(c, n_samples)) for c in m.counts])
             assert m.weights_np.tobytes() == floats.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from(range(len(SAMPLER_CASES))),
+        n_samples=st.sampled_from([1, 2, 3000]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_column_stack_sampler(self, case, n_samples, seed):
+        G, sched, fam = SAMPLER_CASES[case]
+        m = ms.sample_sigma(G, sched, fam, n_samples, seed)
+        categories, codes, counts, weights = _oracle_sigma(G, sched, fam, n_samples, seed)
+        assert m.categories == categories
+        assert m.codes.dtype == np.uint32 and m.codes.tobytes() == codes.tobytes()
+        assert m.codes.shape == codes.shape
+        assert m.counts == counts
+        assert m.weights_np.tobytes() == weights.tobytes()
+
+    def test_trivial_depth_7_takes_two_keys(self, monkeypatch):
+        seen = []
+        original = ms._distinct_words
+        monkeypatch.setattr(
+            ms, "_distinct_words", lambda words: seen.append(len(words)) or original(words)
+        )
+        for G, sched, fam in SAMPLER_CASES:
+            ms.sample_sigma(G, sched, fam, 3000, seed=1)
+        assert seen == [1, 1, 1, 2, 1]
+
+    def test_sampling_peak_memory(self):
+        # cor65's group on (n, n^2) at depth 11 with 10^5 samples, the
+        # criterion-8 scan's measure: the samples x 22 int64 matrix, its
+        # column list and sorted copy peaked at ~60 MB under tracemalloc
+        G, _ = build_cor65_group(FAM_N_NSQ.polys)
+        sched = build_schedule(FAM_N_NSQ, 11)
+        tracemalloc.start()
+        try:
+            m = ms.sample_sigma(G, sched, FAM_N_NSQ, 10**5, seed=42)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.codes.shape == (48240, 22)
+        assert peak < 25 * 10**6
+
+    def test_free_level_cap_fires_before_any_key(self, monkeypatch):
+        monkeypatch.setattr(sc, "MAX_DEPTH", 21)
+        sched = build_schedule(FAM_N, 21)  # 21! > 2^62
+        folds = []
+        fold = ms._fold
+        monkeypatch.setattr(ms, "_fold", lambda *args: folds.append(1) or fold(*args))
+        with pytest.raises(CapExceeded, match="k! below 2\\^62"):
+            ms.sample_sigma(lat.trivial(1), sched, FAM_N, ms.SAMPLE_CAP, seed=1)
+        assert folds == []
+        # support digits have no such cap: 21!/2 lies past int64, its code
+        # is its rank 1
+        m = ms.sample_sigma(lat.canonicalize([(2,)], 1), sched, FAM_N, 50, seed=1)
+        assert m.categories[-1] == [0, math.factorial(21) // 2]
+        assert len(folds) == 21
 
 
 def _fraction_merge(atoms):
