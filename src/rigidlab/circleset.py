@@ -120,19 +120,6 @@ class CircleSet:
                     out.append((lo, hi))
         return CircleSet(tuple(sorted(out)))
 
-    def complement(self) -> "CircleSet":
-        if not self.intervals:
-            return CircleSet.full()
-        out = []
-        prev = Fraction(0)
-        for u, v in self.intervals:
-            if u > prev:
-                out.append((prev, u))
-            prev = v
-        if prev < 1:
-            out.append((prev, _ONE))
-        return CircleSet(tuple(out))
-
     def endpoints(self) -> list[Fraction]:
         out = []
         for u, v in self.intervals:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from . import families as fm
@@ -120,9 +121,7 @@ def cor65_representatives(ell: int) -> list[tuple[Fraction, ...]]:
     if ell < 2:
         raise PreconditionError("the construction needs at least two sequences")
     reps = []
-    from itertools import product as iproduct
-
-    for digits in iproduct(range(3), repeat=ell - 1):
+    for digits in product(range(3), repeat=ell - 1):
         a0, rest = digits[0], digits[1:]
         y = [Fraction(a0, 3) % 1, Fraction(2 * a0, 3) % 1]
         y.extend(Fraction(a, 3) for a in rest)

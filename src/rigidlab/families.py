@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from . import lattice as lat
@@ -233,10 +234,6 @@ class ReducedFamily:
     scale: int
     image_map: tuple[tuple[int, ...], ...]  # c x l, column j is (scale/b_j) b_vec^j
 
-    @property
-    def subfamily_size(self) -> int:
-        return len(self.indices)
-
 
 def reduce_family(
     fam: SequenceFamily, G: lat.Lattice
@@ -320,9 +317,7 @@ def detect_relations(
         raise PreconditionError("tail window does not fit the table")
     ns = range(n_max - tail_window + 1, n_max + 1)
     found = []
-    from itertools import product as iproduct
-
-    for a in iproduct(range(-coeff_bound, coeff_bound + 1), repeat=fam.size):
+    for a in product(range(-coeff_bound, coeff_bound + 1), repeat=fam.size):
         if not any(a):
             continue
         if all(

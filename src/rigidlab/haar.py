@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .circleset import CircleSet, intersect_all
@@ -102,8 +102,6 @@ def _single_rep_integral(
     static_shifts: list[Fraction] = []
     free_groups: dict[int, tuple[list[Fraction], list[int]]] = {}
     for f in factors:
-        if len(f.rep_coeffs) > len(rep):
-            raise PreconditionError("pattern uses more rep coordinates than provided")
         t = (sum((c * r for c, r in zip(f.rep_coeffs, rep) if c), f.const)) % 1
         if f.free_var is None:
             static_shifts.append(t)
@@ -167,8 +165,30 @@ def haar_correlation_limit(
         raise PreconditionError("at least one representative required")
     if any(f.free_var is not None and f.free_var >= MAX_FREE_COORDS for f in pattern):
         raise UnsupportedShape("at most two free torus coordinates supported")
-    values = [_single_rep_integral(B, pattern, [Fraction(r) for r in rep]) for rep in reps]
-    return sum(values, Fraction(0)) / len(reps)
+    need = max((len(f.rep_coeffs) for f in pattern), default=0)
+    if any(len(rep) < need for rep in reps):
+        raise PreconditionError("pattern uses more rep coordinates than provided")
+    # The integrand is a product of indicators 1_B(y + shift + c z), and
+    # 1_B^2 = 1_B, so a representative enters only through the set of its
+    # factors' (shift mod 1, free variable, coefficient).  Key each by that
+    # set, the shifts as integer numerators over the common denominator D,
+    # and integrate once per distinct key, weighted by its multiplicity.
+    reps = [[Fraction(r) for r in rep] for rep in reps]
+    D = lcm(*(r.denominator for rep in reps for r in rep), *(f.const.denominator for f in pattern))
+    consts = [f.const.numerator * (D // f.const.denominator) for f in pattern]
+    distinct: dict[frozenset, list] = {}
+    for rep in reps:
+        nums = [r.numerator * (D // r.denominator) for r in rep]
+        key = frozenset(
+            ((sum(c * n for c, n in zip(f.rep_coeffs, nums)) + k) % D, f.free_var, f.free_coef)
+            for f, k in zip(pattern, consts)
+        )
+        distinct.setdefault(key, [rep, 0])[1] += 1
+    total = sum(
+        (count * _single_rep_integral(B, pattern, rep) for rep, count in distinct.values()),
+        Fraction(0),
+    )
+    return total / len(reps)
 
 
 def triple_progression_integral(B: CircleSet) -> Fraction:

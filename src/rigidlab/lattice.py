@@ -330,9 +330,6 @@ class TorusSubgroup:
     finite_reps: tuple[tuple[Fraction, ...], ...]
     torus_directions: Lattice
 
-    def is_finite(self) -> bool:
-        return self.torus_directions.is_trivial()
-
 
 def character_integral(G: Lattice, a: Sequence[int]) -> int:
     """Integral of y -> e^{2 pi i <a, y>} over A_G against Haar measure.

@@ -12,9 +12,9 @@ digit the correctly rounded (d * r mod q) / q, so no precision is lost to
 floating-point reduction of astronomically large products; the float stage
 after it only ever adds a handful of numbers in [0, 1).  verify_dichotomy
 needs sigma-hat at every combination sum_j a_j phi_j(n_k) of a level: it reduces
-each digit against each phi_j(n_k) once and forms every combination's digit
-residues as small-integer combinations of those, which are the integers
-phases would reduce, so the floats are the same.
+each digit against each phi_j(n_k) once, to R_j = d * r_j mod q, and every
+combination's digit residues are sum_j a_j R_j mod q, the integers phases
+would reduce, so the correctly rounded floats are the same.
 
 Free columns skip the big-integer division.  A free coordinate's column holds
 up to k! small digits d, and at a near-rigid shift its residue x1 = r mod q
@@ -37,6 +37,30 @@ rounding test, 1991); then R is the correctly rounded d * y, and R * 2^-s,
 exact where it is a normal double, the correctly rounded d * x1 / q.  Every
 other digit (ties, near-ties, d = 0, subnormal results) is recomputed from
 the integers, so the phases stay bitwise those of the exact expression.
+
+The combinations skip the big-integer reduction the same way
+(_combination_phases).  Each R_j becomes F_j = floor(R_j 2^128 / q) =
+R_j 2^128 / q - e_j, 0 <= e_j < 1, once per level, held in four 32-bit limbs.
+Per vector a, T = sum_j a_j F_j mod 2^128 is an exact int64 sum per limb,
+carried and masked.  With s = sum_j a_j R_j mod q and A = sum_j |a_j|, T
+equals 2^128 s / q - sum_j a_j e_j unless that falls outside [0, 2^128): so
+|T 2^-128 - s / q| < A 2^-128, or the sum wrapped, and then T < A or
+T >= 2^128 - A.  The limbs v_i = L_i 2^(32 i - 128) are exact doubles; head +
+e = v_3 + v_2 by Fast2Sum, w = v_1 + v_0, tail = e + w, and Fast2Sum again
+gives R + u = head + tail.  No nonzero value lies below 2^-128, so nothing
+underflows, and only w and tail are rounded, each by at most 2^-53 of
+itself:
+
+    |s / q - (R + u)| < 2^-53 (w + |tail|) + A 2^-128.
+
+A digit keeps R only if |u| + 2^-52 (w + |tail|) + A 2^-127, which exceeds
+that bound also after its own rounding, lies strictly inside half the
+smaller gap from R to a neighbouring double.  That also refuses a wrap to
+T < A, where R < A 2^-128 and half the gap is below 2^-53 R.  A wrap to
+T >= 2^128 - A rounds R to 1.0 with -u below the test's budget, so R = 1.0 is
+kept only where -u exceeds that budget.  Digits whose R_j are 0 for every
+nonzero a_j are exactly 0.0; every other refused digit (exact zeros by
+cancellation, phases below about 2^-60, near-ties) comes from the integers.
 
 Exact positions and weights stay in integers as well.  Word i weighs
 counts[i] / W for one denominator W (n_samples when sampled, the lcm of the
@@ -63,7 +87,7 @@ import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Sequence
 
 import numpy as np
@@ -537,25 +561,81 @@ def _combination_coefficients(
 
     residues(t) and each digit's product d * r mod q are linear in t modulo
     the column denominator q, so the digit residues of sum_j a_j values_j are
-    sum_j a_j R_j mod q, with R_j the digit residues of values_j: computed
-    once per value, then one small-integer combination and one reduction
-    per digit and vector.  The reduced integers equal phases' own, so the
-    correctly rounded float phases do too.
+    sum_j a_j R_j mod q, with R_j the digit residues of values_j, computed
+    once per value for the digits of all columns side by side.  With more
+    vectors than values, each vector's phases come from the fixed-point
+    kernel _combination_phases over the limbs of floor(R_j * 2^128 / q),
+    built once here; otherwise (the unit vectors of the Gaussian transfer)
+    building them costs more than it saves, and every digit takes one
+    small-integer combination and one reduction, _exact_phases.  Either way
+    each digit's phase is the correctly rounded (sum_j a_j R_j mod q) / q,
+    as phases gives it.
     """
     denominators = [a.denominator for a in m._flat_alphas()]
     residues = [m.residues(v) for v in values]
-    # per column, an (l, digits) matrix: row j holds d * r mod q per digit d,
-    # r the column residue of values_j
-    basis = [
-        np.array([[int(d) * r[col] % q for d in digits] for r in residues], dtype=object)
-        for col, (q, digits) in enumerate(zip(denominators, m.categories))
-    ]
+    # q per digit, and an (l, digits) matrix whose row j holds d * r mod q
+    # per digit d, r its column's residue of values_j
+    qs = np.array([q for q, digits in zip(denominators, m.categories) for _ in digits],
+                  dtype=object)
+    basis = np.array([
+        [int(d) * r[col] % q
+         for col, (q, digits) in enumerate(zip(denominators, m.categories)) for d in digits]
+        for r in residues
+    ], dtype=object)
+    bounds = list(accumulate(len(digits) for digits in m.categories[:-1]))
+    table = (_fixed_point_limbs(basis, qs), basis == 0) if len(vectors) > len(values) else None
     for a in vectors:
-        a = np.array(a, dtype=object)  # Python ints: the combination stays exact
-        yield _transform(m, _mod1(m._tree_sum([
-            # int/int true division is correctly rounded at any size
-            (a @ rows % q / q).astype(float) for q, rows in zip(denominators, basis)
-        ])))
+        phases = (_exact_phases(a, basis, qs) if table is None
+                  else _combination_phases(a, basis, qs, *table))
+        yield _transform(m, _mod1(m._tree_sum(np.split(phases, bounds))))
+
+
+def _exact_phases(a: Sequence[int], basis: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """(sum_j a_j basis[j] mod q) / q per digit, from the exact integers."""
+    # Python ints: the combination stays exact, and int/int true division
+    # is correctly rounded at any size
+    return (np.array(a, dtype=object) @ basis % qs / qs).astype(float)
+
+
+def _fixed_point_limbs(basis: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """F = floor(R * 2^128 / q) of every basis entry R in [0, q), as an int64
+    (l, 4, digits) array of its 32-bit limbs, least significant first."""
+    raw = b"".join(f.to_bytes(16, "little") for f in ((basis << 128) // qs).flat)
+    limbs = np.frombuffer(raw, dtype="<u4").reshape(*basis.shape, 4)
+    return limbs.transpose(0, 2, 1).astype(np.int64, order="C")
+
+
+def _combination_phases(a, basis, qs, limbs, zero) -> np.ndarray:
+    """(sum_j a_j R_j mod q) / q per digit, correctly rounded, for R_j =
+    basis[j], its limbs from _fixed_point_limbs and zero = basis == 0.
+
+    The float stage, its error budget and Ziv's test are the module
+    docstring's; sum |a_j| < 2^31 keeps the limb sums inside int64.  The
+    digits the test refuses are recomputed by _exact_phases.
+    """
+    total = np.zeros(limbs.shape[1:], dtype=np.int64)
+    exact_zero = np.ones(len(qs), dtype=bool)
+    for j, c in enumerate(a):
+        if c:
+            total += c * limbs[j]
+            exact_zero &= zero[j]
+    for i in range(3):
+        total[i + 1] += total[i] >> 32  # arithmetic shift: floor division
+    total &= 2**32 - 1
+    v0, v1, v2, v3 = (limb * 2.0 ** (32 * i - 128) for i, limb in enumerate(total))
+    head = v3 + v2  # Fast2Sum: v3 = 0 or v3 > v2
+    w = v1 + v0
+    tail = (v2 - (head - v3)) + w
+    R = head + tail  # Fast2Sum: head = 0 or |tail| <= |head|
+    u = tail - (R - head)
+    budget = (w + np.abs(tail)) * 2.0**-52 + sum(abs(c) for c in a) * 2.0**-127
+    # half the smaller gap from R to a neighbouring double, a power of two
+    half_gap = 0.5 * np.spacing(np.nextafter(R, 0.0))
+    keep = (np.abs(u) + budget < half_gap) & ((R < 1.0) | (-u > budget))
+    # where every F_j with a_j != 0 is 0, so is T, and R = 0.0 is exact
+    refused = np.flatnonzero(~(keep | exact_zero))
+    R[refused] = _exact_phases(a, basis[:, refused], qs[refused])
+    return R
 
 
 def pushforward_scale(m: AtomicMeasure, factor: int) -> AtomicMeasure:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import rigidlab
+from rigidlab import measure as ms
 from rigidlab.cli import parse_poly_expr, run
 from rigidlab.errors import ParseError
 
@@ -392,6 +393,25 @@ class TestDeterminism:
         assert digest.hexdigest() == (
             "6da82a96b8e4c490714dce764b786d8363af8335f463dc497792a4cfccdccc6f"
         )
+
+    def test_dichotomy_phases_come_from_the_kernel(self, families, tmp_path, monkeypatch):
+        # On the pinned bundle, verify-dichotomy takes its phases from the
+        # fixed-point kernel, one call per level and vector, and fewer than
+        # 15% of their digits go to the exact integers.
+        bundle = tmp_path / "s.json"
+        assert run(["measure", families["n_nsq"], "--group", families["g23"],
+                    "--depth", "5", "--samples", "3000", "--seed", "5",
+                    "--out", str(bundle)]) == 0
+        digits, exact = [], []
+        kernel, fallback = ms._combination_phases, ms._exact_phases
+        monkeypatch.setattr(ms, "_combination_phases",
+                            lambda a, basis, *rest: digits.append(basis.shape[1]) or kernel(a, basis, *rest))
+        monkeypatch.setattr(ms, "_exact_phases",
+                            lambda a, basis, qs: exact.append(basis.shape[1]) or fallback(a, basis, qs))
+        assert run(["verify-dichotomy", str(bundle), "--bound", "2",
+                    "--out", str(tmp_path / "d.csv")]) == 0
+        assert len(digits) == 5 * 25
+        assert sum(exact) < 0.15 * sum(digits)
 
     def test_decider_outputs_pinned(self, tmp_path):
         # 12 seeded polynomial families of 4-7 sequences, degree 2-4,

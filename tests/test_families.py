@@ -246,7 +246,7 @@ class TestReduceFamily:
                 assert g == 1
                 prod *= red.denominators[j]
             assert prod == red.scale
-            c = red.subfamily_size
+            c = len(red.indices)
             # d in G iff image in G~ (both directions, sampled).
             for _ in range(100):
                 if G.basis:

@@ -6,9 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 from rigidlab.circleset import CircleSet
-from rigidlab.errors import UnsupportedShape
+from rigidlab.errors import PreconditionError, UnsupportedShape
 from rigidlab.haar import (
     FactorPattern,
+    _single_rep_integral,
     haar_correlation_limit,
     triple_progression_integral,
 )
@@ -69,10 +70,6 @@ class TestQuadratureOracle:
         pts = [(i + 0.5) / M for i in range(M)]
         for coords in itertools.product(pts, repeat=n_free + 1):
             y, zs = coords[0], coords[1:]
-            if not B.contains(F(coords[0]).limit_denominator(4 * M)):
-                ok = False
-            else:
-                ok = True
             # float membership to keep the oracle independent
             def inb(x):
                 x %= 1.0
@@ -128,3 +125,50 @@ class TestQuadratureOracle:
             + B.intersect(B.shift(F(1, 2))).measure() * B.measure()
         )
         assert exact == by_hand
+
+
+class TestDistinctShiftSets:
+    """haar_correlation_limit integrates once per distinct set of factor
+    terms; it must equal the average of one integral per representative."""
+
+    def test_matches_per_representative_average(self):
+        rng = random.Random(8)
+        for _ in range(40):
+            B = CircleSet.from_pairs(sorted(
+                (F(a, 12), F(a + rng.randint(1, 3), 12))
+                for a in rng.sample(range(0, 12, 4), rng.randint(1, 3))
+            ))
+            dim = rng.randint(1, 3)
+            reps = [tuple(F(rng.randrange(6), 6) for _ in range(dim))
+                    for _ in range(rng.randint(1, 12))]
+            pattern = []
+            for _ in range(rng.randint(1, 4)):
+                coeffs = tuple(rng.randint(-2, 2) for _ in range(dim))
+                const = F(rng.randrange(4), 4)
+                if rng.random() < 0.3:
+                    pattern.append(FactorPattern.of(coeffs, const, rng.randrange(2), rng.choice([1, 2, -1])))
+                else:
+                    pattern.append(FactorPattern.of(coeffs, const))
+            want = sum((_single_rep_integral(B, pattern, list(rep)) for rep in reps), F(0)) / len(reps)
+            assert haar_correlation_limit(reps, B, pattern) == want
+
+    def test_swapped_shifts_stay_apart(self):
+        # (a, b) and (b, a) give the same shifts, but to factors of another
+        # free variable or coefficient, so they integrate differently
+        B = CircleSet.from_pairs([(0, F(1, 2)), (F(2, 3), F(5, 6))])
+        a, b = F(0), F(1, 6)
+        cases = [
+            ([(None, 0), (0, 1)], [(a, b), (b, a)]),
+            ([(0, 1), (0, 2)], [(a, b), (b, a)]),
+            ([(0, 1), (0, 2), (1, 2)], [(a, b, a), (a, a, b)]),
+        ]
+        for terms, reps in cases:
+            pattern = [FactorPattern.of(tuple(int(i == j) for i in range(len(terms))), 0, *t)
+                       for j, t in enumerate(terms)]
+            values = [_single_rep_integral(B, pattern, list(rep)) for rep in reps]
+            assert values[0] != values[1]
+            assert haar_correlation_limit(reps, B, pattern) == sum(values) / 2
+
+    def test_short_representative_rejected(self):
+        with pytest.raises(PreconditionError):
+            haar_correlation_limit([(F(1, 3),), ()], B23, [FactorPattern.of(rep_coeffs=(1,))])

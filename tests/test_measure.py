@@ -792,6 +792,176 @@ class TestCombinationCoefficients:
             assert _bits(r.coefficient for r in rep.rows) == _bits(want)
 
 
+def _object_phases(a, basis, qs):
+    """Reference: (sum_j a_j R_j mod q) / q per digit from Python ints, the
+    expression the fixed-point kernel replaces."""
+    return np.array([
+        sum(c * r for c, r in zip(a, column)) % q / q
+        for column, q in zip(basis.T.tolist(), qs.tolist())
+    ])
+
+
+def _object_coefficients(m, values, vectors):
+    """Reference: the dichotomy coefficients as the residue basis gave them
+    before the fixed-point kernel, one object combination and reduction per
+    column, digit and vector."""
+    denominators = [a.denominator for a in m._flat_alphas()]
+    residues = [m.residues(v) for v in values]
+    basis = [
+        np.array([[int(d) * r[col] % q for d in digits] for r in residues], dtype=object)
+        for col, (q, digits) in enumerate(zip(denominators, m.categories))
+    ]
+    for a in vectors:
+        a = np.array(a, dtype=object)
+        yield ms._transform(m, ms._mod1(m._tree_sum([
+            (a @ rows % q / q).astype(float) for q, rows in zip(denominators, basis)
+        ])))
+
+
+@pytest.fixture
+def refused(monkeypatch):
+    """The (q, R_0, ..., R_{l-1}) digits the kernel hands to the exact path."""
+    seen = []
+    exact = ms._exact_phases
+
+    def spy(a, basis, qs):
+        seen.extend((q, *column) for q, column in zip(qs.tolist(), basis.T.tolist()))
+        return exact(a, basis, qs)
+
+    monkeypatch.setattr(ms, "_exact_phases", spy)
+    return seen
+
+
+def _kernel_phases(a, basis, qs):
+    """The fixed-point kernel's phases of vector a, asserted bitwise equal to
+    the object expression; basis is (l, digits) and qs one q per digit."""
+    basis = np.array(basis, dtype=object).reshape(len(a), -1)
+    qs = np.array(qs, dtype=object)
+    limbs = ms._fixed_point_limbs(basis, qs)
+    got = ms._combination_phases(a, basis, qs, limbs, basis == 0)
+    assert got.tobytes() == _object_phases(a, basis, qs).tobytes()
+    return got
+
+
+Q_ODD = 3**300  # 476 bits: no phase R / Q_ODD is dyadic
+
+
+class TestCombinationPhases:
+    """The fixed-point kernel against the object expression, bit for bit,
+    through every branch of its rounding test."""
+
+    def test_limbs_are_the_floor(self):
+        rng = random.Random(1)
+        qs = [2, 7, 2**32 - 5, 2**128 + 1, Q_ODD]
+        basis = [[rng.randrange(q) for q in qs] for _ in range(2)]
+        limbs = ms._fixed_point_limbs(np.array(basis, dtype=object), np.array(qs, dtype=object))
+        for j, row in enumerate(basis):
+            for i, (r, q) in enumerate(zip(row, qs)):
+                assert sum(int(limbs[j, k, i]) << (32 * k) for k in range(4)) == (r << 128) // q
+
+    def test_exact_zeros(self, refused):
+        x = 12345 * Q_ODD // 99991
+        # R_j = 0 for every nonzero a_j: exactly 0.0 without the integers
+        assert _kernel_phases((2, 0), [[0], [x]], [Q_ODD]).tolist() == [0.0]
+        assert _kernel_phases((0, 0), [[x], [x]], [Q_ODD]).tolist() == [0.0]
+        assert refused == []
+        # zeros by cancellation: T = 0, or T wraps to just below 2^128
+        assert _kernel_phases((1, -1), [[x], [x]], [Q_ODD]).tolist() == [0.0]
+        assert _kernel_phases((1, 1), [[x], [Q_ODD - x]], [Q_ODD]).tolist() == [0.0]
+        assert _kernel_phases((5, 5, 5), [[x], [x], [-2 * x % Q_ODD]], [Q_ODD]).tolist() == [0.0]
+        assert len(refused) == 3
+
+    def test_zero_vector(self, refused):
+        rng = random.Random(2)
+        qs = [rng.randrange(2, 2**600) for _ in range(50)]
+        basis = [[rng.randrange(q) for q in qs] for _ in range(3)]
+        assert not _kernel_phases((0, 0, 0), basis, qs).any()
+        assert refused == []
+
+    def test_below_the_certified_range(self, refused):
+        # phases below ~2^-60 lose their last bits to the 128-bit truncation
+        tiny = [1, Q_ODD >> 400, Q_ODD >> 100, Q_ODD >> 70]
+        kept = [Q_ODD >> 50, Q_ODD >> 20, Q_ODD // 3]
+        _kernel_phases((1,), [tiny + kept], [Q_ODD] * 7)
+        assert sorted(r for _, r in refused) == tiny
+
+    def test_near_midpoints(self, refused):
+        # R 2^128 / q within 4 units of a midpoint between two doubles is
+        # refused, 2^40 units away it is kept; half of the midpoints are the
+        # ones just below a power of two, where the gap below is the smaller
+        rng = random.Random(4)
+        near, far = [], []
+        for _ in range(200):
+            e = rng.randrange(10)
+            midpoint = rng.choice([2 * rng.randrange(2**52, 2**53) + 1, 2**54 - 1]) << (74 - e)
+            near.append((midpoint + rng.randint(-4, 4)) * Q_ODD >> 128)
+            far.append((midpoint + rng.choice([-1, 1]) * 2**40) * Q_ODD >> 128)
+        _kernel_phases((1,), [near + far], [Q_ODD] * 400)
+        assert sorted(r for _, r in refused) == sorted(near)
+
+    def test_just_below_one(self, refused):
+        # 1 - 2^-60 rounds to 1.0 and is certified; 1 - 1/q also rounds to
+        # 1.0, but T = 2^128 - 1 is where a cancellation zero could wrap to
+        for q in (Q_ODD, 2**200 + 1):
+            got = _kernel_phases((1,), [[q - 1, q - (q >> 60), q - (q >> 52)]], [q] * 3)
+            assert got.tolist() == [1.0, 1.0, (q - (q >> 52)) / q]
+        assert sorted(refused) == sorted([(Q_ODD, Q_ODD - 1), (2**200 + 1, 2**200)])
+
+    def test_coefficient_cap_three_values(self, refused):
+        # every vector of {-5..5}^3 over big and small q, with zero,
+        # cancelling and extreme residues among random ones
+        rng = random.Random(5)
+        qs, basis = [], [[], [], []]
+        for q in (2, 3, 2**31 - 1, 2**32 + 15, 2**128 - 159, Q_ODD, rng.randrange(2**599, 2**600)):
+            for row in ([0, 1, q - 1], [rng.randrange(q) for _ in range(3)]):
+                x = rng.randrange(q)
+                columns = [row, [x, x, x], [x, q - x, 0], [x, 2 * x % q, 3 * x % q]]
+                for column in columns:
+                    qs.append(q)
+                    for j in range(3):
+                        basis[j].append(column[j] % q)
+        bound = ms.COEFF_CAP
+        for a in product(range(-bound, bound + 1), repeat=3):
+            _kernel_phases(a, basis, qs)
+        assert 0 < len(refused) < len(qs) * (2 * bound + 1) ** 3
+
+    def test_small_denominators(self):
+        for q in (2, 3, 7, 65521, 2**31 - 1, 2**32 - 5):
+            rng = random.Random(q)
+            basis = [[rng.randrange(q) for _ in range(64)] for _ in range(2)]
+            for a in product(range(-2, 3), repeat=2):
+                _kernel_phases(a, basis, [q] * 64)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_columns(self, data):
+        size = data.draw(st.integers(1, 3))
+        qs = data.draw(st.lists(st.integers(2, 2**700), min_size=1, max_size=20))
+        basis = [[data.draw(st.integers(0, q - 1)) for q in qs] for _ in range(size)]
+        bound = ms.COEFF_CAP
+        a = data.draw(st.lists(st.integers(-bound, bound), min_size=size, max_size=size))
+        _kernel_phases(tuple(a), basis, qs)
+
+    @pytest.mark.parametrize("factor", [1, 6])
+    def test_sampled_columns_and_images(self, factor, monkeypatch):
+        # many columns of a sampled measure, and its pushforward image, run
+        # through one kernel call per vector
+        calls = []
+        kernel = ms._combination_phases
+        monkeypatch.setattr(ms, "_combination_phases", lambda *a: calls.append(1) or kernel(*a))
+        G = lat.canonicalize([(2, 0), (0, 3)], 2)
+        for group in (G, lat.trivial(2)):
+            m = ms.pushforward_scale(ms.sample_sigma(group, SCHEDULE_BY_SIZE[2], FAM_N_NSQ, 2000, 3), factor)
+            assert m.codes.shape[1] > 2
+            bound = ms.COEFF_CAP
+            vectors = list(product(range(-bound, bound + 1), repeat=2))
+            for k in range(1, SCHEDULE_BY_SIZE[2].depth + 1):
+                values = fm.evaluate(FAM_N_NSQ, SCHEDULE_BY_SIZE[2].indices[k - 1])
+                got = ms._combination_coefficients(m, values, vectors)
+                assert _bits(got) == _bits(_object_coefficients(m, values, vectors))
+        assert len(calls) == 2 * SCHEDULE_BY_SIZE[2].depth * len(vectors)
+
+
 class TestPushforward:
     def test_identity(self):
         m = ms.uniform_atoms([0, F(1, 3)])
