@@ -7,9 +7,11 @@ coordinate with |a_j| = 1.  That condition is decided per coordinate through
 gcds of lattice slices, with witnesses extracted by extended-gcd combinations
 whenever it fails.  `all_splits` decides every F against one A(phi).
 `split_witness_group` does not decide F again: F escapes at j exactly when
-e_j lies in A(phi) + Z^F (e_j = a + f with f in Z^F gives the relation
+e_j lies in G = A(phi) + Z^F (e_j = a + f with f in Z^F gives the relation
 a = e_j - f with a_j = 1), and `lattice.finite_index_extension` refuses
-exactly those e_j.
+exactly those e_j.  G comes from one elimination; every i in F is a unit
+pivot of G, so the extension search runs in the quotient coordinates, at
+most those outside F.
 """
 
 from __future__ import annotations
@@ -159,8 +161,11 @@ def poly_group_condition(fam: fm.SequenceFamily, F: Iterable[int]) -> bool:
 def split_witness_group(fam: fm.SequenceFamily, F: Iterable[int]) -> lat.Lattice:
     """Finite-index H with A(phi) <= H and e_j in H exactly for j in F.
 
-    An infeasible F is refused by `finite_index_extension`; only then is the
-    escaping relation looked up, so the PreconditionError names it as
+    H = G + N Z^l for G = A(phi) + Z^F and the smallest N >= 2 that keeps
+    every e_j with j outside F out of H (`lattice.finite_index_extension`,
+    which searches modulo the unit pivots of G, the e_i for i in F among
+    them).  An infeasible F is refused there; only then is the escaping
+    relation looked up, so the PreconditionError names it as
     `split_feasible` would.
     """
     return _split_witness_group(fm.relation_group(fam), F)
@@ -170,8 +175,8 @@ def _split_witness_group(A: lat.Lattice, F: Iterable[int]) -> lat.Lattice:
     """split_witness_group(fam, F) against its relation group A = A(phi)."""
     size = A.ambient_dim
     F = _subset(F, size)
-    G = lat.lattice_sum(
-        A, lat.canonicalize([lat.standard_basis(size, i) for i in sorted(F)], size)
+    G = lat.canonicalize(
+        [lat.standard_basis(size, i) for i in sorted(F)] + list(A.basis), size
     )
     excluded = [lat.standard_basis(size, j) for j in range(1, size + 1) if j not in F]
     try:

@@ -180,8 +180,13 @@ def member(L: Lattice, v: Sequence[int]) -> bool:
     v = _as_intvec(v)
     if len(v) != L.ambient_dim:
         raise DimensionMismatch(f"vector length {len(v)} vs ambient {L.ambient_dim}")
+    return _in_span(L.basis, v)
+
+
+def _in_span(basis: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
+    """Is v an integer combination of the HNF rows `basis` (same length)?"""
     residue = list(v)
-    for row in L.basis:
+    for row in basis:
         col = next(i for i, x in enumerate(row) if x)
         if residue[col] % row[col]:
             return False
@@ -253,6 +258,19 @@ def index_in_ambient(L: Lattice):
 def finite_index_extension(G: Lattice, excluded: Sequence[Sequence[int]]) -> Lattice:
     """Smallest N >= 2 such that H = G + N Z^l excludes all given vectors.
 
+    The search runs in quotient coordinates.  Let U be the columns where
+    G's HNF has a pivot equal to 1, and R the others.  The other rows of G
+    vanish on U, since their entries there are reduced into [0, 1).
+    Subtracting v_u times the unit row of u, for each u in U, sends v to a
+    vector v' supported on R.  The map v -> v' identifies Z^l modulo the
+    unit rows with Z^R, and sends G onto the lattice G' of the other rows
+    restricted to R (already in HNF) and N Z^l onto N Z^R.  The unit rows
+    lie in G, so v lies in H exactly when v' lies in H' = G' + N Z^R, and H
+    is spanned by the unit rows together with the rows of HNF(H') placed
+    back on R.  Those rows are already echelon, so
+    canonicalize only reduces them above their pivots, and returns the HNF
+    of G + N Z^l itself.  Each N costs one HNF on |R| columns.
+
     A vector outside G has a nonzero image x in Z^l/G = Z^r + T, T finite.
     x stays outside N (Z^l/G), so the vector stays outside H, once N is a
     multiple of the exponent of T larger than every coordinate of x in Z^r;
@@ -264,14 +282,38 @@ def finite_index_extension(G: Lattice, excluded: Sequence[Sequence[int]]) -> Lat
             raise PreconditionError(
                 f"excluded vector {v} already lies in G; no extension exists"
             )
+    dim = G.ambient_dim
+    units, others = {}, []
+    for row in G.basis:
+        col = next(i for i, x in enumerate(row) if x)
+        if row[col] == 1:
+            units[col] = row
+        else:
+            others.append(row)
+    rest = [c for c in range(dim) if c not in units]
+
+    def quotient(v: Sequence[int]) -> list[int]:
+        for col, row in units.items():
+            q = v[col]
+            if q:
+                v = [x - q * y for x, y in zip(v, row)]
+        return [v[c] for c in rest]
+
+    g_rest = [[row[c] for c in rest] for row in others]
+    targets = [quotient(v) for v in excluded]
     n = 2
-    scaled_identity = lambda N: [
-        [N if i == j else 0 for j in range(G.ambient_dim)] for i in range(G.ambient_dim)
-    ]
     while True:
-        H = canonicalize(list(G.basis) + scaled_identity(n), G.ambient_dim)
-        if not any(member(H, v) for v in excluded):
-            return H
+        h = _hnf_rows(
+            g_rest + [[n if c == r else 0 for c in rest] for r in rest]
+        )
+        if not any(_in_span(h, t) for t in targets):
+            lifted = []
+            for row in h:
+                full_row = [0] * dim
+                for c, x in zip(rest, row):
+                    full_row[c] = x
+                lifted.append(full_row)
+            return canonicalize(list(units.values()) + lifted, dim)
         n += 1
 
 

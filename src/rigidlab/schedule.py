@@ -166,6 +166,14 @@ def _near_integer(num: int, den: int, bound: int) -> bool:
     return min(r, den - r) * bound < den
 
 
+def _round_half_even(p: int, q: int) -> int:
+    """round(Fraction(p, q)) for q != 0, on integers: ties go to the even one."""
+    if q < 0:
+        p, q = -p, -q
+    m, r = divmod(p, q)
+    return m + (2 * r > q or (2 * r == q and m % 2 == 1))
+
+
 def _alpha_candidates(
     phi_j: int, others: Sequence[int], window_top: Fraction, calib: Fraction
 ):
@@ -209,7 +217,7 @@ def _alpha_candidates(
             v_lo, v_hi = sorted(sign * o * (c_num + m * c_den) for m in (lo_int, hi_int))
             s_lo, s_hi = -(-v_lo // den), v_hi // den
             for s in range(s_lo, s_hi + 1, max(1, (s_hi - s_lo + 1) // 24))[:25]:
-                yield round(Fraction(s * phi_j * c_den - o * c_num, o * c_den))
+                yield _round_half_even(s * phi_j * c_den - o * c_num, o * c_den)
         # Structured multiples make the off-diagonal phase integral up to the
         # cancelled part; small |m| keeps the generic phases small, so both
         # scans count up from the low end of the window.
@@ -230,21 +238,24 @@ def _pick_alpha(
 ) -> Fraction | None:
     """The first candidate alpha for one coordinate that passes, or None.
 
-    The window holds by construction, and so does the calibration for every
-    candidate but the window-top fallback.  The calibration, the exact_only
-    deferral (give up at the first candidate whose calibration residual is
-    not an integer) and the off-diagonal bound are tested on integer
-    residues.  calib = c_num/d in lowest terms has d = 2 (k!)^2, the inverse
-    of both bounds.
+    The window holds by construction.  So does the calibration of every
+    candidate but the window-top fallback, whose residual phi alpha - c is
+    exactly its integer m.  Only the fallback (the pair equal to top's) is
+    tested for the calibration and for the exact_only deferral, which gives
+    up at a non-integer calibration residual.  Those tests and the
+    off-diagonal bound run on integer residues.  calib = c_num/d in lowest
+    terms has d = 2 (k!)^2, the inverse of both bounds.
     """
     c_num, d = calib.numerator, calib.denominator
+    fallback = (top.numerator, top.denominator)
     for num, den in _alpha_candidates(phi, others, top, calib):
-        residual = phi * num * d - c_num * den  # over den * d
-        if exact_only and residual % (den * d):
-            return None
-        if _near_integer(residual, den * d, d) and all(
-            _near_integer(o * num, den, d) for o in others
-        ):
+        if (num, den) == fallback:
+            residual = phi * num * d - c_num * den  # over den * d
+            if exact_only and residual % (den * d):
+                return None
+            if not _near_integer(residual, den * d, d):
+                continue
+        if all(_near_integer(o * num, den, d) for o in others):
             return Fraction(num, den)
     return None
 

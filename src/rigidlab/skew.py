@@ -262,9 +262,6 @@ class FSTail:
     start_index: int
     sums: tuple[tuple[tuple[int, ...], int], ...]  # (index set, sum)
 
-    def values(self) -> list[int]:
-        return [s for _, s in self.sums]
-
 
 def fs_tail(generators: Sequence[int], start_index: int) -> FSTail:
     gens = tuple(int(g) for g in generators)

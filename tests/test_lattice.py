@@ -4,6 +4,7 @@ plus the structural invariants."""
 import math
 import random
 import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -12,6 +13,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rigidlab import deciders as dec
+from rigidlab import families as fm
 from rigidlab import lattice as lat
 from rigidlab.errors import CapExceeded, DimensionMismatch, PreconditionError
 
@@ -279,6 +282,156 @@ class TestFiniteIndexExtension:
         assert checked > 150
 
 
+@contextmanager
+def time_limit(seconds, what):
+    """Raise TimeoutError in the block after `seconds`: a hang fails the test."""
+
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{what} did not finish in {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def extension_search_oracle(G, excluded):
+    """The full-dimension search the quotient one replaced: for N = 2, 3, ...
+    canonicalize G + N Z^l from its raw rows and test every excluded vector
+    in all l coordinates."""
+    excluded = [tuple(v) for v in excluded]
+    for v in excluded:
+        if lat.member(G, v):
+            raise PreconditionError(
+                f"excluded vector {v} already lies in G; no extension exists"
+            )
+    dim, n = G.ambient_dim, 2
+    while True:
+        scaled = [[n * (i == j) for j in range(dim)] for i in range(dim)]
+        H = lat.canonicalize(list(G.basis) + scaled, dim)
+        if not any(lat.member(H, v) for v in excluded):
+            return H
+        n += 1
+
+
+def _outcome(search, G, excluded):
+    """The basis `search` returns, or the text of its PreconditionError.
+
+    A search that never finds N (a wrong quotient can keep an excluded
+    vector inside every G + N Z^l) fails on the time limit.
+    """
+    try:
+        with time_limit(10, "the extension search"):
+            return search(G, excluded).basis
+    except PreconditionError as err:
+        return str(err)
+
+
+@st.composite
+def extension_instances(draw, nonempty=False):
+    """(G, excluded) over Z^1..Z^6.  G is trivial, full, spanned by rows with
+    unit pivots only, unit rows plus arbitrary ones, rank-deficient or
+    arbitrary; excluded mixes arbitrary vectors with unit vectors."""
+    dim = draw(st.integers(1, 6))
+    vec = st.tuples(*[st.integers(-3, 3)] * dim)
+    unit = lambda j: tuple(int(i == j) for i in range(dim))
+    kind = draw(st.sampled_from(["trivial", "full", "unit", "mixed", "deficient", "any"]))
+    gens = []
+    if kind == "full":
+        gens = [unit(j) for j in range(dim)]
+    if kind in ("unit", "mixed"):
+        for u in draw(st.lists(st.integers(0, dim - 1), unique=True)):
+            tail = draw(st.tuples(*[st.integers(-3, 3)] * (dim - u - 1)))
+            gens.append((0,) * u + (1,) + tail)
+    if kind in ("mixed", "any"):
+        gens += draw(st.lists(vec, max_size=dim + 1))
+    if kind == "deficient":
+        gens = draw(st.lists(vec, max_size=dim - 1))
+    G = lat.canonicalize(gens, dim)
+    # Bounds the torsion of Z^l / G, hence N and the oracle's scan.
+    assume(math.prod(next(x for x in row if x) for row in G.basis) <= 1000)
+    units = [unit(j) for j in draw(st.lists(st.integers(0, dim - 1), unique=True))]
+    excluded = draw(st.permutations(draw(st.lists(vec, max_size=3)) + units))
+    if nonempty:
+        excluded = [v for v in excluded if not lat.member(G, v)]
+        assume(excluded)
+    return G, excluded
+
+
+@st.composite
+def families_with_dependents(draw):
+    """1 to 7 polynomials of degree <= 3; about half of them are integer
+    combinations of two earlier members (repeats, multiples, sums), so that
+    A(phi) is nontrivial and some splits are infeasible."""
+    polys = []
+    for _ in range(draw(st.integers(1, 7))):
+        if polys and draw(st.booleans()):
+            p, q = draw(st.sampled_from(polys)), draw(st.sampled_from(polys))
+            a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            poly = [a * x + b * y for x, y in zip(p, q)]
+        else:
+            poly = draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+        assume(any(poly[1:]))  # constant members are refused
+        polys.append(poly)
+    return polys
+
+
+class TestQuotientSearch:
+    """finite_index_extension against the full-dimension search it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(extension_instances())
+    def test_matches_full_dimension_search(self, instance):
+        G, excluded = instance
+        assert _outcome(lat.finite_index_extension, G, excluded) == _outcome(
+            extension_search_oracle, G, excluded
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(extension_instances(nonempty=True))
+    def test_n_is_smallest(self, instance):
+        # H = G + N Z^l, where N Z^l lies inside H; as H is not Z^l, N is
+        # the exponent of Z^l / H, the smallest n >= 2 with n Z^l in H.
+        # Every M in 2..N-1 leaves some excluded vector in G + M Z^l.
+        G, excluded = instance
+        dim = G.ambient_dim
+        with time_limit(10, "the extension search"):
+            H = lat.finite_index_extension(G, excluded)
+        scaled = lambda m: [[m * (i == j) for j in range(dim)] for i in range(dim)]
+        index = lat.index_in_ambient(H)
+        assert index != lat.INFINITE
+        n = next(
+            m for m in range(2, index + 1) if all(lat.member(H, r) for r in scaled(m))
+        )
+        assert lat.canonicalize(list(G.basis) + scaled(n), dim) == H
+        for m in range(2, n):
+            H_m = lat.canonicalize(list(G.basis) + scaled(m), dim)
+            assert any(lat.member(H_m, v) for v in excluded)
+
+    @settings(max_examples=100, deadline=None)
+    @given(families_with_dependents())
+    def test_split_witness_group_matches(self, polys):
+        fam = fm.polynomial_family(polys)
+        A = fm.relation_group(fam)
+        size = fam.size
+        for mask in range(1 << size):
+            F = {j + 1 for j in range(size) if mask >> j & 1}
+            G = lat.lattice_sum(
+                A, lat.canonicalize([lat.standard_basis(size, i) for i in sorted(F)], size)
+            )
+            excluded = [lat.standard_basis(size, j) for j in range(1, size + 1) if j not in F]
+            expected = _outcome(extension_search_oracle, G, excluded)
+            with time_limit(10, "the witness search"):
+                if isinstance(expected, str):
+                    with pytest.raises(PreconditionError):
+                        dec._split_witness_group(A, F)
+                else:
+                    assert dec._split_witness_group(A, F).basis == expected
+
+
 class TestAnnihilator:
     def test_2z(self):
         A = lat.annihilator(lat.canonicalize([(2,)], 1))
@@ -475,16 +628,8 @@ def test_annihilator_any_rank_oracles(data):
 def test_annihilator_on_repeated_pivot_basis():
     # An elimination that let xgcd(p, p) undo its own pivot step looped
     # forever on this basis; the alarm turns a hang into a failure.
-    def too_slow(signum, frame):
-        raise TimeoutError("annihilator did not finish in 10 s")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(10)
-    try:
+    with time_limit(10, "annihilator"):
         G = lat.canonicalize([(-3, -6, 5), (-5, 6, -4), (-7, 0, 2)], 3)
         A = lat.annihilator(G)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert len(A.finite_reps) == 54 == lat.index_in_ambient(G)
     assert A.torus_directions.is_trivial()

@@ -17,6 +17,7 @@ from rigidlab.schedule import (
     _calibration,
     _near_integer,
     _pick_alpha,
+    _round_half_even,
     build_schedule,
     check_schedule,
     circle_norm,
@@ -157,6 +158,15 @@ class TestIntegerResidues:
         assert _near_integer(num, den, bound) == (
             circle_norm(Fraction(num, den)) < Fraction(1, bound)
         )
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(-(10**40), 10**40), st.integers(-(10**20), 10**20).filter(bool))
+    @example(5, 2)  # a tie rounds down to the even 2
+    @example(7, 2)  # and up to the even 4
+    @example(7, -2)  # -7/2 goes to -4
+    @example(-3, 2)  # -3/2 goes to -2
+    def test_round_half_even_matches_fraction_round(self, p, q):
+        assert _round_half_even(p, q) == round(Fraction(p, q))
 
     @settings(max_examples=300, deadline=None)
     @given(
