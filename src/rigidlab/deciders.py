@@ -5,7 +5,8 @@ rigid along phi_j for j in F and mixing along the rest (on one sequence)
 exactly when no relation a in A(phi) has support escaping F in a single
 coordinate with |a_j| = 1.  That condition is decided per coordinate through
 gcds of lattice slices, with witnesses extracted by extended-gcd combinations
-whenever it fails.  `all_splits` decides every F against one A(phi).
+whenever it fails.  `all_splits` decides every F against one A(phi) and
+slices A once per support set F + {j}, shared by the F it serves.
 `split_witness_group` does not decide F again: F escapes at j exactly when
 e_j lies in G = A(phi) + Z^F (e_j = a + f with f in Z^F gives the relation
 a = e_j - f with a_j = 1), and `lattice.finite_index_extension` refuses
@@ -69,23 +70,24 @@ def _unit_coordinate_witness(slice_lattice: lat.Lattice, j: int) -> lat.IntVec:
     return tuple(vec)
 
 
-def _subset(F: Iterable[int], size: int) -> set[int]:
-    F = set(F)
+def _subset(F: Iterable[int], size: int) -> frozenset[int]:
+    F = frozenset(F)
     if any(not 1 <= j <= size for j in F):
         raise PreconditionError("F contains an out-of-range index")
     return F
 
 
-def _escape(A: lat.Lattice, F: set[int] | frozenset[int]) -> SplitVerdict:
+def _escape(A: lat.Lattice, F: frozenset[int], slices: dict) -> SplitVerdict:
     """Infeasible iff some coordinate j outside F reaches gcd 1 in the slice
     of A supported on F + {j}; the witness then lies in A, has support
-    escaping F only at j, and has a_j = 1."""
+    escaping F only at j, and has a_j = 1.  slices holds the slices taken."""
     for j in range(1, A.ambient_dim + 1):
         if j in F:
             continue
-        slice_lattice = lat.intersect_coordinate_subspace(A, F | {j})
-        if lat.coordinate_image_gcd(slice_lattice, j) == 1:
-            w = _unit_coordinate_witness(slice_lattice, j)
+        if (S := F | {j}) not in slices:
+            slices[S] = lat.intersect_coordinate_subspace(A, S)
+        if lat.coordinate_image_gcd(slices[S], j) == 1:
+            w = _unit_coordinate_witness(slices[S], j)
             return SplitVerdict(False, witness_vector=w, witness_coordinate=j)
     return SplitVerdict(True)
 
@@ -93,7 +95,7 @@ def _escape(A: lat.Lattice, F: set[int] | frozenset[int]) -> SplitVerdict:
 def split_feasible(fam: fm.SequenceFamily, F: Iterable[int]) -> SplitVerdict:
     """Can one sequence make phi_j rigid exactly for j in F?"""
     A = fm.relation_group(fam)
-    return _escape(A, _subset(F, A.ambient_dim))
+    return _escape(A, _subset(F, A.ambient_dim), {})
 
 
 def all_splits(fam: fm.SequenceFamily) -> dict[frozenset[int], SplitVerdict]:
@@ -101,10 +103,10 @@ def all_splits(fam: fm.SequenceFamily) -> dict[frozenset[int], SplitVerdict]:
     if size > ALL_SPLITS_MAX_DIM:
         raise CapExceeded(f"2^{size} subsets exceed the enumeration cap")
     A = fm.relation_group(fam)
-    table = {}
+    table, slices = {}, {}  # a support set S is the F + {j} of |S| subsets F
     for mask in range(1 << size):
         F = frozenset(j + 1 for j in range(size) if mask >> j & 1)
-        table[F] = _escape(A, F)
+        table[F] = _escape(A, F, slices)
     return table
 
 
@@ -182,7 +184,7 @@ def _split_witness_group(A: lat.Lattice, F: Iterable[int]) -> lat.Lattice:
     try:
         return lat.finite_index_extension(G, excluded)
     except PreconditionError:
-        verdict = _escape(A, F)
+        verdict = _escape(A, F, {})
         raise PreconditionError(
             f"split infeasible for F={sorted(F)}: the relation "
             f"{verdict.witness_vector} of A(phi) escapes F only at coordinate "

@@ -67,8 +67,8 @@ counts[i] / W for one denominator W (n_samples when sampled, the lcm of the
 weight denominators for explicit atoms).  atoms sums each word's numerator
 over the common denominator L of the column alphas and merges the counts of
 equal numerators, and the explicit-atom constructor (and with it from_json)
-merges and sorts on the numerators x * L mod L.  Only the distinct atoms
-handed out by atoms become Fractions.
+merges and sorts on the numerators x * L mod L.  Canonical atom texts are
+read into integers and written from them; only atoms builds Fractions.
 
 The words of a measure are distinct rows of its code matrix in increasing
 lexicographic order (sample_sigma's lexsort of its packed mixed-radix word
@@ -221,19 +221,19 @@ class AtomicMeasure:
     ):
         self._atoms = None
         if atoms is not None:
-            parsed = []
+            parsed = []  # (x numerator, x denominator, w numerator, w denominator)
             for x, w in atoms:
-                x, w = Fraction(x), Fraction(w)
-                if w <= 0:
+                parsed.append(_rational(x) + _rational(w))
+                if parsed[-1][2] <= 0:
                     raise PreconditionError("atom weights must be positive")
-                parsed.append((x, w))
-            L = math.lcm(*(x.denominator for x, _ in parsed))
-            denominator = math.lcm(*(w.denominator for _, w in parsed))
+            x_dens, w_dens = {a[1] for a in parsed}, {a[3] for a in parsed}
+            L, denominator = math.lcm(*x_dens), math.lcm(*w_dens)
+            x_step = {q: L // q for q in x_dens}
+            w_step = {q: denominator // q for q in w_dens}
             merged: dict[int, int] = {}
-            for x, w in parsed:
-                key = x.numerator * (L // x.denominator) % L  # x mod 1 = key / L
-                count = w.numerator * (denominator // w.denominator)
-                merged[key] = merged.get(key, 0) + count
+            for xn, xd, wn, wd in parsed:
+                key = xn * x_step[xd] % L  # x mod 1 = key / L
+                merged[key] = merged.get(key, 0) + wn * w_step[wd]
             digits = sorted(merged)
             alphas = ((Fraction(1, L),),)
             categories = [digits]
@@ -253,37 +253,36 @@ class AtomicMeasure:
         self._runs = _prefix_runs(codes)
         self._float_columns: dict = {}  # filled by _float_column; images share it
 
-    def total_weight(self) -> Fraction:
-        return Fraction(sum(self.counts), self.denominator)
-
     def _flat_alphas(self) -> list[Fraction]:
         return [a for level in self.alphas for a in level]
 
     @property
     def atoms(self) -> tuple:
-        """Distinct (position, weight) pairs in increasing position order.
+        """Distinct (position, weight) Fractions in increasing position order."""
+        if self._atoms is None:
+            L, pairs = self._integer_atoms()
+            self._atoms = tuple((Fraction(x, L), Fraction(c, self.denominator)) for x, c in pairs)
+        return self._atoms
+
+    def _integer_atoms(self) -> tuple[int, list[tuple[int, int]]]:
+        """(L, [(x, c), ...]): the atoms x / L with weight c / denominator.
 
         Each word's position is the integer numerator scale * sum d * p * (L/q)
         over the common denominator L of the column alphas p/q, summed over
-        the prefix tree; words merge their integer counts on equal numerators
-        mod L, and only the distinct atoms become Fractions.
+        the prefix tree; words merge their counts on equal numerators mod L.
         """
-        if self._atoms is None:
-            flat = self._flat_alphas()
-            L = math.lcm(*(a.denominator for a in flat))
-            scale = int(self.scale)
-            columns = []
-            for a, digits in zip(flat, self.categories, strict=True):
-                step = scale * a.numerator * (L // a.denominator)
-                columns.append(np.array([int(d) * step % L for d in digits], dtype=object))
-            merged: dict[int, int] = {}
-            for x, c in zip(self._tree_sum(columns, object).tolist(), self.counts):
-                x %= L
-                merged[x] = merged.get(x, 0) + c
-            self._atoms = tuple(
-                (Fraction(x, L), Fraction(merged[x], self.denominator)) for x in sorted(merged)
-            )
-        return self._atoms
+        flat = self._flat_alphas()
+        L = math.lcm(*(a.denominator for a in flat))
+        scale = int(self.scale)
+        columns = []
+        for a, digits in zip(flat, self.categories, strict=True):
+            step = scale * a.numerator * (L // a.denominator)
+            columns.append(np.array([int(d) * step % L for d in digits], dtype=object))
+        merged: dict[int, int] = {}
+        for x, c in zip(self._tree_sum(columns, object).tolist(), self.counts):
+            x %= L
+            merged[x] = merged.get(x, 0) + c
+        return L, [(x, merged[x]) for x in sorted(merged)]
 
     def residues(self, t: int) -> list[int]:
         """Per column, t * scale * p mod q for the column's alpha p/q.
@@ -346,8 +345,9 @@ class AtomicMeasure:
         return partial
 
     def to_json(self) -> dict:
+        L, pairs = self._integer_atoms()
         return {
-            "atoms": [[str(x), str(w)] for x, w in self.atoms],
+            "atoms": [[_ratio_text(x, L), _ratio_text(c, self.denominator)] for x, c in pairs],
         }
 
     @staticmethod
@@ -416,13 +416,25 @@ def _mod1(x: np.ndarray) -> np.ndarray:
     return x - np.floor(x)
 
 
-def dirac(position=0) -> AtomicMeasure:
-    return AtomicMeasure([(Fraction(position), Fraction(1))])
+def _rational(x) -> tuple[int, int]:
+    """Fraction(x) as (numerator, denominator).  Canonical ASCII "p" and "p/q"
+    (digits, an optional leading "-", q > 0) skip Fraction; every other form
+    goes through it, so what is accepted and refused is what it does."""
+    if isinstance(x, str) and x.isascii():
+        p, slash, q = x.partition("/")
+        if (p[1:] if p[:1] == "-" else p).isdigit() and (q.isdigit() or not slash):
+            p, q = int(p), int(q) if slash else 1
+            if q:
+                g = math.gcd(p, q)
+                return p // g, q // g
+    x = Fraction(x)
+    return x.numerator, x.denominator
 
 
-def uniform_atoms(positions: Sequence) -> AtomicMeasure:
-    n = len(positions)
-    return AtomicMeasure([(Fraction(x), Fraction(1, n)) for x in positions])
+def _ratio_text(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, without building the Fraction."""
+    g = math.gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 def _fold(words: list, code: np.ndarray, radix: int) -> None:

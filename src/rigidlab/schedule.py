@@ -22,6 +22,11 @@ builder tests the calibration of that fallback, the off-diagonal and the
 history inequalities on exact integer residues (`_near_integer`), and
 check_schedule replays all four in Fraction as the postcondition.  The
 search raises SearchExhausted when the budget runs out.
+
+The strict off-diagonal bound becomes a window on integer residues, linear
+along a stream of candidate m (_pick_alpha), so `_first_hit` jumps to the
+first candidate inside it in O(log den) steps.  A stream's repeat of an m
+fails as it did before, so the first pass is that of the one-by-one search.
 """
 
 from __future__ import annotations
@@ -174,63 +179,35 @@ def _round_half_even(p: int, q: int) -> int:
     return m + (2 * r > q or (2 * r == q and m % 2 == 1))
 
 
-def _alpha_candidates(
-    phi_j: int, others: Sequence[int], window_top: Fraction, calib: Fraction
-):
-    """Candidate alphas (c + m)/phi within the window, best-structured first.
+def _first_hit(a: int, b: int, m: int, w: int) -> int | None:
+    """Least x >= 0 with (a x + b) mod m <= w, for m > 0; None if there is none.
 
-    Each candidate is an unreduced pair (num, den) with den > 0.  Every one
-    but the last comes from an integer m in the window's range, so it lies in
-    (0, window_top] and its calibration residual phi alpha - c is exactly m;
-    multiples of phi_j / gcd(phi_j, gcd(others)) additionally make the
-    off-diagonal phase an exact integer plus a term the index divisibility
-    cancels.  Three streams of m follow one another (targeted, structured
-    multiples, plain m upward from the low end), then the window top as the
-    last resort.
+    With c = b mod m > w this is the least x with L <= a x mod m <= R for
+    L = m - c >= 1 and R = L + w < m, found by Euclid's recursion on
+    (a mod m, m).  If [L, R] holds a multiple of a, the least one gives x.
+    Otherwise R - L < a, and a x - m y lies in [L, R] exactly when m y mod a
+    lies in [-R mod a, -L mod a], a window of the same width inside
+    [1, a - 1].  Each y admits at most the one x = ceil((m y + L) / a),
+    increasing in y, so the least y gives the least x.  The moduli fall as
+    in Euclid's algorithm, and a = 0 has no hit.
     """
-    if phi_j == 0:
-        return
-    c_num, c_den = calib.numerator, calib.denominator
-    sign, den = (1 if phi_j > 0 else -1), c_den * abs(phi_j)
-    if phi_j > 0:
-        lo_m = -calib  # exclusive
-        hi_m = window_top * phi_j - calib  # inclusive
-        lo_int = math.floor(lo_m) + 1
-        hi_int = math.floor(hi_m)
-    else:
-        # alpha > 0 needs c + m < 0: m in [window_top*phi - c, -c)
-        lo_int = math.ceil(window_top * phi_j - calib)
-        hi_int = math.ceil(-calib) - 1
-    if hi_int < lo_int:
-        # No exact-calibration candidate; fall back to the window top.
-        yield window_top.numerator, window_top.denominator
-        return
-    g = math.gcd(*others)
-    unit = abs(phi_j) // math.gcd(phi_j, g) if g else 1
-
-    def m_streams():
-        # Targeted candidates: land o (c + m) / phi_j on an integer s for each
-        # other coordinate o, which pins the fastest-moving off-diagonal
-        # phase; s takes up to 25 evenly spaced values between the ends of
-        # the m range (v_lo, v_hi are numerators over den).
-        for o in filter(None, others):
-            v_lo, v_hi = sorted(sign * o * (c_num + m * c_den) for m in (lo_int, hi_int))
-            s_lo, s_hi = -(-v_lo // den), v_hi // den
-            for s in range(s_lo, s_hi + 1, max(1, (s_hi - s_lo + 1) // 24))[:25]:
-                yield _round_half_even(s * phi_j * c_den - o * c_num, o * c_den)
-        # Structured multiples make the off-diagonal phase integral up to the
-        # cancelled part; small |m| keeps the generic phases small, so both
-        # scans count up from the low end of the window.
-        if unit > 1:
-            yield from range(-(-lo_int // unit) * unit, hi_int + 1, unit)[:_M_CANDIDATES]
-        yield from range(lo_int, hi_int + 1)[:_M_CANDIDATES]
-
-    seen = set()
-    for m in m_streams():
-        if lo_int <= m <= hi_int and m not in seen:
-            seen.add(m)
-            yield sign * (c_num + m * c_den), den
-    yield window_top.numerator, window_top.denominator
+    c = b % m
+    if c <= w:
+        return 0
+    lo, hi = m - c, m - c + w
+    levels = []
+    while True:
+        a %= m
+        if a == 0:
+            return None
+        x = -(-lo // a)
+        if a * x <= hi:
+            break
+        levels.append((m, lo, a))
+        a, m, lo, hi = m, a, -hi % a, -lo % a
+    for m, lo, a in reversed(levels):
+        x = -(-(m * x + lo) // a)
+    return x
 
 
 def _pick_alpha(
@@ -238,26 +215,68 @@ def _pick_alpha(
 ) -> Fraction | None:
     """The first candidate alpha for one coordinate that passes, or None.
 
-    The window holds by construction.  So does the calibration of every
-    candidate but the window-top fallback, whose residual phi alpha - c is
-    exactly its integer m.  Only the fallback (the pair equal to top's) is
-    tested for the calibration and for the exact_only deferral, which gives
-    up at a non-integer calibration residual.  Those tests and the
-    off-diagonal bound run on integer residues.  calib = c_num/d in lowest
-    terms has d = 2 (k!)^2, the inverse of both bounds.
+    Candidates (c + m)/phi come from integers m in the window's range, so
+    each lies in (0, top] with calibration residual phi alpha - c exactly m.
+    Three streams of m, best-structured first: targeted m landing
+    o (c + m)/phi on an integer s for each other coordinate o (up to 25
+    evenly spaced s), which pins the fastest-moving off-diagonal phase;
+    multiples of phi / gcd(phi, gcd(others)), which make the off-diagonal
+    phase an exact integer plus a term the index divisibility cancels; plain
+    m.  The last two count up from the low end (small |m| keeps the generic
+    phases small), at most _M_CANDIDATES each.  Only the last resort, the
+    window top, is tested for the calibration and for the exact_only
+    deferral, which gives up at a non-integer calibration residual.  calib =
+    c_num/d in lowest terms has d = 2 (k!)^2, the inverse of both bounds.
+
+    On alpha = num/den, den = d |phi|, the strict bound ||o alpha|| < 1/d is
+    _near_integer(o num, den, d), and with W = (den - 1) // d < den / 2 it
+    is the window (o num + W) mod den <= 2W.  On the streams m = m0 + step t
+    that is linear in t, so _first_hit finds the first t passing one nonzero
+    other; all others are tested there, and a miss resumes at t + 1.  A
+    stream may repeat an m tested before; it failed then and fails again,
+    so the first pass is that of the search that skips repeats.
     """
+    if phi == 0:
+        return None
     c_num, d = calib.numerator, calib.denominator
-    fallback = (top.numerator, top.denominator)
-    for num, den in _alpha_candidates(phi, others, top, calib):
-        if (num, den) == fallback:
-            residual = phi * num * d - c_num * den  # over den * d
-            if exact_only and residual % (den * d):
-                return None
-            if not _near_integer(residual, den * d, d):
-                continue
-        if all(_near_integer(o * num, den, d) for o in others):
-            return Fraction(num, den)
-    return None
+    sign, den = (1 if phi > 0 else -1), d * abs(phi)
+    if phi > 0:
+        lo_int = math.floor(-calib) + 1  # alpha > 0
+        hi_int = math.floor(top * phi - calib)  # alpha <= top
+    else:
+        # alpha > 0 needs c + m < 0: m in [top phi - c, -c)
+        lo_int = math.ceil(top * phi - calib)
+        hi_int = math.ceil(-calib) - 1
+    if lo_int <= hi_int:
+        for o in filter(None, others):
+            # v_lo, v_hi: o (c + m) / phi at the ends of the m range, over den
+            v_lo, v_hi = sorted(sign * o * (c_num + m * d) for m in (lo_int, hi_int))
+            s_lo, s_hi = -(-v_lo // den), v_hi // den
+            for s in range(s_lo, s_hi + 1, max(1, (s_hi - s_lo + 1) // 24))[:25]:
+                m = _round_half_even(s * phi * d - o * c_num, o * d)
+                num = sign * (c_num + m * d)
+                if lo_int <= m <= hi_int and all(_near_integer(v * num, den, d) for v in others):
+                    return Fraction(num, den)
+        g = math.gcd(*others)
+        unit = abs(phi) // math.gcd(phi, g) if g else 1
+        o, w = next(filter(None, others), 0), (den - 1) // d
+        for step in dict.fromkeys((unit, 1)):
+            m0 = -(-lo_int // step) * step
+            count = min(_M_CANDIDATES, (hi_int - m0) // step + 1)
+            a, b = o * sign * step * d, o * sign * (c_num + m0 * d) + w
+            t = 0
+            while t < count and (hit := _first_hit(a, b + a * t, den, 2 * w)) is not None:
+                t += hit
+                num = sign * (c_num + (m0 + step * t) * d)
+                if t < count and all(_near_integer(v * num, den, d) for v in others):
+                    return Fraction(num, den)
+                t += 1
+    num, den = top.numerator, top.denominator
+    residual = phi * num * d - c_num * den  # over den * d
+    if exact_only and residual % (den * d):
+        return None
+    calibrated = _near_integer(residual, den * d, d)
+    return top if calibrated and all(_near_integer(o * num, den, d) for o in others) else None
 
 
 def _chain_modulus(
@@ -292,7 +311,7 @@ def build_schedule(
 
     Requires an asymptotically linearly independent family.  Window and
     calibration hold by construction of the candidate alphas (see
-    _alpha_candidates); the off-diagonal and history bounds, and the
+    _pick_alpha); the off-diagonal and history bounds, and the
     calibration of the window-top fallback, are tested on integer residues.
     The result passes check_schedule.  Raises SearchExhausted when the
     budget runs out (shifted-constant families beyond depth 2 typically need

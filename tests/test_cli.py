@@ -15,6 +15,8 @@ from rigidlab import measure as ms
 from rigidlab.cli import parse_poly_expr, run
 from rigidlab.errors import ParseError
 
+from measure_helpers import total_weight
+
 
 @pytest.fixture
 def families(tmp_path):
@@ -372,7 +374,7 @@ class TestDeterminism:
         )
         bundle = json.loads(sigma.read_text())
         m = AtomicMeasure.from_json(bundle["sigma"])
-        assert m.total_weight() == 1
+        assert total_weight(m) == 1
         G = lat.Lattice.from_json(bundle["group"])
         assert G.to_json() == bundle["group"]
 

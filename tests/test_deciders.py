@@ -130,6 +130,30 @@ class TestAllSplits:
         table = dec.all_splits(FAM_N_NSQ)
         assert all(v.feasible for v in table.values())
 
+    def test_slices_each_support_set_once(self, monkeypatch):
+        # F + {j} is the same support set for every j outside F it adds;
+        # all_splits slices it once and keeps no slice across calls.
+        rng, dep_rng = random.Random(7), random.Random(8)
+        families = [with_dependent_member(random_poly_family(rng, 4, 3), dep_rng)
+                    for _ in range(12)]
+        want = [{F: dec.split_feasible(fam, F) for F in dec.all_splits(fam)}
+                for fam in families]
+        sliced = []
+        original = lat.intersect_coordinate_subspace
+
+        def spy(A, S):
+            sliced.append(frozenset(S))
+            return original(A, S)
+
+        monkeypatch.setattr(lat, "intersect_coordinate_subspace", spy)
+        for fam, table in zip(families, want):
+            sliced.clear()
+            assert dec.all_splits(fam) == table
+            assert sliced and len(sliced) == len(set(sliced))
+            sliced.clear()
+            dec.all_splits(fam)
+            assert sliced
+
 
 class TestInterpolationCondition:
     def test_6_10_15(self):

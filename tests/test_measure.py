@@ -10,7 +10,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigidlab import families as fm
@@ -20,6 +20,8 @@ from rigidlab import schedule as sc
 from rigidlab.demos import build_cor65_group
 from rigidlab.errors import CapExceeded, DimensionMismatch, PreconditionError, UnsupportedShape
 from rigidlab.schedule import build_schedule
+
+from measure_helpers import dirac, total_weight, uniform_atoms
 
 FAM_N = fm.polynomial_family([[0, 1]])
 FAM_N_NSQ = fm.polynomial_family([[0, 1], [0, 0, 1]])
@@ -105,20 +107,20 @@ class TestSampling:
         s = build_schedule(FAM_N_NSQ, 3)
         G = lat.canonicalize([(2, 0), (0, 3)], 2)
         m = ms.sample_sigma(G, s, FAM_N_NSQ, 777, seed=5)
-        assert m.total_weight() == 1
+        assert total_weight(m) == 1
 
 
 class TestFourier:
     def test_dirac(self):
-        assert ms.fourier_coefficient(ms.dirac(0), 12345) == pytest.approx(1)
+        assert ms.fourier_coefficient(dirac(0), 12345) == pytest.approx(1)
 
     def test_two_point(self):
-        m = ms.uniform_atoms([0, F(1, 2)])
+        m = uniform_atoms([0, F(1, 2)])
         assert abs(ms.fourier_coefficient(m, 1)) < 1e-12
         assert ms.fourier_coefficient(m, 2).real == pytest.approx(1)
 
     def test_three_point(self):
-        m = ms.uniform_atoms([0, F(1, 3), F(2, 3)])
+        m = uniform_atoms([0, F(1, 3), F(2, 3)])
         assert ms.fourier_coefficient(m, 3).real == pytest.approx(1)
         assert abs(ms.fourier_coefficient(m, 1)) < 1e-12
 
@@ -712,7 +714,7 @@ class TestExplicitAtoms:
         atoms = [(F(x), F(w)) for x, w in pairs]
         m = ms.AtomicMeasure.from_json({"atoms": pairs})
         _assert_explicit(m, atoms)
-        assert m.total_weight() == 1
+        assert total_weight(m) == 1
         assert ms.AtomicMeasure.from_json(m.to_json()) == m
 
     @pytest.mark.parametrize("text", ["1/0", "1/-2", "a/2", "1//2", ""])
@@ -721,6 +723,43 @@ class TestExplicitAtoms:
             F(text)
         with pytest.raises(want.type):
             ms.AtomicMeasure.from_json({"atoms": [[text, "1"]]})
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.text(alphabet="0123456789-+/_. e", max_size=12),
+        st.text(alphabet="0123456789-/\u0661\u0662\u00b2\uff13", max_size=6),
+        st.tuples(st.integers(-(10**50), 10**50), st.integers(0, 10**50)).map(
+            lambda p: f"{p[0]}/{p[1]}"),
+    ))
+    @example("-")
+    @example("1/")
+    @example("/2")
+    @example("--1")
+    @example("+3")
+    @example("1/+2")
+    @example("-0/7")
+    @example("0/0")
+    @example("\u0661\u0662/3")  # non-ASCII digits Fraction accepts
+    @example("12/\u0663")
+    @example("\u00b2")  # a digit to isdigit, not to Fraction
+    def test_rational_reads_what_fraction_reads(self, text):
+        try:
+            want = F(text)
+        except (ValueError, ZeroDivisionError) as error:
+            with pytest.raises(type(error)):
+                ms._rational(text)
+        else:
+            assert ms._rational(text) == (want.numerator, want.denominator)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+    def test_ratio_text_is_fraction_str(self, p, q):
+        assert ms._ratio_text(p, q) == str(F(p, q))
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.one_of(_sampled_measures(), _explicit_atoms().map(ms.AtomicMeasure)))
+    def test_to_json_is_fraction_text(self, m):
+        assert m.to_json() == {"atoms": [[str(x), str(w)] for x, w in m.atoms]}
 
     @settings(max_examples=100, deadline=None)
     @given(m=_sampled_measures(), factor=st.sampled_from([1, 1000, 10**9 + 7]))
@@ -964,15 +1003,15 @@ class TestCombinationPhases:
 
 class TestPushforward:
     def test_identity(self):
-        m = ms.uniform_atoms([0, F(1, 3)])
+        m = uniform_atoms([0, F(1, 3)])
         assert ms.pushforward_scale(m, 1) == m
 
     def test_halves_collapse(self):
-        m = ms.uniform_atoms([0, F(1, 2)])
+        m = uniform_atoms([0, F(1, 2)])
         assert ms.pushforward_scale(m, 2).atoms == ((F(0), F(1)),)
 
     def test_thirds_collapse(self):
-        m = ms.uniform_atoms([0, F(1, 3), F(2, 3)])
+        m = uniform_atoms([0, F(1, 3), F(2, 3)])
         assert ms.pushforward_scale(m, 3).atoms == ((F(0), F(1)),)
 
     def test_mass_preserved_and_fourier_commutes(self):
@@ -980,7 +1019,7 @@ class TestPushforward:
         G = lat.canonicalize([(2, 0), (0, 3)], 2)
         m = ms.sample_sigma(G, s, FAM_N_NSQ, 400, seed=21)
         p = ms.pushforward_scale(m, 6)
-        assert p.total_weight() == 1
+        assert total_weight(p) == 1
         for t in (1, 5, 44):
             assert abs(
                 ms.fourier_coefficient(p, t) - ms.fourier_coefficient(m, 6 * t)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigidlab import families as fm
+from rigidlab import schedule as sc
 from rigidlab.errors import PreconditionError, SearchExhausted
 from rigidlab.schedule import (
+    _M_CANDIDATES,
     Schedule,
-    _alpha_candidates,
     _calibration,
+    _first_hit,
     _near_integer,
     _pick_alpha,
     _round_half_even,
@@ -124,6 +127,73 @@ class TestBuildSchedule:
         assert schedule_sha256(s) == digest
 
 
+def _alpha_candidates(
+    phi_j: int, others: Sequence[int], window_top: Fraction, calib: Fraction
+):
+    """Every candidate alpha the picker may try, in its order, one by one.
+
+    Each candidate is an unreduced pair (num, den) with den > 0.  Every one
+    but the last comes from an integer m in the window's range, so it lies in
+    (0, window_top] and its calibration residual phi alpha - c is exactly m.
+    Three streams of m follow one another (targeted, structured multiples,
+    plain m upward from the low end), repeats skipped, then the window top as
+    the last resort.
+    """
+    if phi_j == 0:
+        return
+    c_num, c_den = calib.numerator, calib.denominator
+    sign, den = (1 if phi_j > 0 else -1), c_den * abs(phi_j)
+    if phi_j > 0:
+        lo_m = -calib  # exclusive
+        hi_m = window_top * phi_j - calib  # inclusive
+        lo_int = math.floor(lo_m) + 1
+        hi_int = math.floor(hi_m)
+    else:
+        # alpha > 0 needs c + m < 0: m in [window_top*phi - c, -c)
+        lo_int = math.ceil(window_top * phi_j - calib)
+        hi_int = math.ceil(-calib) - 1
+    if hi_int < lo_int:
+        # No exact-calibration candidate; fall back to the window top.
+        yield window_top.numerator, window_top.denominator
+        return
+    g = math.gcd(*others)
+    unit = abs(phi_j) // math.gcd(phi_j, g) if g else 1
+
+    def m_streams():
+        for o in filter(None, others):
+            v_lo, v_hi = sorted(sign * o * (c_num + m * c_den) for m in (lo_int, hi_int))
+            s_lo, s_hi = -(-v_lo // den), v_hi // den
+            for s in range(s_lo, s_hi + 1, max(1, (s_hi - s_lo + 1) // 24))[:25]:
+                yield _round_half_even(s * phi_j * c_den - o * c_num, o * c_den)
+        if unit > 1:
+            yield from range(-(-lo_int // unit) * unit, hi_int + 1, unit)[:_M_CANDIDATES]
+        yield from range(lo_int, hi_int + 1)[:_M_CANDIDATES]
+
+    seen = set()
+    for m in m_streams():
+        if lo_int <= m <= hi_int and m not in seen:
+            seen.add(m)
+            yield sign * (c_num + m * c_den), den
+    yield window_top.numerator, window_top.denominator
+
+
+def pick_alpha_loop(phi, others, top, calib, exact_only):
+    """The candidate loop _pick_alpha replaced: every candidate tested in turn
+    on integer residues, through the module's _near_integer."""
+    c_num, d = calib.numerator, calib.denominator
+    fallback = (top.numerator, top.denominator)
+    for num, den in _alpha_candidates(phi, others, top, calib):
+        if (num, den) == fallback:
+            residual = phi * num * d - c_num * den  # over den * d
+            if exact_only and residual % (den * d):
+                return None
+            if not sc._near_integer(residual, den * d, d):
+                continue
+        if all(sc._near_integer(o * num, den, d) for o in others):
+            return Fraction(num, den)
+    return None
+
+
 def pick_alpha_reference(phi, others, top, calib, exact_only, k):
     """The Fraction loop the integer picker replaced, over the same candidates."""
     tight = Fraction(1, 2 * math.factorial(k) ** 2)
@@ -207,6 +277,121 @@ class TestIntegerResidues:
             a = Fraction(num, den)
             assert 0 < a <= top
             assert (phi * a - calib).denominator == 1
+
+
+def first_hit_brute(a, b, m, w, count):
+    return next((x for x in range(count) if (a * x + b) % m <= w), None)
+
+
+class TestFirstHit:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.integers(-(10**60), 10**60),
+        st.integers(-(10**60), 10**60),
+        st.integers(1, 10**60),
+        st.integers(0, 10**60),
+        st.integers(0, 200),
+    )
+    @example(0, 5, 10**60, 0, 7)  # a = 0: no hit
+    @example(0, 3, 10**60, 2, 7)  # a = 0 with b inside the window: L = 0
+    @example(10**59 + 1, 10**58, 10**60, 0, 200)  # W = 0: residue 0 only
+    @example(3, -7, 10**20, 4, 0)  # count 0
+    def test_matches_brute_force_on_the_stream_window(self, a, b, den, w, count):
+        # the off-diagonal window (a t + b + W) mod den <= 2W, W <= (den - 1) // 2
+        w %= (den - 1) // 2 + 1
+        x = _first_hit(a, b + w, den, 2 * w)
+        brute = first_hit_brute(a, b + w, den, 2 * w, count)
+        if brute is not None:
+            assert x == brute
+        else:
+            assert x is None or x >= count
+        if x is not None:
+            assert (a * x + b + w) % den <= 2 * w
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 12, 30])
+    def test_whole_period_on_small_moduli(self, m):
+        # a x mod m repeats with period m, so a brute force over one period
+        # decides every case, no-hit included
+        for a in range(-m, 2 * m):
+            for b in range(m):
+                for w in range(m):
+                    assert _first_hit(a, b, m, w) == first_hit_brute(a, b, m, w, m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6), st.integers(1, 5000), st.data())
+    def test_whole_period_on_random_moduli(self, a, b, m, data):
+        w = data.draw(st.integers(0, m - 1))
+        assert _first_hit(a, b, m, w) == first_hit_brute(a, b, m, w, m)
+
+
+def structured_others(phi):
+    """Other coordinates that share factors with phi, vanish, or not."""
+    return st.lists(
+        st.one_of(
+            st.integers(-5, 5).map(lambda s: s * phi),
+            st.just(0),
+            st.tuples(st.integers(-(10**30), 10**30), st.sampled_from([1, 2, 6, 24])).map(
+                lambda p: p[0] * p[1]
+            ),
+            st.integers(-(10**8), 10**8),
+            st.integers(-(10**40), 10**40),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+
+
+class TestPickAlpha:
+    @settings(max_examples=600, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.one_of(st.integers(-(10**8), 10**8), st.integers(-(10**30), 10**30))
+        .filter(bool)
+        .flatmap(lambda phi: st.tuples(st.just(phi), structured_others(phi))),
+        # wide windows (small denominators) let the m streams run past
+        # candidates that pass one other and fail the next
+        st.builds(
+            Fraction,
+            st.integers(1, 3),
+            st.sampled_from([10**6, 10**12]).flatmap(lambda n: st.integers(1, n)),
+        ),
+        st.booleans(),
+    )
+    @example(2, (-866434, [-32835072, 22316668]), Fraction(1, 50), False)
+    @example(2, (445, [-48921259, -12474913]), Fraction(3), False)
+    def test_matches_candidate_loop(self, k, phi_others, top, exact_only):
+        phi, others = phi_others
+        calib = _calibration(k)
+        assert _pick_alpha(phi, others, top, calib, exact_only) == (
+            pick_alpha_loop(phi, others, top, calib, exact_only)
+        )
+
+    def test_shifted_build_skips_refused_candidates(self, monkeypatch):
+        # The shifted family's depth-2 build refuses ~117 candidates per pick
+        # one by one in the candidate loop.  Count the residue tests and the
+        # first-hit searches of the build against those of the loop.
+        fam = fm.polynomial_family([[1, 1], [2, 0, 1]])
+        counts = {"near": 0, "hits": 0}
+        near, first_hit = sc._near_integer, sc._first_hit
+
+        def counted(key, f):
+            def wrapper(*args):
+                counts[key] += 1
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(sc, "_near_integer", counted("near", near))
+        monkeypatch.setattr(sc, "_first_hit", counted("hits", first_hit))
+        s = build_schedule(fam, 2)
+        tests, searches = counts["near"], counts["hits"]
+        monkeypatch.setattr(sc, "_pick_alpha", pick_alpha_loop)
+        counts["near"] = 0
+        assert schedule_sha256(build_schedule(fam, 2)) == schedule_sha256(s)
+        loop_tests = counts["near"]
+        assert loop_tests > 100_000
+        # what is left is mostly the targeted stream, tested one by one
+        assert tests <= 0.3 * loop_tests
+        assert searches <= 0.1 * loop_tests
 
 
 class TestCheckSchedule:

@@ -30,19 +30,21 @@ from rigidlab.skew import (
     skew_correlation,
 )
 
+from measure_helpers import dirac, uniform_atoms
+
 B23 = CircleSet.interval(0, F(2, 3))
 
 
 class TestSkewCorrelation:
     def test_zero_shifts_give_base_measure(self):
-        base = ms.uniform_atoms([0, F(1, 7), F(3, 7)])
+        base = uniform_atoms([0, F(1, 7), F(3, 7)])
         assert skew_correlation(base, B23, [0, 0, 0]) == F(2, 3)
 
     def test_dirac_zero_fibers_unmoved(self):
-        assert skew_correlation(ms.dirac(0), B23, [17, 51]) == F(2, 3)
+        assert skew_correlation(dirac(0), B23, [17, 51]) == F(2, 3)
 
     def test_third_rotation_vanishes(self):
-        assert skew_correlation(ms.dirac(F(1, 3)), B23, [1, 2]) == 0
+        assert skew_correlation(dirac(F(1, 3)), B23, [1, 2]) == 0
 
     def test_invariance_shift_zero_prepended(self):
         rng = random.Random(4)
@@ -66,7 +68,7 @@ class TestSkewCorrelation:
         # uniform atoms on {k/q} behave exactly like the Haar average of the
         # cyclic annihilator group, for every q up to 12
         for q in range(1, 13):
-            base = ms.uniform_atoms([F(k, q) for k in range(q)])
+            base = uniform_atoms([F(k, q) for k in range(q)])
             for shifts in ([1], [1, 2], [2, 3]):
                 got = skew_correlation(base, B23, shifts)
                 reps = [(F(k, q),) for k in range(q)]
@@ -239,7 +241,7 @@ class TestMultiArcKernel:
         B = CircleSet.from_pairs(
             [(0, F(1, 27)), (F(2, 27), F(1, 9)), (F(2, 9), F(7, 27)), (F(8, 9), 1)]
         )
-        base = ms.uniform_atoms([F(k, 11) for k in range(11)])
+        base = uniform_atoms([F(k, 11) for k in range(11)])
         values = shifted_intersection_values(base, B, [])
         arcs = [(float(u), float(v)) for u, v in B.intervals]
         assert values.tolist() == [_float_intersection(arcs, [])] * 11
