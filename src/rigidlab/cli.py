@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -358,6 +359,7 @@ def cmd_demo(args) -> int:
     return 0 if report.passed else 2
 
 
+@functools.cache  # parse_args fills a new namespace per call: nothing leaks
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rigidlab",

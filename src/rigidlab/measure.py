@@ -16,51 +16,40 @@ each digit against each phi_j(n_k) once, to R_j = d * r_j mod q, and every
 combination's digit residues are sum_j a_j R_j mod q, the integers phases
 would reduce, so the correctly rounded floats are the same.
 
-Free columns skip the big-integer division.  A free coordinate's column holds
-up to k! small digits d, and at a near-rigid shift its residue x1 = r mod q
-is so small that no digit wraps (max(d) * x1 < q), so each phase is the
-correctly rounded d * x1 / q.  phases takes these from a float kernel
-(_certified_quotients) on columns of at least _KERNEL_FLOOR digits below
-2^26.  With y = x1 * 2^s / q scaled into [1/2, 1) and split once in integers
-into hi + mid (hi the correctly rounded y, mid the correctly rounded
-remainder), d * hi is exact as two products of at most 53 bits and one
-Fast2Sum (Dekker, 1971), and a second Fast2Sum gives R + u = head + tail,
-tail = e + d * mid.  Error budget: each of the three float stages, rounding
-mid, d * mid and tail, errs by at most 2^-53 of its result, plus 2^-1075 if
-it underflows, so
+Two kinds of phase skip the big-integer division through one 128-bit fixed
+point: each gives an integer T, as int64 sums of its 32-bit limbs, and an
+integer A < 2^31 (so limb products fit int64) with |T 2^-128 - y| < A 2^-128
+for the wanted y in [0, 1], unless T wrapped.  Free columns
+(_column_quotients): at a near-rigid shift, a free coordinate's residue
+x1 = r mod q is so small that none of its up to k! digits d wraps
+(max(d) x1 < q), and each phase is d x1 / q.  With s = max(0, bits(q) -
+bits(max(d) x1) - 1), q / 4 < max(d) x1 2^s < q, so F = floor(x1 2^(128+s)
+/ q) gives T = d F < 2^128, y = d x1 2^s / q, A = d and the phase R 2^-s;
+without the shift, A 2^-128 (below 2^-95 y with it) would refuse most
+digits.  Combinations (_combination_phases): F_j = floor(R_j 2^128 / q) =
+R_j 2^128 / q - e_j, 0 <= e_j < 1, once per level, and per vector a, T =
+sum_j a_j F_j mod 2^128, y = (sum_j a_j R_j mod q) / q and A = sum_j |a_j|;
+T = 2^128 y - sum_j a_j e_j unless the sum wrapped, to T < A or T >= 2^128 - A.
 
-    |d * y - (R + u)| <= 2^-52 (|d * mid| + |tail|)(1 + 2^-52) + 2^-1047.
+The rounding stage (_round_fixed_point) carries the limbs; v_i = L_i 2^(32 i
+- 128) are exact doubles, head + e = v_3 + v_2 by Fast2Sum (Dekker, 1971),
+w = v_1 + v_0, tail = e + w, and Fast2Sum again gives R + u = head + tail.
+Nothing underflows (no nonzero value is below 2^-128), and only w and tail
+are rounded, each by at most 2^-53 of itself:
 
-A digit keeps R only if |u| + 2^-51 (|d * mid| + |tail|) + 2^-1000 lies
-strictly inside half the gap from R to either neighbouring double (Ziv's
-rounding test, 1991); then R is the correctly rounded d * y, and R * 2^-s,
-exact where it is a normal double, the correctly rounded d * x1 / q.  Every
-other digit (ties, near-ties, d = 0, subnormal results) is recomputed from
-the integers, so the phases stay bitwise those of the exact expression.
-
-The combinations skip the big-integer reduction the same way
-(_combination_phases).  Each R_j becomes F_j = floor(R_j 2^128 / q) =
-R_j 2^128 / q - e_j, 0 <= e_j < 1, once per level, held in four 32-bit limbs.
-Per vector a, T = sum_j a_j F_j mod 2^128 is an exact int64 sum per limb,
-carried and masked.  With s = sum_j a_j R_j mod q and A = sum_j |a_j|, T
-equals 2^128 s / q - sum_j a_j e_j unless that falls outside [0, 2^128): so
-|T 2^-128 - s / q| < A 2^-128, or the sum wrapped, and then T < A or
-T >= 2^128 - A.  The limbs v_i = L_i 2^(32 i - 128) are exact doubles; head +
-e = v_3 + v_2 by Fast2Sum, w = v_1 + v_0, tail = e + w, and Fast2Sum again
-gives R + u = head + tail.  No nonzero value lies below 2^-128, so nothing
-underflows, and only w and tail are rounded, each by at most 2^-53 of
-itself:
-
-    |s / q - (R + u)| < 2^-53 (w + |tail|) + A 2^-128.
+    |y - (R + u)| < 2^-53 (w + |tail|) + A 2^-128.
 
 A digit keeps R only if |u| + 2^-52 (w + |tail|) + A 2^-127, which exceeds
 that bound also after its own rounding, lies strictly inside half the
-smaller gap from R to a neighbouring double.  That also refuses a wrap to
-T < A, where R < A 2^-128 and half the gap is below 2^-53 R.  A wrap to
-T >= 2^128 - A rounds R to 1.0 with -u below the test's budget, so R = 1.0 is
-kept only where -u exceeds that budget.  Digits whose R_j are 0 for every
-nonzero a_j are exactly 0.0; every other refused digit (exact zeros by
-cancellation, phases below about 2^-60, near-ties) comes from the integers.
+smaller gap from R to a neighbouring double (Ziv's rounding test, 1991).
+That refuses a wrap to T < A, where R < A 2^-128 and half the gap is below
+2^-53 R; a wrap to T >= 2^128 - A rounds R to 1.0 with -u below the budget,
+so R = 1.0 is kept only where -u exceeds it.  Digits whose T is 0 by
+construction (d = 0, or R_j = 0 for every nonzero a_j) are exactly 0.0.
+Every other refused digit (zeros by cancellation, combination phases below
+about 2^-60, near-ties), and every column phase R 2^-s below the smallest
+normal double (the shift would round twice), comes from the integers, so
+the phases stay bitwise those of the exact expression.
 
 Exact positions and weights stay in integers as well.  Word i weighs
 counts[i] / W for one denominator W (n_samples when sampled, the lcm of the
@@ -99,12 +88,12 @@ from .schedule import Schedule, build_schedule, check_schedule
 
 SAMPLE_CAP = 10**7
 COEFF_CAP = 5
-# The certified column kernel takes digits below 2^26, so that each digit
-# times a 27-bit half of a double is exact, and columns of at least
-# _KERNEL_FLOOR digits: its fixed cost, ~30 us per column, against ~0.6 us
-# per digit of the exact expression, is paid back from ~50 digits on
-# (measured on the cor66/cor67 scan columns, 2-CPU x86-64 machine).
-_DIGIT_LIMIT = 2**26
+# Limb factors (column digits, a combination's sum |a_j|) stay below 2^31.
+# The column kernel takes columns of _KERNEL_FLOOR digits or more: ~60 us
+# per call and ~10 us per column, then ~0.05 us per digit against ~0.45 us
+# exact, pay back from ~25 digits in a batch and ~160 alone (range(n)
+# digits, 2-CPU x86-64 machine).
+_LIMB_FACTOR_LIMIT = 2**31
 _KERNEL_FLOOR = 64
 _TINY = float(np.finfo(float).tiny)  # 2^-1022, the smallest normal double
 
@@ -251,7 +240,14 @@ class AtomicMeasure:
         self.weights_np = np.array([c / denominator for c in counts])
         self.scale = 1  # pushforward_scale images multiply it
         self._runs = _prefix_runs(codes)
-        self._float_columns: dict = {}  # filled by _float_column; images share it
+        # per column, (int64 digits, largest digit) where the column kernel
+        # may take it, else None; pushforward_scale images share the list
+        self._kernel_digits = [
+            (np.array(digits, dtype=np.int64), max(digits))
+            if len(digits) >= _KERNEL_FLOOR and 0 <= min(digits)
+            and max(digits) < _LIMB_FACTOR_LIMIT else None
+            for digits in categories
+        ]
 
     def _flat_alphas(self) -> list[Fraction]:
         return [a for level in self.alphas for a in level]
@@ -295,39 +291,28 @@ class AtomicMeasure:
                 for a in self._flat_alphas()]
 
     def phases(self, residues: Sequence[int]):
-        """numpy array of (t * position mod 1) per word, given residues(t).
+        """numpy array of (t * position mod 1) per word, given residues(t) or
+        any integers congruent to them modulo the column denominators."""
+        return _mod1(self._tree_sum(self._category_phases(residues)))
 
-        Any integers congruent to residues(t) modulo the column denominators
-        give the same result.  Each column's digit phases are the correctly
-        rounded (d * r mod q) / q, bit for bit (_digit_phases): from the
-        exact integers, or, on a long column of small digits whose residue
-        does not wrap, from the float kernel _certified_quotients.  Its
-        budget (module docstring): per digit, the exact scaled quotient lies
-        within 2^-52 (|d * mid| + |tail|)(1 + 2^-52) + 2^-1047 of R + u, and
-        R is kept only where |u| + 2^-51 (|d * mid| + |tail|) + 2^-1000 is
-        below half the gap from R to its neighbours; the other digits fall
-        back to the exact integers.
-        """
-        denominators = [a.denominator for a in self._flat_alphas()]
-        return _mod1(self._tree_sum([
-            _digit_phases(q, digits, r, self._float_column(col))
-            for col, (q, digits, r) in enumerate(
-                zip(denominators, self.categories, residues, strict=True))
-        ]))
-
-    def _float_column(self, col: int):
-        """(float64 digits, largest digit) of a column the certified kernel
-        may take, at least _KERNEL_FLOOR digits all in [0, 2^26), else None.
-        Built on first use into a dict that pushforward_scale images share,
-        so a measure converts each column once."""
-        if col not in self._float_columns:
-            digits = self.categories[col]
-            self._float_columns[col] = (
-                (np.array(digits, dtype=float), max(digits))
-                if len(digits) >= _KERNEL_FLOOR and 0 <= min(digits)
-                and max(digits) < _DIGIT_LIMIT else None
-            )
-        return self._float_columns[col]
+    def _category_phases(self, residues: Sequence[int]) -> list[np.ndarray]:
+        """Per column, (d * r mod q) / q per digit d, correctly rounded: from
+        one _column_quotients call over the _kernel_digits columns whose
+        x1 = r mod q is nonzero and does not wrap (max(d) * x1 < q), if any,
+        and from the exact integers elsewhere."""
+        out, batch = [], {}
+        for col, (a, digits, r) in enumerate(
+                zip(self._flat_alphas(), self.categories, residues, strict=True)):
+            q, table = a.denominator, self._kernel_digits[col]
+            x1 = r % q
+            if table is not None and x1 and table[1] * x1 < q:
+                batch[col] = (*table, x1, q)
+            # int/int true division is correctly rounded at any size
+            out.append(None if col in batch else np.array([(int(d) * r % q) / q for d in digits]))
+        if batch:
+            for col, phases in zip(batch, _column_quotients(list(batch.values()))):
+                out[col] = phases
+        return out
 
     def _tree_sum(self, columns, dtype=float) -> np.ndarray:
         """Per word, the sum of its category values, one array per column.
@@ -360,55 +345,6 @@ class AtomicMeasure:
     def __repr__(self):
         words, cols = self.codes.shape
         return f"AtomicMeasure({words} words, {cols} columns)"
-
-
-def _digit_phases(q: int, digits, r: int, floats) -> np.ndarray:
-    """(d * r mod q) / q per digit d, correctly rounded.
-
-    floats is the column's _float_column entry.  Where it exists, r mod q is
-    nonzero and no digit wraps (max(d) * (r mod q) < q), the quotients come
-    from _certified_quotients; otherwise from the exact integers.
-    """
-    if floats is not None:
-        x1 = r % q
-        if x1 and floats[1] * x1 < q:
-            return _certified_quotients(floats[0], x1, q)
-    # int/int true division is correctly rounded at any size
-    return np.array([(int(d) * r % q) / q for d in digits])
-
-
-def _certified_quotients(d: np.ndarray, x1: int, q: int) -> np.ndarray:
-    """d * x1 / q per digit, the correctly rounded float of the exact
-    quotient, for float digits d in [0, 2^26) with max(d) * x1 < q.
-
-    hi = m / 2^53 is halved exactly into (m >> 27) / 2^26 + (m mod 2^27) /
-    2^53, so each digit's two products are exact; the error budget is the
-    module docstring's.  Its test b = 2^-51 (|d * mid| + |tail|) + 2^-1000
-    exceeds the bound also after its own rounding, and g / 2, half the
-    smaller gap from R to a neighbouring double, is a power of two, so the
-    float comparison |u| + b < g / 2 is never true when the exact one is
-    false.  R * 2^-s is exact where it exceeds the smallest normal double.
-    The digits the test refuses are recomputed from the exact integers.
-    """
-    s = q.bit_length() - x1.bit_length()
-    if x1 << s >= q:
-        s -= 1
-    hi = (x1 << s) / q  # in [1/2, 1]
-    m = int(hi * 2.0**53)
-    mid = ((x1 << (s + 53)) - m * q) / (q << 53)
-    p1 = d * ((m >> 27) / 2.0**26)
-    p2 = d * ((m & (2**27 - 1)) / 2.0**53)  # |p2| <= |p1|: Fast2Sum applies
-    head = p1 + p2
-    dm = d * mid
-    tail = (p2 - (head - p1)) + dm
-    R = head + tail  # |tail| <= |head|
-    u = tail - (R - head)
-    budget = (np.abs(dm) + np.abs(tail)) * 2.0**-51 + 2.0**-1000
-    gap = np.minimum(np.nextafter(R, np.inf) - R, R - np.nextafter(R, -np.inf))
-    out = np.ldexp(R, -s)
-    for i in np.flatnonzero(~((np.abs(u) + budget < 0.5 * gap) & (out > _TINY))):
-        out[i] = int(d[i]) * x1 / q  # d[i] is an exact integer; below q: no reduction
-    return out
 
 
 def _mod1(x: np.ndarray) -> np.ndarray:
@@ -619,18 +555,54 @@ def _fixed_point_limbs(basis: np.ndarray, qs: np.ndarray) -> np.ndarray:
 
 def _combination_phases(a, basis, qs, limbs, zero) -> np.ndarray:
     """(sum_j a_j R_j mod q) / q per digit, correctly rounded, for R_j =
-    basis[j], its limbs from _fixed_point_limbs and zero = basis == 0.
-
-    The float stage, its error budget and Ziv's test are the module
-    docstring's; sum |a_j| < 2^31 keeps the limb sums inside int64.  The
-    digits the test refuses are recomputed by _exact_phases.
-    """
+    basis[j], its limbs from _fixed_point_limbs and zero = basis == 0:
+    _round_fixed_point with A = sum_j |a_j| < 2^31 (module docstring), and
+    _exact_phases on the digits it refuses."""
     total = np.zeros(limbs.shape[1:], dtype=np.int64)
     exact_zero = np.ones(len(qs), dtype=bool)
     for j, c in enumerate(a):
         if c:
             total += c * limbs[j]
+            # where every F_j with a_j != 0 is 0, so is T
             exact_zero &= zero[j]
+    R, refused = _round_fixed_point(total, sum(abs(c) for c in a), exact_zero)
+    refused = np.flatnonzero(refused)
+    R[refused] = _exact_phases(a, basis[:, refused], qs[refused])
+    return R
+
+
+def _column_quotients(columns) -> list[np.ndarray]:
+    """d * x1 / q per digit d, correctly rounded, for columns (digits, top,
+    x1, q) of int64 digits in [0, 2^31), top = max(digits), 0 < x1 < q and
+    top * x1 < q: one _round_fixed_point call over all their digits (module
+    docstring).  Refused digits, and those whose R 2^-s is below the
+    smallest normal double, come from the exact integers."""
+    shifts = [max(0, q.bit_length() - (max(top, 1) * x1).bit_length() - 1)
+              for _, top, x1, q in columns]
+    limbs = _fixed_point_limbs(
+        np.array([[x1 << s for (*_, x1, _), s in zip(columns, shifts)]], dtype=object),
+        np.array([q for *_, q in columns], dtype=object),
+    )[0]
+    sizes = [len(digits) for digits, *_ in columns]
+    d = np.concatenate([digits for digits, *_ in columns])
+    zero = d == 0
+    R, refused = _round_fixed_point(np.repeat(limbs, sizes, axis=1) * d, d, zero)
+    # times 2^-s: exact, or subnormal and refused (numpy's ldexp with an
+    # array of exponents is several times slower)
+    out = R * np.repeat([2.0**-s for s in shifts], sizes)
+    refused = np.flatnonzero(refused | (out < _TINY) & ~zero)
+    ends = np.cumsum(sizes)
+    for i, c in zip(refused, np.searchsorted(ends, refused, side="right")):
+        _, _, x1, q = columns[c]
+        out[i] = int(d[i]) * x1 / q  # below q: no reduction
+    return np.split(out, ends[:-1])
+
+
+def _round_fixed_point(total: np.ndarray, A, exact_zero: np.ndarray):
+    """(R, refused) for the (4, digits) int64 limb sums of T, least
+    significant first (carried in place), with |T 2^-128 - y| < A 2^-128: R
+    is the correctly rounded y where refused is False (module docstring).
+    exact_zero marks the digits whose T is 0 by construction."""
     for i in range(3):
         total[i + 1] += total[i] >> 32  # arithmetic shift: floor division
     total &= 2**32 - 1
@@ -640,14 +612,12 @@ def _combination_phases(a, basis, qs, limbs, zero) -> np.ndarray:
     tail = (v2 - (head - v3)) + w
     R = head + tail  # Fast2Sum: head = 0 or |tail| <= |head|
     u = tail - (R - head)
-    budget = (w + np.abs(tail)) * 2.0**-52 + sum(abs(c) for c in a) * 2.0**-127
-    # half the smaller gap from R to a neighbouring double, a power of two
-    half_gap = 0.5 * np.spacing(np.nextafter(R, 0.0))
+    budget = (w + np.abs(tail)) * 2.0**-52 + A * 2.0**-127
+    # half the smaller gap, the one below R, a power of two: R (1 - 2^-53)
+    # is R or its predecessor, and leaves R's binade only at powers of two
+    half_gap = 0.5 * np.spacing(R * (1 - 2.0**-53))
     keep = (np.abs(u) + budget < half_gap) & ((R < 1.0) | (-u > budget))
-    # where every F_j with a_j != 0 is 0, so is T, and R = 0.0 is exact
-    refused = np.flatnonzero(~(keep | exact_zero))
-    R[refused] = _exact_phases(a, basis[:, refused], qs[refused])
-    return R
+    return R, ~(keep | exact_zero)
 
 
 def pushforward_scale(m: AtomicMeasure, factor: int) -> AtomicMeasure:

@@ -12,7 +12,7 @@ import pytest
 
 import rigidlab
 from rigidlab import measure as ms
-from rigidlab.cli import parse_poly_expr, run
+from rigidlab.cli import build_parser, parse_poly_expr, run
 from rigidlab.errors import ParseError
 
 from measure_helpers import total_weight
@@ -350,6 +350,36 @@ class TestDeterminism:
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_reused_parser_matches_fresh_runs(self, families, tmp_path, capsys):
+        # run parses every call with the one parser its process builds: a
+        # demo, an analyze and a refused demo in turn give the exit codes,
+        # files and error bytes of runs that each build a fresh parser
+        calls = [
+            ["demo", "cor65", "--polys", "n,n^2", "--depth", "3", "--samples", "100"],
+            ["analyze", families["n_nsq"]],
+            ["demo", "cor65", "--polys", "n^"],
+        ]
+
+        def outputs(fresh):
+            got = []
+            for i, argv in enumerate(calls):
+                if fresh:
+                    build_parser.cache_clear()
+                out = tmp_path / f"{fresh}-{i}.json"
+                code = run([*argv, "--out", str(out)])
+                got.append((code, out.read_bytes() if out.exists() else None,
+                            capsys.readouterr().err))
+            return got
+
+        reused = outputs(fresh=False)
+        assert reused == outputs(fresh=True)
+        # the small demo's scan does not pass (exit 2) but writes its report
+        assert [code for code, *_ in reused] == [2, 0, 1] and reused[0][1]
+        parser = build_parser()
+        assert parser is build_parser()
+        parser.parse_args(calls[0])
+        assert not hasattr(parser.parse_args(calls[1]), "which")
 
     def test_artifact_roundtrip(self, families, tmp_path):
         from rigidlab import lattice as lat

@@ -239,7 +239,7 @@ class TestPrefixTreePhases:
         m = _sampled_2z_3z(500, 4)
         image = ms.pushforward_scale(m, 6)
         assert image.codes is m.codes and image._runs is m._runs
-        assert image._float_columns is m._float_columns
+        assert image._kernel_digits is m._kernel_digits
         assert image.scale == 6 and m.scale == 1
 
     def _rebuilt(self, m, codes):
@@ -276,6 +276,11 @@ def _exact_quotients(q, digits, r):
     return np.array([(d * r % q) / q for d in digits])
 
 
+def _kernel_quotients(digits, x1, q):
+    """The column kernel's quotients of one column of sorted digits."""
+    return ms._column_quotients([(np.array(digits, dtype=np.int64), max(digits), x1, q)])[0]
+
+
 def _one_column(q, digits):
     """A measure of one column, alpha = 1/q, with the given sorted digits;
     its phases at residue r are that column's digit phases, bit for bit."""
@@ -293,26 +298,25 @@ def _assert_column_exact(q, digits, r):
     exact = _exact_quotients(q, digits, r)
     want = exact.tobytes()
     m = _one_column(q, digits)
-    assert ms._digit_phases(q, digits, r, m._float_column(0)).tobytes() == want
+    assert m._category_phases([r])[0].tobytes() == want
     assert m.phases([r]).tobytes() == (exact % 1.0).tobytes()
     x1 = r % q
-    applies = 0 < x1 and max(digits) * x1 < q and max(digits) < ms._DIGIT_LIMIT
+    applies = 0 < x1 and max(digits) * x1 < q and max(digits) < ms._LIMB_FACTOR_LIMIT
     if applies:
-        floats = np.array(digits, dtype=float)
-        assert ms._certified_quotients(floats, x1, q).tobytes() == want
+        assert _kernel_quotients(digits, x1, q).tobytes() == want
     return applies
 
 
 @st.composite
 def _kernel_columns(draw):
-    """(q, sorted digits, r): q up to 2 000 bits; digits in [0, 2^26) with
-    0 and often values next to 2^26, on both sides of the size floor; r
+    """(q, sorted digits, r): q up to 2 000 bits; digits in [0, 2^31) with
+    0 and often values next to 2^31, on both sides of the size floor; r
     reduced, unreduced or 0 mod q, and mostly small enough not to wrap."""
     q = draw(st.integers(2, 2**2000))
     n = draw(st.sampled_from([1, 3, ms._KERNEL_FLOOR - 1, ms._KERNEL_FLOOR, 200]))
     digit = st.one_of(
-        st.integers(0, ms._DIGIT_LIMIT - 1),
-        st.integers(ms._DIGIT_LIMIT - 100, ms._DIGIT_LIMIT - 1),
+        st.integers(0, ms._LIMB_FACTOR_LIMIT - 1),
+        st.integers(ms._LIMB_FACTOR_LIMIT - 100, ms._LIMB_FACTOR_LIMIT - 1),
     )
     digits = sorted({0, *draw(st.lists(digit, min_size=n - 1, max_size=n - 1))})
     top = (q - 1) // max(digits) if max(digits) else q - 1
@@ -325,8 +329,8 @@ def _kernel_columns(draw):
 
 
 class TestCertifiedQuotients:
-    """phases' float kernel for non-wrapping columns against (d * r % q) / q,
-    compared with tobytes: no tolerance anywhere."""
+    """phases' fixed-point column kernel for non-wrapping columns against
+    (d * r % q) / q, compared with tobytes: no tolerance anywhere."""
 
     @settings(max_examples=300, deadline=None)
     @given(column=_kernel_columns())
@@ -352,22 +356,21 @@ class TestCertifiedQuotients:
         # kernel rounds some of these the wrong way
         rng = random.Random(3)
         for _ in range(3000):
-            d = rng.choice([3, 12345, rng.randrange(3, ms._DIGIT_LIMIT)])
+            d = rng.choice([3, 12345, rng.randrange(3, ms._LIMB_FACTOR_LIMIT)])
             q = 2**400 + rng.choice([0, 1, rng.randrange(1, 2**100)])
             j = rng.choice([2**53 - 1, rng.randrange(2**52, 2**53)])
             midpoint = (2 * j + 1) << rng.randrange(317, 347)
             offset = rng.choice([-1, 1]) * rng.randrange(1, 2**20) << rng.randrange(200)
             x1 = (midpoint + offset) // d
             if 0 < x1 and d * x1 < q:
-                floats = np.array([0.0, d])
-                assert ms._certified_quotients(floats, x1, q).tobytes() == (
+                assert _kernel_quotients([0, d], x1, q).tobytes() == (
                     _exact_quotients(q, [0, d], x1).tobytes())
 
     def test_subnormal_results(self):
         # below 2^-1022 the kernel's scaled rounding would round twice, so
         # those digits come from the integers; the q + 1 columns cross the
         # smallest normal double near d = 2^18
-        digits = sorted({*range(100), *range(2**18 - 100, 2**18 + 100), ms._DIGIT_LIMIT - 1})
+        digits = sorted({*range(100), *range(2**18 - 100, 2**18 + 100), ms._LIMB_FACTOR_LIMIT - 1})
         for q, x1 in ((2**1100 + 12345, 1), (2**1100 + 12345, 2**70 + 5),
                       (2**1040, 1), (2**1040 + 1, 1), (3**700, 2**30 + 1)):
             assert _assert_column_exact(q, digits, x1)
@@ -378,15 +381,15 @@ class TestCertifiedQuotients:
         # subnormal grid would round up
         k = 2**20 + 1
         x1 = (2 * k + 1) * 2**59 - 1
-        assert ms._certified_quotients(np.array([1.0]), x1, 2**1134)[0] == x1 / 2**1134
+        assert _kernel_quotients([1], x1, 2**1134)[0] == x1 / 2**1134
 
     def test_wrapping_zero_and_large_digit_columns(self):
         digits = list(range(200))
         q = 10**30 + 57
         assert not _assert_column_exact(q, digits, q // 3)  # wraps
         assert not _assert_column_exact(q, digits, 5 * q)  # 0 mod q
-        large = [0, 5, ms._DIGIT_LIMIT, 2**40, *range(2**41, 2**41 + 100)]
-        assert _one_column(q, large)._float_column(0) is None
+        large = [0, 5, ms._LIMB_FACTOR_LIMIT, 2**40, *range(2**41, 2**41 + 100)]
+        assert _one_column(q, large)._kernel_digits[0] is None
         assert not _assert_column_exact(q, large, 3)
 
 
@@ -421,12 +424,52 @@ class TestLongFreeColumns:
     def test_kernel_runs_on_schedule_values(self, long_free_columns, monkeypatch):
         m, values = long_free_columns
         calls = []
-        kernel = ms._certified_quotients
-        monkeypatch.setattr(ms, "_certified_quotients", lambda *a: calls.append(1) or kernel(*a))
+        kernel = ms._column_quotients
+        # one entry per column the kernel takes
+        monkeypatch.setattr(ms, "_column_quotients", lambda cols: calls.extend(cols) or kernel(cols))
         for image in (m, ms.pushforward_scale(m, 6)):
             for t in values:
                 assert image.phases(image.residues(t)).tobytes() == _column_phases(image, t).tobytes()
         assert len(calls) >= 2 * len(values)
+
+
+    def test_kernel_takes_every_qualifying_column(self, long_free_columns, monkeypatch):
+        # at the schedule values, one kernel call per phases call takes every
+        # column it may (none at t = 0), and fewer than 1% of their digits
+        # fall back to the integers
+        m, values = long_free_columns
+        taken, digits, fallback = [], [0], [0]
+        kernel, stage = ms._column_quotients, ms._round_fixed_point
+
+        def spy_kernel(cols):
+            taken.append(cols)
+            out = kernel(cols)
+            # a phase below the smallest normal double comes from the integers
+            fallback[0] += sum(int(((p > 0) & (p < ms._TINY)).sum()) for p in out)
+            return out
+
+        def spy_stage(*args):
+            R, refused = stage(*args)
+            digits[0] += len(R)
+            fallback[0] += int(refused.sum())
+            return R, refused
+
+        monkeypatch.setattr(ms, "_column_quotients", spy_kernel)
+        monkeypatch.setattr(ms, "_round_fixed_point", spy_stage)
+        for image in (m, ms.pushforward_scale(m, 6)):
+            for t in [*values, 0]:
+                before = len(taken)
+                residues = image.residues(t)
+                image.phases(residues)
+                want = [
+                    (len(column), r % a.denominator, a.denominator)
+                    for a, column, r in zip(image._flat_alphas(), image.categories, residues)
+                    if len(column) >= ms._KERNEL_FLOOR and max(column) < ms._LIMB_FACTOR_LIMIT
+                    and 0 < r % a.denominator and max(column) * (r % a.denominator) < a.denominator
+                ]
+                assert len(taken) - before == (1 if want else 0)
+                assert [(len(d), x1, q) for cols in taken[before:] for d, _, x1, q in cols] == want
+        assert digits[0] > 0 and fallback[0] < 0.01 * digits[0]
 
 
 def _unique_rows(matrix):
