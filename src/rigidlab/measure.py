@@ -195,7 +195,8 @@ class AtomicMeasure:
     The rows of codes must be distinct and strictly increasing in
     lexicographic order (PreconditionError otherwise): phases evaluates them
     over the prefix tree of runs that order makes contiguous, built once here
-    and shared by pushforward_scale images.
+    and shared by pushforward_scale images, as is each restriction to some
+    columns (their distinct rows with summed counts: the exact marginal).
     """
 
     def __init__(
@@ -240,6 +241,7 @@ class AtomicMeasure:
         self.weights_np = np.array([c / denominator for c in counts])
         self.scale = 1  # pushforward_scale images multiply it
         self._runs = _prefix_runs(codes)
+        self._restrictions = {}  # restriction() per active-column tuple, shared like _runs
         # per column, (int64 digits, largest digit) where the column kernel
         # may take it, else None; pushforward_scale images share the list
         self._kernel_digits = [
@@ -299,20 +301,50 @@ class AtomicMeasure:
         """Per column, (d * r mod q) / q per digit d, correctly rounded: from
         one _column_quotients call over the _kernel_digits columns whose
         x1 = r mod q is nonzero and does not wrap (max(d) * x1 < q), if any,
-        and from the exact integers elsewhere."""
+        as +0.0 where x1 = 0, and from the exact integers elsewhere."""
         out, batch = [], {}
         for col, (a, digits, r) in enumerate(
                 zip(self._flat_alphas(), self.categories, residues, strict=True)):
             q, table = a.denominator, self._kernel_digits[col]
             x1 = r % q
-            if table is not None and x1 and table[1] * x1 < q:
+            if not x1:  # every phase is 0 / q = +0.0
+                out.append(np.zeros(len(digits)))
+            elif table is not None and table[1] * x1 < q:
                 batch[col] = (*table, x1, q)
-            # int/int true division is correctly rounded at any size
-            out.append(None if col in batch else np.array([(int(d) * r % q) / q for d in digits]))
+                out.append(None)
+            else:  # int/int true division is correctly rounded at any size
+                out.append(np.array([(int(d) * r % q) / q for d in digits]))
         if batch:
             for col, phases in zip(batch, _column_quotients(list(batch.values()))):
                 out[col] = phases
         return out
+
+    def restriction(self, active: tuple[int, ...]):
+        """(measure, index): the measure on the distinct rows of the active
+        columns' codes (lexicographic order, counts summed per row) and word
+        i's row index[i], int32; None where every word keeps its own row."""
+        if active not in self._restrictions and len(active) < self.codes.shape[1]:
+            words = [(np.zeros(len(self.codes), dtype=np.uint64), [])]
+            for col in active:
+                _fold(words, self.codes[:, col].astype(np.uint64), len(self.categories[col]))
+            distinct, sizes, order = _distinct_words(words)
+            restricted = None
+            if len(sizes) < len(self.codes):
+                codes = np.empty((len(sizes), len(active)), dtype=np.uint32)
+                for col, code in _unpack(distinct):
+                    codes[:, col] = code
+                index = np.empty(len(order), dtype=np.int32)  # no measure nears 2^31 words
+                index[order] = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+                counts = np.zeros(len(sizes), dtype=object)
+                np.add.at(counts, index, np.array(self.counts, dtype=object))
+                flat = self._flat_alphas()
+                restricted = AtomicMeasure(
+                    alphas=[[flat[c] for c in active]], codes=codes,
+                    categories=[self.categories[c] for c in active],
+                    counts=counts.tolist(), denominator=self.denominator,
+                ), index
+            self._restrictions[active] = restricted
+        return self._restrictions.get(active)
 
     def _tree_sum(self, columns, dtype=float) -> np.ndarray:
         """Per word, the sum of its category values, one array per column.
@@ -386,17 +418,19 @@ def _fold(words: list, code: np.ndarray, radix: int) -> None:
     radices.append(radix)
 
 
-def _distinct_words(words: list) -> tuple[list, np.ndarray]:
+def _distinct_words(words: list) -> tuple[list, np.ndarray, np.ndarray]:
     """The distinct words of a non-empty _fold list, in increasing order of
-    their keys, first key first, as a list of the same form, and the count
-    of each: one lexsort over the keys and a comparison of adjacent rows."""
+    their keys, first key first, as a list of the same form, the count of
+    each and the lexsort order of the words (each distinct word's copies in
+    turn): one lexsort over the keys and a comparison of adjacent rows."""
     order = np.lexsort([key for key, _ in reversed(words)])
     ordered = [(key[order], radices) for key, radices in words]
     changed = np.zeros(len(order) - 1, dtype=bool)
     for key, _ in ordered:
         changed |= key[1:] != key[:-1]
     first = np.flatnonzero(np.concatenate(([True], changed)))
-    return [(key[first], radices) for key, radices in ordered], np.diff(first, append=len(order))
+    return ([(key[first], radices) for key, radices in ordered],
+            np.diff(first, append=len(order)), order)
 
 
 def _unpack(words: list):
@@ -477,7 +511,7 @@ def sample_sigma(
         for code, values in per_coord:
             _fold(words, code, len(values))
             digits.append(values)
-    distinct, counts = _distinct_words(words)
+    distinct, counts = _distinct_words(words)[:2]
     categories = [None] * len(digits)
     codes = np.empty((len(counts), len(digits)), dtype=np.uint32)
     for col, code in _unpack(distinct):

@@ -22,6 +22,14 @@ some arc of B meets every shifted copy; the others are 0.0 without a sweep.
 On the cor66/cor67 scans it keeps about 23% of the rows, and 19% of all
 rows are nonzero.
 
+Phases and kernels run on the distinct rows of the active columns, those
+where some shift's residue is nonzero mod q (AtomicMeasure.restriction),
+and the row-wise values are gathered back to the words (11 times fewer rows
+on the depth-11 cor65 scan).  Elsewhere each digit's phase is +0.0, which
+adds no bit to a partial sum >= +0.0, so the values are bitwise those of
+the words and the budget below holds unchanged; sampled_correlation still
+dots them with the words' weights in word order.
+
 Error budget of a per-word value, against the exact measure for the exact
 phases, with K the arcs of B, m the shifts and 2^-53 the unit roundoff:
 
@@ -171,7 +179,6 @@ def _arc_sweep(arcs: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """
     n, m = phases.shape
     u, v = arcs[:, 0], arcs[:, 1]
-    steps = np.repeat([1, -1], len(arcs) * (m + 1))
     values = np.empty(n)
     for first in range(0, n, _ROW_BLOCK):
         block = phases[first:first + _ROW_BLOCK]
@@ -180,14 +187,16 @@ def _arc_sweep(arcs: np.ndarray, phases: np.ndarray) -> np.ndarray:
         lo, hi = u - t, v - t
         starts = np.where(lo < 0, lo + 1.0, lo).reshape(len(block), -1)
         ends = np.where(hi <= 0, hi + 1.0, hi).reshape(len(block), -1)
-        events = np.concatenate([starts, ends], axis=1)
-        order = np.argsort(events, axis=1)
-        edges = np.pad(
-            np.take_along_axis(events, order, axis=1), ((0, 0), (1, 1)),
-            constant_values=(0.0, 1.0),
-        )
+        # endpoints in [0, 1] order as their int64 bits; the low bit marks
+        # a start (+1 to the cover count) and sorts after an end it ties,
+        # which only reorders segments of length 0.0
+        keys = np.concatenate([starts, ends], axis=1).view(np.int64) << 1
+        keys[:, :starts.shape[1]] |= 1
+        keys.sort(axis=1)
+        edges = np.pad((keys >> 1).view(np.float64), ((0, 0), (1, 1)),
+                       constant_values=(0.0, 1.0))
         covered = np.count_nonzero((lo < 0) & (hi > 0), axis=(1, 2))
-        cover = np.cumsum(np.column_stack([covered, steps[order]]), axis=1)
+        cover = np.cumsum(np.column_stack([covered, 2 * (keys & 1) - 1]), axis=1)
         segments = np.where(cover == m + 1, np.diff(edges, axis=1), 0.0)
         # cumsum adds left to right; .sum() is pairwise and would change the
         # last bits
@@ -238,20 +247,26 @@ def shifted_intersection_values(
     Each shift is an integer t or its per-column residues, base.residues(t)
     or a row of ShiftResidues.at.
     """
-    n_atoms = len(base.codes)
     residues = [base.residues(t) if isinstance(t, Integral) else t for t in shifts]
+    active = tuple(col for col, a in enumerate(base._flat_alphas())
+                   if any(r[col] % a.denominator for r in residues))
+    if restricted := base.restriction(active):
+        base, residues = restricted[0], [[r[c] for c in active] for r in residues]
+    n_atoms = len(base.codes)
     if len(B.intervals) == 1:
         (u, v), = B.intervals
         # B - t x starts at u - t x; offsets cancel u
         starts = np.zeros((n_atoms, len(shifts) + 1), order="F")
         for col, r in enumerate(residues, start=1):
             np.negative(base.phases(r), out=starts[:, col])
-        return _arc_intersection_lengths(starts, float(v - u))
-    phases = np.empty((n_atoms, len(shifts)))
-    for col, r in enumerate(residues):
-        phases[:, col] = base.phases(r)
-    arcs = np.array([(float(u), float(v)) for u, v in B.intervals]).reshape(-1, 2)
-    return _multi_arc_intersection_lengths(arcs, phases)
+        values = _arc_intersection_lengths(starts, float(v - u))
+    else:
+        phases = np.empty((n_atoms, len(shifts)))
+        for col, r in enumerate(residues):
+            phases[:, col] = base.phases(r)
+        arcs = np.array([(float(u), float(v)) for u, v in B.intervals]).reshape(-1, 2)
+        values = _multi_arc_intersection_lengths(arcs, phases)
+    return values[restricted[1]] if restricted else values
 
 
 @dataclass(frozen=True)

@@ -521,14 +521,16 @@ def _word_rows(m):
 
 def _packed_rows(matrix, radix):
     """A non-negative matrix below radix through _fold, _distinct_words and
-    _unpack: its distinct rows, their counts and the number of keys."""
+    _unpack: its distinct rows, their counts and the number of keys.  The
+    rows in _distinct_words' order must be each distinct row count times."""
     words = [(np.zeros(len(matrix), dtype=np.uint64), [])]
     for column in matrix.T:
         ms._fold(words, column.astype(np.uint64), radix)
-    distinct, counts = ms._distinct_words(words)
+    distinct, counts, order = ms._distinct_words(words)
     rows = np.empty((len(counts), matrix.shape[1]), dtype=np.int64)
     for col, code in ms._unpack(distinct):
         rows[:, col] = code
+    assert np.array_equal(matrix[order], np.repeat(rows, counts, axis=0))
     return rows, counts, len(words)
 
 

@@ -15,6 +15,7 @@ from rigidlab import measure as ms
 from rigidlab import skew
 from rigidlab.behrend import behrend_set
 from rigidlab.circleset import CircleSet, intersection_measure
+from rigidlab.demos import build_cor65_group
 from rigidlab.errors import PreconditionError
 from rigidlab.gaussians import (
     gaussian_pair_mass,
@@ -425,6 +426,124 @@ class TestShiftResidues:
                     assert row == m.residues(t)
         # one entry per multiset of at most two of the five indices
         assert len(table._entries) == 1 + 5 + 15
+
+
+def _all_words_values(base, B, residues):
+    """Reference: shifted_intersection_values' kernels on the phases of
+    every word, the computation the restriction to active columns replaced."""
+    phases = np.zeros((len(base.codes), len(residues)))
+    for col, r in enumerate(residues):
+        phases[:, col] = base.phases(r)
+    if len(B.intervals) == 1:
+        (u, v), = B.intervals
+        starts = np.zeros((len(phases), len(residues) + 1))
+        starts[:, 1:] = -phases
+        return skew._arc_intersection_lengths(starts, float(v - u))
+    arcs = np.array([(float(u), float(v)) for u, v in B.intervals]).reshape(-1, 2)
+    return skew._multi_arc_intersection_lengths(arcs, phases)
+
+
+def _assert_matches_all_words(base, B, residues, n_samples):
+    """Values and sampled_correlation bitwise those of every word, the
+    correlation's two dots taken over the words' weights in word order."""
+    want = _all_words_values(base, B, residues)
+    assert shifted_intersection_values(base, B, residues).tobytes() == want.tobytes()
+    mean = float(np.dot(base.weights_np, want))
+    second = float(np.dot(base.weights_np, want * want))
+    err = math.sqrt(max(0.0, second - mean * mean) / n_samples)
+    got = sampled_correlation(base, B, residues, n_samples)
+    assert [x.hex() for x in got] == [mean.hex(), err.hex()]
+
+
+B_FOUR = CircleSet.from_pairs(
+    [(0, F(1, 9)), (F(2, 9), F(1, 3)), (F(2, 3), F(7, 9)), (F(8, 9), 1)]
+)
+FAM_N_NSQ = fm.polynomial_family([[0, 1], [0, 0, 1]])
+# a finite-index group, and one whose second coordinate is free (digits up
+# to 5! = 120 per column, past the column kernel's floor)
+_RESTRICTION_MEASURES = [
+    ms.sample_sigma(G, build_schedule(FAM_N_NSQ, depth), FAM_N_NSQ, 3000, seed=3)
+    for G, depth in ((lat.canonicalize([(2, 0), (0, 3)], 2), 4),
+                     (lat.canonicalize([(2, 0)], 2), 5))
+]
+
+
+@st.composite
+def _zeroed_residues(draw):
+    """A sampled measure and 1-3 shifts' residues: random below q, 0 on a
+    drawn set of columns in every shift and on drawn (shift, column) pairs
+    besides, each plus a multiple of q, so not reduced."""
+    m = draw(st.sampled_from(_RESTRICTION_MEASURES))
+    qs = [a.denominator for a in m._flat_alphas()]
+    n_shifts = draw(st.integers(1, 3))
+    off = draw(st.sets(st.integers(0, len(qs) - 1)))
+    zero = draw(st.lists(st.lists(st.booleans(), min_size=len(qs), max_size=len(qs)),
+                         min_size=n_shifts, max_size=n_shifts))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    residues = [
+        [(0 if col in off or z else rng.randrange(q)) + q * rng.randrange(3)
+         for col, (q, z) in enumerate(zip(qs, row))]
+        for row in zero
+    ]
+    return m, residues
+
+
+class TestActiveColumnRestriction:
+    """shifted_intersection_values on the distinct rows of the active
+    columns, gathered back to the words, against every word's values."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_zeroed_residues(), B=st.sampled_from([B23, B_FOUR]))
+    def test_matches_all_words(self, case, B):
+        m, residues = case
+        _assert_matches_all_words(m, B, residues, 3000)
+
+    def test_fs_tail_points_match_all_words(self):
+        G, _ = build_cor65_group(FAM_N_NSQ.polys)
+        sched = build_schedule(FAM_N_NSQ, 8)
+        m = ms.pushforward_scale(ms.sample_sigma(G, sched, FAM_N_NSQ, 4000, seed=2), 3)
+        table = skew.ShiftResidues(m, sched.indices, FAM_N_NSQ.polys)
+        for alpha, _ in fs_tail(sched.indices, 4).sums:
+            _assert_matches_all_words(m, B23, table.at(alpha), 4000)
+        # the late points leave most columns inactive, and rows shrink
+        shrunk = [r for r in m._restrictions.values() if r is not None]
+        assert shrunk and all(len(r.codes) < len(m.codes) for r, _ in shrunk)
+
+    def test_restricted_rows_and_counts(self):
+        m = _RESTRICTION_MEASURES[1]
+        image = ms.pushforward_scale(m, 7)
+        assert image._restrictions is m._restrictions
+        active = tuple(range(2, m.codes.shape[1], 3))
+        restricted, index = image.restriction(active)
+        assert m.restriction(active)[0] is restricted and index.dtype == np.int32
+        assert np.array_equal(restricted.codes[index], m.codes[:, list(active)])
+        assert sum(restricted.counts) == restricted.denominator == m.denominator
+        want = [0] * len(restricted.codes)
+        for i, c in zip(index.tolist(), m.counts):
+            want[i] += c
+        assert restricted.counts == want
+
+    @pytest.mark.parametrize("B", [B23, B_FOUR])
+    def test_no_column_and_every_column_active(self, B):
+        m = _RESTRICTION_MEASURES[0]
+        qs = [a.denominator for a in m._flat_alphas()]
+        none = [[0] * len(qs), [2 * q for q in qs]]
+        _assert_matches_all_words(m, B, none, 3000)
+        assert m.restriction(())[0].codes.shape == (1, 0)
+        every = [[q - 1 for q in qs]]
+        _assert_matches_all_words(m, B, every, 3000)
+        assert m.restriction(tuple(range(len(qs)))) is None
+
+    @pytest.mark.parametrize("B", [B23, B_FOUR])
+    def test_pattern_that_shrinks_nothing(self, B):
+        # column 1 alone tells the three words apart: no restricted measure
+        m = ms.AtomicMeasure(
+            alphas=((F(1, 3), F(1, 7)),), categories=[[1], [0, 2, 5]],
+            codes=np.array([[0, 0], [0, 1], [0, 2]], dtype=np.uint32),
+            counts=[1, 1, 2], denominator=4,
+        )
+        _assert_matches_all_words(m, B, [[3, 4], [0, 9]], 4)
+        assert m._restrictions == {(1,): None}
 
 
 def _normal_mass(lo, hi, panels=200):
