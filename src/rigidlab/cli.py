@@ -331,14 +331,14 @@ def cmd_demo(args) -> int:
     # the Behrend-target demos need deeper tails before the free-coordinate
     # discretization spike mu(B)/k! clears their small thresholds
     depth = args.depth if args.depth is not None else (6 if args.which == "cor65" else 7)
-    k0_max = args.k0_max if args.k0_max is not None else (3 if args.which == "cor65" else 5)
+    options = {} if args.k0_max is None else {"k0_max": args.k0_max}
     if args.scan_csv and args.which == "cor67":
         raise PreconditionError("--scan-csv applies to cor65 and cor66 only")
     if args.which == "cor65":
         if polys is None:
             raise PreconditionError("--polys is required for cor65")
         report = demos.cor65_demo(
-            args.ell, polys, depth, args.samples, args.seed, k0_max=k0_max
+            args.ell, polys, depth, args.samples, args.seed, **options
         )
     elif args.which == "cor66":
         if args.p is None or args.q is None:
@@ -346,12 +346,12 @@ def cmd_demo(args) -> int:
         p = parse_poly_expr(args.p)
         q = parse_poly_expr(args.q)
         report = demos.cor66_demo(
-            p, q, args.ell, depth, args.samples, args.seed, k0_max=k0_max
+            p, q, args.ell, depth, args.samples, args.seed, **options
         )
     else:
         primes = _int_list(args.primes, "--primes")
         report = demos.cor67_demo(
-            args.ell, primes, depth, args.samples, args.seed, k0_max=k0_max
+            args.ell, primes, depth, args.samples, args.seed, **options
         )
     _json_out(report.to_json(), args.out)
     if args.scan_csv and report.cutoff is not None:

@@ -60,7 +60,6 @@ def scan_fs_tail(
     B: CircleSet,
     start_index: int,
     threshold: float,
-    n_samples: int,
 ) -> TailScan:
     """Evaluate the finite sums of the generators past start_index in order,
     stopping after the first point that is not BELOW; a scan that comes back
@@ -69,7 +68,7 @@ def scan_fs_tail(
     tail = fs_tail(shifts.generators, start_index)
     points = []
     for alpha, n_alpha in tail.sums:
-        corr, err = sampled_correlation(shifts.base, B, shifts.at(alpha), n_samples)
+        corr, err = sampled_correlation(shifts.base, B, shifts.at(alpha))
         if corr + 3 * err <= threshold:
             verdict = BELOW
         elif corr - 3 * err > threshold:
@@ -83,7 +82,7 @@ def scan_fs_tail(
 
 
 def smallest_passing_cutoff(
-    base, B, polys, schedule, k0_max, threshold, n_samples
+    base, B, polys, schedule, k0_max, threshold
 ) -> tuple[int | None, dict[int, TailScan]]:
     """Smallest k0 <= k0_max whose whole tail scans conclusively below; the
     search stops at k0 = depth - 1, the last cutoff with a nonempty tail.
@@ -91,7 +90,7 @@ def smallest_passing_cutoff(
     shifts = ShiftResidues(base, schedule.indices, polys)
     scans = {}
     for k0 in range(min(k0_max, schedule.depth - 1) + 1):
-        scans[k0] = scan_fs_tail(shifts, B, k0, threshold, n_samples)
+        scans[k0] = scan_fs_tail(shifts, B, k0, threshold)
         if scans[k0].all_below:
             return k0, scans
     return None, scans
@@ -110,7 +109,7 @@ def _sampled_scan(
         monomials, group, depth, n_samples, seed
     )
     cutoff, scans = smallest_passing_cutoff(
-        sigma, B, polys, sched, k0_max, threshold, n_samples
+        sigma, B, polys, sched, k0_max, threshold
     )
     return sigma, sched, cutoff, scans
 
@@ -306,7 +305,7 @@ def cor66_demo(
     depth: int,
     n_samples: int,
     seed: int,
-    k0_max: int = 2,
+    k0_max: int = 5,
 ) -> Cor66Report:
     """Degree-matched pair (p, q) with deg(2p - q) strictly between: the set
     of large returns is shown non-IP* against a Behrend-type target set."""
@@ -433,7 +432,7 @@ def cor67_demo(
     depth: int,
     n_samples: int,
     seed: int,
-    k0_max: int = 2,
+    k0_max: int = 5,
 ) -> Cor67Report:
     """Mixed pattern (n, 2n, n^2): exact prime-ladder limits converging to
     the uniform value under the Behrend bound, with a scan of the sampled

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from . import families as fm
 from . import lattice as lat
 from .errors import PreconditionError
-from .measure import AtomicMeasure, _combination_coefficients
+from .measure import AtomicMeasure, fourier_coefficient
 from .schedule import Schedule
 
 PAIR_MASS_TOL = 1e-8  # the absolute accuracy promised for a pair mass
@@ -145,7 +145,9 @@ def gaussian_pair_mass(rho: float, I: tuple, J: tuple) -> float:
     """P(X in I, Y in J) for standard bivariate normal with correlation rho.
 
     Degenerate rho = +-1 collapses to one-dimensional masses; otherwise the
-    rectangle is taken by inclusion-exclusion of four upper orthants.
+    rectangle is taken by inclusion-exclusion of four upper orthants, after
+    (X, Y) -> (-X, -Y) where it reaches below 0: orthant values near 1 would
+    lose the mass's relative accuracy in the lower tail.
     """
     if not -1 <= rho <= 1:
         raise PreconditionError("correlation must lie in [-1, 1]")
@@ -160,6 +162,8 @@ def gaussian_pair_mass(rho: float, I: tuple, J: tuple) -> float:
     if rho == -1:
         lo, hi = max(a, -d), min(b, -c)
         return interval_probability(lo, hi) if lo <= hi else 0.0
+    if b < 0 or d < 0:
+        a, b, c, d = -b, -a, -d, -c
     mass = (
         _upper_orthant(a, c, rho) - _upper_orthant(b, c, rho)
         - _upper_orthant(a, d, rho) + _upper_orthant(b, d, rho)
@@ -201,18 +205,15 @@ def verify_gaussian_transfer(
 
     With rho_jk = Re sigma-hat(phi_j(n_k)), a rigid direction (e_j in G)
     must bring the pair mass of (interval, interval) near P(interval), and a
-    mixing one near P(interval)^2.  Each level's l coefficients come from
-    one residue basis, at the unit vectors (bitwise fourier_coefficient's).
+    mixing one near P(interval)^2.
     """
     p1 = interval_probability(float(interval[0]), float(interval[1]))
-    units = [lat.standard_basis(fam.size, j) for j in range(1, fam.size + 1)]
-    rigid = [lat.member(G, e) for e in units]
+    rigid = [lat.member(G, lat.standard_basis(fam.size, j)) for j in range(1, fam.size + 1)]
     rows = []
     for k in range(1, s.depth + 1):
         vals = fm.evaluate(fam, s.indices[k - 1])
-        coeffs = _combination_coefficients(m, vals, units)
-        for j, (coeff, in_G) in enumerate(zip(coeffs, rigid), start=1):
-            rho = max(-1.0, min(1.0, coeff.real))
+        for j, (v, in_G) in enumerate(zip(vals, rigid), start=1):
+            rho = max(-1.0, min(1.0, fourier_coefficient(m, v).real))
             target = p1 if in_G else p1 * p1
             mass = gaussian_pair_mass(rho, interval, interval)
             rows.append(

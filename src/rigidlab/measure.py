@@ -10,23 +10,24 @@ t * scale * p mod q per column alpha = p/q (skew.ShiftResidues gives the same
 residues for the finite-sums scans without reducing t), and phases gives each
 digit the correctly rounded (d * r mod q) / q, so no precision is lost to
 floating-point reduction of astronomically large products; the float stage
-after it only ever adds a handful of numbers in [0, 1).  verify_dichotomy
-needs sigma-hat at every combination sum_j a_j phi_j(n_k) of a level: it reduces
-each digit against each phi_j(n_k) once, to R_j = d * r_j mod q, and every
-combination's digit residues are sum_j a_j R_j mod q, the integers phases
-would reduce, so the correctly rounded floats are the same.
+after it only ever adds a handful of numbers in [0, 1).  sigma-hat at one t
+(fourier_coefficient, the Gaussian transfer's too) goes through phases;
+verify_dichotomy needs it at every combination sum_j a_j phi_j(n_k) of a
+level: it reduces each digit against each phi_j(n_k) once, to R_j = d * r_j
+mod q, and every combination's digit residues are sum_j a_j R_j mod q, the
+integers phases would reduce, so the correctly rounded floats are the same.
 
 Two kinds of phase skip the big-integer division through one 128-bit fixed
 point: each gives an integer T, as int64 sums of its 32-bit limbs, and an
 integer A < 2^31 (so limb products fit int64) with |T 2^-128 - y| < A 2^-128
-for the wanted y in [0, 1], unless T wrapped.  Free columns
-(_column_quotients): at a near-rigid shift, a free coordinate's residue
-x1 = r mod q is so small that none of its up to k! digits d wraps
-(max(d) x1 < q), and each phase is d x1 / q.  With s = max(0, bits(q) -
-bits(max(d) x1) - 1), q / 4 < max(d) x1 2^s < q, so F = floor(x1 2^(128+s)
-/ q) gives T = d F < 2^128, y = d x1 2^s / q, A = d and the phase R 2^-s;
-without the shift, A 2^-128 (below 2^-95 y with it) would refuse most
-digits.  Combinations (_combination_phases): F_j = floor(R_j 2^128 / q) =
+for the wanted y in [0, 1], unless T wrapped.  Long columns
+(_column_quotients), at x1 = r mod q > 0: with s = max(0, bits(q) - bits(max(d)
+x1) - 1) and F = floor(x1 2^(128+s) / q) = x1 2^(128+s) / q - e, 0 <= e < 1,
+each digit d gives T = d F mod 2^128, y = frac(d x1 2^s / q), A = d and the
+phase R 2^-s (s > 0 only where no digit wraps, max(d) x1 2^s < q); T = 2^128 y
+- d e unless it wrapped to T >= 2^128 - A.  A near-rigid shift's free x1 is
+that small, and without the shift A 2^-128 would refuse most of its digits.
+Combinations (_combination_phases): F_j = floor(R_j 2^128 / q) =
 R_j 2^128 / q - e_j, 0 <= e_j < 1, once per level, and per vector a, T =
 sum_j a_j F_j mod 2^128, y = (sum_j a_j R_j mod q) / q and A = sum_j |a_j|;
 T = 2^128 y - sum_j a_j e_j unless the sum wrapped, to T < A or T >= 2^128 - A.
@@ -298,10 +299,10 @@ class AtomicMeasure:
         return _mod1(self._tree_sum(self._category_phases(residues)))
 
     def _category_phases(self, residues: Sequence[int]) -> list[np.ndarray]:
-        """Per column, (d * r mod q) / q per digit d, correctly rounded: from
-        one _column_quotients call over the _kernel_digits columns whose
-        x1 = r mod q is nonzero and does not wrap (max(d) * x1 < q), if any,
-        as +0.0 where x1 = 0, and from the exact integers elsewhere."""
+        """Per column, (d * r mod q) / q per digit d, correctly rounded: as
+        +0.0 where x1 = r mod q is 0, from one _column_quotients call over
+        the other _kernel_digits columns, if any, and from the exact integers
+        elsewhere."""
         out, batch = [], {}
         for col, (a, digits, r) in enumerate(
                 zip(self._flat_alphas(), self.categories, residues, strict=True)):
@@ -309,7 +310,7 @@ class AtomicMeasure:
             x1 = r % q
             if not x1:  # every phase is 0 / q = +0.0
                 out.append(np.zeros(len(digits)))
-            elif table is not None and table[1] * x1 < q:
+            elif table is not None:
                 batch[col] = (*table, x1, q)
                 out.append(None)
             else:  # int/int true division is correctly rounded at any size
@@ -544,14 +545,9 @@ def _combination_coefficients(
     residues(t) and each digit's product d * r mod q are linear in t modulo
     the column denominator q, so the digit residues of sum_j a_j values_j are
     sum_j a_j R_j mod q, with R_j the digit residues of values_j, computed
-    once per value for the digits of all columns side by side.  With more
-    vectors than values, each vector's phases come from the fixed-point
-    kernel _combination_phases over the limbs of floor(R_j * 2^128 / q),
-    built once here; otherwise (the unit vectors of the Gaussian transfer)
-    building them costs more than it saves, and every digit takes one
-    small-integer combination and one reduction, _exact_phases.  Either way
-    each digit's phase is the correctly rounded (sum_j a_j R_j mod q) / q,
-    as phases gives it.
+    once per value for the digits of all columns side by side.  Each
+    vector's phases, the correctly rounded (sum_j a_j R_j mod q) / q, come
+    from _combination_phases over the limbs of floor(R_j * 2^128 / q).
     """
     denominators = [a.denominator for a in m._flat_alphas()]
     residues = [m.residues(v) for v in values]
@@ -565,10 +561,9 @@ def _combination_coefficients(
         for r in residues
     ], dtype=object)
     bounds = list(accumulate(len(digits) for digits in m.categories[:-1]))
-    table = (_fixed_point_limbs(basis, qs), basis == 0) if len(vectors) > len(values) else None
+    limbs, zero = _fixed_point_limbs(basis, qs), basis == 0
     for a in vectors:
-        phases = (_exact_phases(a, basis, qs) if table is None
-                  else _combination_phases(a, basis, qs, *table))
+        phases = _combination_phases(a, basis, qs, limbs, zero)
         yield _transform(m, _mod1(m._tree_sum(np.split(phases, bounds))))
 
 
@@ -606,9 +601,9 @@ def _combination_phases(a, basis, qs, limbs, zero) -> np.ndarray:
 
 
 def _column_quotients(columns) -> list[np.ndarray]:
-    """d * x1 / q per digit d, correctly rounded, for columns (digits, top,
-    x1, q) of int64 digits in [0, 2^31), top = max(digits), 0 < x1 < q and
-    top * x1 < q: one _round_fixed_point call over all their digits (module
+    """(d * x1 mod q) / q per digit d, correctly rounded, for columns
+    (digits, top, x1, q) of int64 digits in [0, 2^31), top = max(digits) and
+    0 < x1 < q: one _round_fixed_point call over all their digits (module
     docstring).  Refused digits, and those whose R 2^-s is below the
     smallest normal double, come from the exact integers."""
     shifts = [max(0, q.bit_length() - (max(top, 1) * x1).bit_length() - 1)
@@ -628,7 +623,7 @@ def _column_quotients(columns) -> list[np.ndarray]:
     ends = np.cumsum(sizes)
     for i, c in zip(refused, np.searchsorted(ends, refused, side="right")):
         _, _, x1, q = columns[c]
-        out[i] = int(d[i]) * x1 / q  # below q: no reduction
+        out[i] = int(d[i]) * x1 % q / q
     return np.split(out, ends[:-1])
 
 

@@ -116,17 +116,16 @@ def sampled_correlation(
     base: AtomicMeasure,
     B: CircleSet,
     shifts: Sequence[int | Sequence[int]],
-    n_samples: int,
 ) -> tuple[float, float]:
     """Float correlation over the words of a sampled base, plus the Monte
-    Carlo standard error of the mean for n_samples draws.  The shifts are
-    integers or their residues, as in shifted_intersection_values."""
+    Carlo standard error of the mean for its denominator draws.  The shifts
+    are integers or their residues, as in shifted_intersection_values."""
     weights = base.weights_np
     values = shifted_intersection_values(base, B, shifts)
     mean = float(np.dot(weights, values))
     second = float(np.dot(weights, values * values))
     variance = max(0.0, second - mean * mean)
-    return mean, math.sqrt(variance / n_samples)
+    return mean, math.sqrt(variance / base.denominator)
 
 
 def _contact_table(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

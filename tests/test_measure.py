@@ -301,7 +301,7 @@ def _assert_column_exact(q, digits, r):
     assert m._category_phases([r])[0].tobytes() == want
     assert m.phases([r]).tobytes() == (exact % 1.0).tobytes()
     x1 = r % q
-    applies = 0 < x1 and max(digits) * x1 < q and max(digits) < ms._LIMB_FACTOR_LIMIT
+    applies = 0 < x1 and max(digits) < ms._LIMB_FACTOR_LIMIT
     if applies:
         assert _kernel_quotients(digits, x1, q).tobytes() == want
     return applies
@@ -311,7 +311,9 @@ def _assert_column_exact(q, digits, r):
 def _kernel_columns(draw):
     """(q, sorted digits, r): q up to 2 000 bits; digits in [0, 2^31) with
     0 and often values next to 2^31, on both sides of the size floor; r
-    reduced, unreduced or 0 mod q, and mostly small enough not to wrap."""
+    reduced, unreduced or 0 mod q, as often small enough that no digit
+    wraps as not: then x1 = r mod q near q, some d * x1 next to a multiple
+    of q on either side, or anything."""
     q = draw(st.integers(2, 2**2000))
     n = draw(st.sampled_from([1, 3, ms._KERNEL_FLOOR - 1, ms._KERNEL_FLOOR, 200]))
     digit = st.one_of(
@@ -320,17 +322,23 @@ def _kernel_columns(draw):
     )
     digits = sorted({0, *draw(st.lists(digit, min_size=n - 1, max_size=n - 1))})
     top = (q - 1) // max(digits) if max(digits) else q - 1
-    if top >= 1 and draw(st.integers(0, 3)):
+    if top >= 1 and draw(st.booleans()):
         x1 = draw(st.one_of(st.integers(1, top), st.integers(max(1, top - 1000), top)))
     else:
-        x1 = draw(st.integers(0, q - 1))  # wraps, or is 0
+        d = max(1, draw(st.sampled_from(digits)))
+        j = draw(st.integers(1, d))  # d * x1 next to j * q
+        x1 = draw(st.one_of(
+            st.integers(max(1, q - 1000), q - 1),
+            st.integers(-1000, 1000).map(lambda e: (j * q + e) // d % q),
+            st.integers(0, q - 1),
+        ))
     r = x1 + q * draw(st.sampled_from([0, 0, 1, 7, 2**70]))
     return q, digits, r
 
 
 class TestCertifiedQuotients:
-    """phases' fixed-point column kernel for non-wrapping columns against
-    (d * r % q) / q, compared with tobytes: no tolerance anywhere."""
+    """phases' fixed-point column kernel against (d * r % q) / q, compared
+    with tobytes: no tolerance anywhere."""
 
     @settings(max_examples=300, deadline=None)
     @given(column=_kernel_columns())
@@ -386,11 +394,25 @@ class TestCertifiedQuotients:
     def test_wrapping_zero_and_large_digit_columns(self):
         digits = list(range(200))
         q = 10**30 + 57
-        assert not _assert_column_exact(q, digits, q // 3)  # wraps
+        assert _assert_column_exact(q, digits, q // 3)  # wraps
         assert not _assert_column_exact(q, digits, 5 * q)  # 0 mod q
         large = [0, 5, ms._LIMB_FACTOR_LIMIT, 2**40, *range(2**41, 2**41 + 100)]
         assert _one_column(q, large)._kernel_digits[0] is None
         assert not _assert_column_exact(q, large, 3)
+        # d * x1 a little below j * q (phases that round to 1.0 or just under
+        # it), on it, or a little above it (tiny phases, refused below about
+        # 2^-60), for three digits d of one column and j in 1..d - 1
+        rng = random.Random(6)
+        digits = sorted({*digits, *(rng.randrange(ms._LIMB_FACTOR_LIMIT) for _ in range(50))})
+        phases = []
+        for q in (2**200, 2**200 + 1, Q_ODD):
+            for d in (3, 199, digits[-1]):
+                j = rng.randrange(1, d)
+                for e in (-(q >> 40), -(q >> 70), -d, 0, q >> 70, q >> 40):
+                    x1 = -(-(j * q + e) // d)  # the least x1 with d * x1 >= j q + e
+                    assert _assert_column_exact(q, digits, x1)
+                    phases.extend(_exact_quotients(q, digits, x1))
+        assert 1.0 in phases and 0 < min(p for p in phases if p) < 2.0**-60
 
 
 @pytest.fixture(scope="module")
@@ -465,7 +487,7 @@ class TestLongFreeColumns:
                     (len(column), r % a.denominator, a.denominator)
                     for a, column, r in zip(image._flat_alphas(), image.categories, residues)
                     if len(column) >= ms._KERNEL_FLOOR and max(column) < ms._LIMB_FACTOR_LIMIT
-                    and 0 < r % a.denominator and max(column) * (r % a.denominator) < a.denominator
+                    and 0 < r % a.denominator
                 ]
                 assert len(taken) - before == (1 if want else 0)
                 assert [(len(d), x1, q) for cols in taken[before:] for d, _, x1, q in cols] == want

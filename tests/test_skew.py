@@ -84,7 +84,7 @@ class TestSkewCorrelation:
         G = lat.canonicalize([(2, 0), (0, 3)], 2)
         m = ms.sample_sigma(G, s, fam, 300, seed=8)
         for shifts in ([1], [3, 7], [2, 5, 11]):
-            fast, _ = sampled_correlation(m, B23, shifts, 300)
+            fast, _ = sampled_correlation(m, B23, shifts)
             exact = skew_correlation(m, B23, shifts)
             assert fast == pytest.approx(float(exact), abs=1e-9)
 
@@ -93,7 +93,7 @@ class TestSkewCorrelation:
         s = build_schedule(fam, 3)
         m = ms.sample_sigma(lat.canonicalize([(2,)], 1), s, fam, 200, seed=8)
         Bset = CircleSet.from_pairs([(0, F(1, 5)), (F(2, 5), F(4, 5))])
-        fast, _ = sampled_correlation(m, Bset, [1, 3], 200)
+        fast, _ = sampled_correlation(m, Bset, [1, 3])
         exact = skew_correlation(m, Bset, [1, 3])
         assert fast == pytest.approx(float(exact), abs=1e-9)
 
@@ -443,15 +443,15 @@ def _all_words_values(base, B, residues):
     return skew._multi_arc_intersection_lengths(arcs, phases)
 
 
-def _assert_matches_all_words(base, B, residues, n_samples):
+def _assert_matches_all_words(base, B, residues):
     """Values and sampled_correlation bitwise those of every word, the
     correlation's two dots taken over the words' weights in word order."""
     want = _all_words_values(base, B, residues)
     assert shifted_intersection_values(base, B, residues).tobytes() == want.tobytes()
     mean = float(np.dot(base.weights_np, want))
     second = float(np.dot(base.weights_np, want * want))
-    err = math.sqrt(max(0.0, second - mean * mean) / n_samples)
-    got = sampled_correlation(base, B, residues, n_samples)
+    err = math.sqrt(max(0.0, second - mean * mean) / base.denominator)
+    got = sampled_correlation(base, B, residues)
     assert [x.hex() for x in got] == [mean.hex(), err.hex()]
 
 
@@ -496,7 +496,7 @@ class TestActiveColumnRestriction:
     @given(case=_zeroed_residues(), B=st.sampled_from([B23, B_FOUR]))
     def test_matches_all_words(self, case, B):
         m, residues = case
-        _assert_matches_all_words(m, B, residues, 3000)
+        _assert_matches_all_words(m, B, residues)
 
     def test_fs_tail_points_match_all_words(self):
         G, _ = build_cor65_group(FAM_N_NSQ.polys)
@@ -504,7 +504,7 @@ class TestActiveColumnRestriction:
         m = ms.pushforward_scale(ms.sample_sigma(G, sched, FAM_N_NSQ, 4000, seed=2), 3)
         table = skew.ShiftResidues(m, sched.indices, FAM_N_NSQ.polys)
         for alpha, _ in fs_tail(sched.indices, 4).sums:
-            _assert_matches_all_words(m, B23, table.at(alpha), 4000)
+            _assert_matches_all_words(m, B23, table.at(alpha))
         # the late points leave most columns inactive, and rows shrink
         shrunk = [r for r in m._restrictions.values() if r is not None]
         assert shrunk and all(len(r.codes) < len(m.codes) for r, _ in shrunk)
@@ -528,10 +528,10 @@ class TestActiveColumnRestriction:
         m = _RESTRICTION_MEASURES[0]
         qs = [a.denominator for a in m._flat_alphas()]
         none = [[0] * len(qs), [2 * q for q in qs]]
-        _assert_matches_all_words(m, B, none, 3000)
+        _assert_matches_all_words(m, B, none)
         assert m.restriction(())[0].codes.shape == (1, 0)
         every = [[q - 1 for q in qs]]
-        _assert_matches_all_words(m, B, every, 3000)
+        _assert_matches_all_words(m, B, every)
         assert m.restriction(tuple(range(len(qs)))) is None
 
     @pytest.mark.parametrize("B", [B23, B_FOUR])
@@ -542,7 +542,7 @@ class TestActiveColumnRestriction:
             codes=np.array([[0, 0], [0, 1], [0, 2]], dtype=np.uint32),
             counts=[1, 1, 2], denominator=4,
         )
-        _assert_matches_all_words(m, B, [[3, 4], [0, 9]], 4)
+        _assert_matches_all_words(m, B, [[3, 4], [0, 9]])
         assert m._restrictions == {(1,): None}
 
 
@@ -627,45 +627,27 @@ class TestGaussianPairMass:
         assert total == pytest.approx(1, abs=1e-12)
 
     def test_matches_conditional_cdf_quadrature(self):
-        # The mass as the integral over I of phi(x) times the conditional
-        # probability of J, by composite 20-point Gauss-Legendre on panels no
-        # wider than the conditional standard deviation, split where the
-        # conditional mean crosses an end of J.  Only math.erfc is used.  The
-        # reference is good to ~1e-15, so 1e-12 also catches a misplaced
+        # The reference is good to ~1e-15, so 1e-12 also catches a misplaced
         # branch cut (Sheppard's 20 nodes at rho = 0.99 are off by ~2e-10).
-        nodes = _gauss_legendre(20)
-
-        def ndtr(x):
-            return 0.5 * math.erfc(-x / math.sqrt(2))
-
-        def reference(rho, I, J):
-            a, b = max(I[0], -9.0), min(I[1], 9.0)
-            c, d = J
-            s = math.sqrt((1 - rho) * (1 + rho))
-            cuts = {v / rho for v in J if rho and math.isfinite(v) and a < v / rho < b}
-            ends = sorted({a, b} | cuts)
-            total = 0.0
-            for lo, hi in zip(ends, ends[1:]):
-                n = math.ceil((hi - lo) / min(0.25, s))
-                h = (hi - lo) / n
-                for i in range(n):
-                    mid = lo + (i + 0.5) * h
-                    for x, w in nodes:
-                        t = mid + x * h / 2
-                        total += (w * h / 2 * math.exp(-t * t / 2) / math.sqrt(2 * math.pi)
-                                  * (ndtr((d - rho * t) / s) - ndtr((c - rho * t) / s)))
-            return total
-
         rhos = self.BRANCH_RHOS + [0.0, 0.1, -0.5, 0.6, 0.85, -0.88, 0.99, -0.99, 0.9999]
         rects = [((-1, 0), (-1, 0)), ((-0.5, 2), (0.3, 1.7)), ((-3, 40), (0, 0.25)),
                  ((-math.inf, 0.4), (-2, math.inf)), ((1, 3), (-3, -1)),
                  ((-40, 2), (-3, 2)), ((0.2, 0.2), (-1, 1)), ((-2.5, -0.1), (-math.inf, 1.5))]
         worst = max(
-            abs(gaussian_pair_mass(rho, I, J) - reference(rho, I, J))
+            abs(gaussian_pair_mass(rho, I, J) - _conditional_cdf_mass(rho, I, J))
             for rho in rhos
             for I, J in rects
         )
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.95])
+    def test_relative_accuracy_in_the_lower_tail(self, rho):
+        # orthant values near 1 would leave (-7, -6)^2 off by ~3e-4 of its
+        # mass at rho = 0.5 and give 0.0 at rho = 0; the reference keeps its
+        # relative accuracy there
+        I = (-7, -6)
+        want = _conditional_cdf_mass(rho, I, I)
+        assert abs(gaussian_pair_mass(rho, I, I) - want) <= 1e-12 * want
 
 
 def _gauss_legendre(n):
@@ -685,6 +667,39 @@ def _gauss_legendre(n):
                 break
         rule.append((x, 2 / ((1 - x * x) * dp * dp)))
     return rule
+
+
+_GL20 = _gauss_legendre(20)
+
+
+def _conditional_cdf_mass(rho, I, J):
+    """Reference: P(X in I, Y in J) for |rho| < 1 as the integral over I
+    (clipped to [-9, 9]) of phi(x) times the conditional probability of J,
+    by composite 20-point Gauss-Legendre on panels no wider than the
+    conditional standard deviation, split where the conditional mean crosses
+    an end of J.  Only math.erfc is used.  In the lower tail every term is a
+    product of small positive values, so the mass keeps its relative
+    accuracy there."""
+
+    def ndtr(x):
+        return 0.5 * math.erfc(-x / math.sqrt(2))
+
+    a, b = max(I[0], -9.0), min(I[1], 9.0)
+    c, d = J
+    s = math.sqrt((1 - rho) * (1 + rho))
+    cuts = {v / rho for v in J if rho and math.isfinite(v) and a < v / rho < b}
+    ends = sorted({a, b} | cuts)
+    total = 0.0
+    for lo, hi in zip(ends, ends[1:]):
+        n = math.ceil((hi - lo) / min(0.25, s))
+        h = (hi - lo) / n
+        for i in range(n):
+            mid = lo + (i + 0.5) * h
+            for x, w in _GL20:
+                t = mid + x * h / 2
+                total += (w * h / 2 * math.exp(-t * t / 2) / math.sqrt(2 * math.pi)
+                          * (ndtr((d - rho * t) / s) - ndtr((c - rho * t) / s)))
+    return total
 
 
 class TestGaussianTransfer:
