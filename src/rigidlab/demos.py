@@ -5,14 +5,16 @@ finite-sums tail, computed through annihilator representatives) with an
 empirical scan of an actual sampled system: every finite sum of the schedule
 indices past a cutoff is evaluated on the skew product and compared against
 the recurrence threshold with a three-sigma Monte Carlo error bar.  A scan
-point is conclusive only when the bar clears the threshold.
+point is conclusive only when the bar clears the threshold.  The smallest
+passing cutoff comes from one pass over the groups of sums that share their
+least index, so no sum is scored twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Sequence
 
 from . import families as fm
@@ -42,13 +44,8 @@ class ScanPoint:
 
 @dataclass
 class TailScan:
-    start_index: int
     threshold: float
     points: list[ScanPoint]
-
-    @property
-    def all_below(self) -> bool:
-        return all(p.verdict == BELOW for p in self.points)
 
     @property
     def inconclusive_count(self) -> int:
@@ -61,39 +58,44 @@ def scan_fs_tail(
     start_index: int,
     threshold: float,
 ) -> TailScan:
-    """Evaluate the finite sums of the generators past start_index in order,
-    stopping after the first point that is not BELOW; a scan that comes back
-    all_below therefore covers the whole tail.  Each point's shifts p(n_alpha)
-    reach the correlation as their exact residues from the shared table."""
-    tail = fs_tail(shifts.generators, start_index)
+    """Evaluate the finite sums past start_index that contain start_index + 1
+    in fs_tail order up to the first point that is not BELOW.  Each point's
+    shifts p(n_alpha) come as exact residues from the shared table."""
+    gens = shifts.generators
+    later = range(start_index + 2, len(gens) + 1)
     points = []
-    for alpha, n_alpha in tail.sums:
+    for rest in (c for r in range(len(later) + 1) for c in combinations(later, r)):
+        alpha = (start_index + 1, *rest)
         corr, err = sampled_correlation(shifts.base, B, shifts.at(alpha))
-        if corr + 3 * err <= threshold:
-            verdict = BELOW
-        elif corr - 3 * err > threshold:
-            verdict = ABOVE
-        else:
-            verdict = INCONCLUSIVE
-        points.append(ScanPoint(alpha, n_alpha, corr, err, verdict))
+        verdict = (BELOW if corr + 3 * err <= threshold
+                   else ABOVE if corr - 3 * err > threshold else INCONCLUSIVE)
+        points.append(ScanPoint(alpha, sum(gens[i - 1] for i in alpha), corr, err, verdict))
         if verdict != BELOW:
             break
-    return TailScan(start_index, threshold, points)
+    return TailScan(threshold, points)
 
 
 def smallest_passing_cutoff(
     base, B, polys, schedule, k0_max, threshold
 ) -> tuple[int | None, dict[int, TailScan]]:
-    """Smallest k0 <= k0_max whose whole tail scans conclusively below; the
-    search stops at k0 = depth - 1, the last cutoff with a nonempty tail.
-    The tails share one residue table over the schedule indices."""
+    """Smallest k0 <= k0_max whose tail scans all BELOW, with that scan: the
+    largest j whose group G_j (the sums with least index j) fails, or 0.  The
+    G_j past min(k0_max, depth - 1) go first, then the rest downward."""
+    last = min(k0_max, schedule.depth - 1)
+    if last < 0:  # a negative k0_max or a depth of 0 leaves no cutoff
+        return None, {}
     shifts = ShiftResidues(base, schedule.indices, polys)
-    scans = {}
-    for k0 in range(min(k0_max, schedule.depth - 1) + 1):
-        scans[k0] = scan_fs_tail(shifts, B, k0, threshold)
-        if scans[k0].all_below:
-            return k0, scans
-    return None, scans
+    scored, cutoff = {}, 0
+    for j in (*range(last + 1, schedule.depth + 1), *range(last, 0, -1)):
+        group = scan_fs_tail(shifts, B, j - 1, threshold)
+        if group.points[-1].verdict != BELOW:
+            cutoff = j
+            break
+        scored.update((p.alpha, p) for p in group.points)
+    if cutoff > last:
+        return None, {}
+    points = [scored[alpha] for alpha, _ in fs_tail(schedule.indices, cutoff).sums]
+    return cutoff, {cutoff: TailScan(threshold, points)}
 
 
 def _sampled_scan(

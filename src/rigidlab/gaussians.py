@@ -146,8 +146,9 @@ def gaussian_pair_mass(rho: float, I: tuple, J: tuple) -> float:
 
     Degenerate rho = +-1 collapses to one-dimensional masses; otherwise the
     rectangle is taken by inclusion-exclusion of four upper orthants, after
-    (X, Y) -> (-X, -Y) where it reaches below 0: orthant values near 1 would
-    lose the mass's relative accuracy in the lower tail.
+    X -> -X where I lies below 0 and Y -> -Y where J does (each flip negates
+    rho): orthant values near 1 would lose the mass's relative accuracy in
+    the lower tail.
     """
     if not -1 <= rho <= 1:
         raise PreconditionError("correlation must lie in [-1, 1]")
@@ -162,8 +163,10 @@ def gaussian_pair_mass(rho: float, I: tuple, J: tuple) -> float:
     if rho == -1:
         lo, hi = max(a, -d), min(b, -c)
         return interval_probability(lo, hi) if lo <= hi else 0.0
-    if b < 0 or d < 0:
-        a, b, c, d = -b, -a, -d, -c
+    if b < 0:
+        a, b, rho = -b, -a, -rho
+    if d < 0:
+        c, d, rho = -d, -c, -rho
     mass = (
         _upper_orthant(a, c, rho) - _upper_orthant(b, c, rho)
         - _upper_orthant(a, d, rho) + _upper_orthant(b, d, rho)

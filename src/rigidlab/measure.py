@@ -196,8 +196,8 @@ class AtomicMeasure:
     The rows of codes must be distinct and strictly increasing in
     lexicographic order (PreconditionError otherwise): phases evaluates them
     over the prefix tree of runs that order makes contiguous, built once here
-    and shared by pushforward_scale images, as is each restriction to some
-    columns (their distinct rows with summed counts: the exact marginal).
+    and shared by pushforward_scale images; restriction keeps just its last
+    marginal on some columns (their distinct rows with summed counts).
     """
 
     def __init__(
@@ -242,7 +242,7 @@ class AtomicMeasure:
         self.weights_np = np.array([c / denominator for c in counts])
         self.scale = 1  # pushforward_scale images multiply it
         self._runs = _prefix_runs(codes)
-        self._restrictions = {}  # restriction() per active-column tuple, shared like _runs
+        self._restriction = None, None  # (active, restriction(active)) of the last call
         # per column, (int64 digits, largest digit) where the column kernel
         # may take it, else None; pushforward_scale images share the list
         self._kernel_digits = [
@@ -324,7 +324,7 @@ class AtomicMeasure:
         """(measure, index): the measure on the distinct rows of the active
         columns' codes (lexicographic order, counts summed per row) and word
         i's row index[i], int32; None where every word keeps its own row."""
-        if active not in self._restrictions and len(active) < self.codes.shape[1]:
+        if self._restriction[0] != active and len(active) < self.codes.shape[1]:
             words = [(np.zeros(len(self.codes), dtype=np.uint64), [])]
             for col in active:
                 _fold(words, self.codes[:, col].astype(np.uint64), len(self.categories[col]))
@@ -344,8 +344,8 @@ class AtomicMeasure:
                     categories=[self.categories[c] for c in active],
                     counts=counts.tolist(), denominator=self.denominator,
                 ), index
-            self._restrictions[active] = restricted
-        return self._restrictions.get(active)
+            self._restriction = active, restricted
+        return self._restriction[1] if self._restriction[0] == active else None
 
     def _tree_sum(self, columns, dtype=float) -> np.ndarray:
         """Per word, the sum of its category values, one array per column.

@@ -71,6 +71,8 @@ class Schedule:
     alphas: tuple[tuple[Fraction, ...], ...]  # [k-1][j-1]
 
     def __post_init__(self):
+        if not isinstance(self.depth, int) or isinstance(self.depth, bool):
+            raise PreconditionError("schedule depth must be an integer")
         if len(self.indices) != self.depth or len(self.alphas) != self.depth:
             raise PreconditionError("schedule arrays disagree with depth")
         for k, n in enumerate(self.indices, start=1):
@@ -88,6 +90,8 @@ class Schedule:
 
     @staticmethod
     def from_json(obj: dict) -> "Schedule":
+        if any(isinstance(n, (float, bool)) for n in obj["indices"]):
+            raise PreconditionError("schedule indices must be integers or decimal strings")
         return Schedule(
             obj["depth"],
             tuple(int(n) for n in obj["indices"]),

@@ -23,12 +23,13 @@ On the cor66/cor67 scans it keeps about 23% of the rows, and 19% of all
 rows are nonzero.
 
 Phases and kernels run on the distinct rows of the active columns, those
-where some shift's residue is nonzero mod q (AtomicMeasure.restriction),
-and the row-wise values are gathered back to the words (11 times fewer rows
-on the depth-11 cor65 scan).  Elsewhere each digit's phase is +0.0, which
-adds no bit to a partial sum >= +0.0, so the values are bitwise those of
-the words and the budget below holds unchanged; sampled_correlation still
-dots them with the words' weights in word order.
+where some shift's residue is nonzero mod q (AtomicMeasure.restriction,
+which keeps the last pattern's rows; the sums that share their least index
+share a pattern), and the row-wise values are gathered back to the words (11
+times fewer rows on the depth-11 cor65 scan).  Elsewhere each digit's phase
+is +0.0, which adds no bit to a partial sum >= +0.0, so the values are
+bitwise those of the words and the budget below holds unchanged;
+sampled_correlation still dots them with the words' weights in word order.
 
 Error budget of a per-word value, against the exact measure for the exact
 phases, with K the arcs of B, m the shifts and 2^-53 the unit roundoff:

@@ -207,6 +207,30 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "PreconditionError"
 
+    @pytest.mark.parametrize("command", [["verify-dichotomy"], ["gaussian", "--sigma"]],
+                             ids=["verify_dichotomy", "gaussian"])
+    @pytest.mark.parametrize("field, value", [("depth", 2.0), ("index", 1.9), ("index", True)],
+                             ids=["depth_float", "index_float", "index_bool"])
+    def test_bundle_schedule_not_integers(self, families, tmp_path, capsys, command,
+                                          field, value):
+        # a float depth crashed both commands with a traceback, and a float
+        # index was truncated by int(); each is one JSON error, exit 2
+        sigma = tmp_path / "sigma.json"
+        args = ["measure", families["n_nsq"], "--group", families["g23"],
+                "--depth", "2", "--samples", "50", "--out", str(sigma)]
+        assert run(args) == 0
+        bundle = json.loads(sigma.read_text())
+        if field == "depth":
+            bundle["schedule"]["depth"] = value
+        else:
+            bundle["schedule"]["indices"][0] = value
+        sigma.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert run(command + [str(sigma)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "PreconditionError"
+        assert "schedule" in err["detail"]
+
     def test_bundle_missing_key(self, tmp_path, capsys):
         bundle = tmp_path / "sigma.json"
         bundle.write_text("{}")

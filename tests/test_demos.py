@@ -3,9 +3,13 @@
 import hashlib
 import json
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rigidlab import demos
 from rigidlab import lattice as lat
 from rigidlab.demos import (
     build_cor65_group,
@@ -18,6 +22,7 @@ from rigidlab.demos import (
 )
 from rigidlab.behrend import behrend_set
 from rigidlab.errors import PreconditionError
+from rigidlab.skew import fs_tail
 
 
 def report_sha256(report) -> str:
@@ -114,21 +119,117 @@ class TestCor65ExactLedger:
         ]
 
     def test_each_tail_point_evaluated_once(self, monkeypatch):
-        # The cutoff search keeps the scan that found the passing tail; no
-        # point of any scan is evaluated a second time.
+        # The cutoff search scores each finite sum at most once: the reported
+        # tail, plus the failing singleton {k0} in front of it.
         from rigidlab import skew
 
-        calls = []
-        original = skew.shifted_intersection_values
+        calls, alphas = [], []
+        original, at = skew.shifted_intersection_values, skew.ShiftResidues.at
 
         def counting(base, B, shifts):
             calls.append(tuple(shifts))
             return original(base, B, shifts)
 
+        def recording(table, alpha):
+            alphas.append(tuple(alpha))
+            return at(table, alpha)
+
         monkeypatch.setattr(skew, "shifted_intersection_values", counting)
+        monkeypatch.setattr(skew.ShiftResidues, "at", recording)
         rep = cor65_demo(2, [(0, 1), (0, 0, 1)], depth=5, n_samples=2000, seed=3)
-        assert rep.cutoff is not None
-        assert len(calls) == sum(len(scan.points) for scan in rep.scans.values())
+        assert rep.cutoff is not None and rep.cutoff > 0
+        reported = [p.alpha for p in rep.scans[rep.cutoff].points]
+        assert len(calls) == len(alphas) == len(set(alphas)) == len(reported) + 1
+        assert set(alphas) - set(reported) == {(rep.cutoff,)}
+
+
+class _SumTable:
+    """Stands in for ShiftResidues: at(alpha) hands the sum's index set to
+    the stubbed correlation, which looks its verdict up."""
+
+    def __init__(self, base, generators, polys):
+        self.base, self.generators = base, tuple(generators)
+
+    def at(self, alpha):
+        return tuple(alpha)
+
+
+# (correlation, stderr) per verdict against the threshold 0.5
+_STUB_VALUES = {
+    demos.BELOW: (0.0, 0.0), demos.ABOVE: (1.0, 0.0), demos.INCONCLUSIVE: (0.5, 0.5)
+}
+
+
+def _upward_search(shifts, k0_max, depth):
+    """Reference: the restart search over k0 = 0, 1, ..., min(k0_max, depth -
+    1), each scan running over tail(k0) in fs_tail order up to its first
+    point that is not BELOW; returns the first passing k0 and its points."""
+    for k0 in range(min(k0_max, depth - 1) + 1):
+        points = []
+        for alpha, n_alpha in fs_tail(shifts.generators, k0).sums:
+            corr, err = demos.sampled_correlation(shifts.base, None, shifts.at(alpha))
+            if corr + 3 * err <= 0.5:
+                verdict = demos.BELOW
+            elif corr - 3 * err > 0.5:
+                verdict = demos.ABOVE
+            else:
+                verdict = demos.INCONCLUSIVE
+            points.append(demos.ScanPoint(alpha, n_alpha, corr, err, verdict))
+            if verdict != demos.BELOW:
+                break
+        if all(p.verdict == demos.BELOW for p in points):
+            return k0, points
+    return None, None
+
+
+@st.composite
+def _verdict_cases(draw):
+    """A depth, a k0_max and a verdict per finite sum: BELOW but on a few
+    drawn sums, so that searches pass at every cutoff as well as fail.  A
+    depth of 0 and a negative k0_max leave no cutoff to search."""
+    depth = draw(st.integers(0, 7))
+    k0_max = draw(st.integers(-1, 8))
+    alphas = [alpha for alpha, _ in fs_tail(range(1, depth + 1), 0).sums] if depth else []
+    failing = draw(st.dictionaries(
+        st.sampled_from(alphas), st.sampled_from([demos.ABOVE, demos.INCONCLUSIVE]),
+        max_size=len(alphas))) if depth else {}
+    return depth, k0_max, {alpha: failing.get(alpha, demos.BELOW) for alpha in alphas}
+
+
+class TestCutoffSearchOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_verdict_cases())
+    def test_matches_upward_search(self, case):
+        depth, k0_max, verdicts = case
+        scored = []
+
+        def correlation(base, B, alpha):
+            scored.append(alpha)
+            return _STUB_VALUES[verdicts[alpha]]
+
+        schedule = SimpleNamespace(depth=depth, indices=tuple(3**i for i in range(depth)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(demos, "ShiftResidues", _SumTable)
+            mp.setattr(demos, "sampled_correlation", correlation)
+            want, want_points = _upward_search(_SumTable(None, schedule.indices, ()), k0_max, depth)
+            scored.clear()
+            cutoff, scans = demos.smallest_passing_cutoff(None, None, (), schedule, k0_max, 0.5)
+        assert cutoff == want
+        assert len(scored) == len(set(scored))
+        last = min(k0_max, depth - 1)
+        if cutoff is None:
+            assert scans == {}
+            assert len(scored) <= (2 ** (depth - last) - 1 if last >= 0 else 0)
+            return
+        assert list(scans) == [cutoff] and scans[cutoff].points == want_points
+        assert len(want_points) == 2 ** (depth - cutoff) - 1
+        # past the reported tail, only the failing group G_cutoff up to its
+        # first point that is not BELOW (the singleton where that one fails)
+        group = [a for a, _ in fs_tail(schedule.indices, cutoff - 1).sums
+                 if a[0] == cutoff] if cutoff else []
+        failed = next((i + 1 for i, a in enumerate(group) if verdicts[a] != demos.BELOW), 0)
+        assert set(scored) == {p.alpha for p in want_points} | set(group[:failed])
+        assert len(scored) == len(want_points) + failed
 
 
 class TestCor66:

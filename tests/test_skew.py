@@ -503,19 +503,30 @@ class TestActiveColumnRestriction:
         sched = build_schedule(FAM_N_NSQ, 8)
         m = ms.pushforward_scale(ms.sample_sigma(G, sched, FAM_N_NSQ, 4000, seed=2), 3)
         table = skew.ShiftResidues(m, sched.indices, FAM_N_NSQ.polys)
+        shrunk = []
         for alpha, _ in fs_tail(sched.indices, 4).sums:
             _assert_matches_all_words(m, B23, table.at(alpha))
+            active, restricted = m._restriction
+            if restricted is not None:
+                shrunk.append(restricted[0])
         # the late points leave most columns inactive, and rows shrink
-        shrunk = [r for r in m._restrictions.values() if r is not None]
-        assert shrunk and all(len(r.codes) < len(m.codes) for r, _ in shrunk)
+        assert shrunk and all(len(r.codes) < len(m.codes) for r in shrunk)
 
     def test_restricted_rows_and_counts(self):
         m = _RESTRICTION_MEASURES[1]
+        m.restriction(())
         image = ms.pushforward_scale(m, 7)
-        assert image._restrictions is m._restrictions
         active = tuple(range(2, m.codes.shape[1], 3))
         restricted, index = image.restriction(active)
-        assert m.restriction(active)[0] is restricted and index.dtype == np.int32
+        # a repeated pattern returns the slot's object; a new pattern replaces
+        # it, and an image's slot is its own
+        assert image.restriction(active)[0] is restricted and index.dtype == np.int32
+        own = m.restriction(active)[0]
+        assert own is not restricted and np.array_equal(own.codes, restricted.codes)
+        other = tuple(range(1, m.codes.shape[1], 3))
+        assert image.restriction(other)[0] is image._restriction[1][0]
+        assert image._restriction[0] == other and m._restriction[0] == active
+        assert image.restriction(active)[0] is not restricted
         assert np.array_equal(restricted.codes[index], m.codes[:, list(active)])
         assert sum(restricted.counts) == restricted.denominator == m.denominator
         want = [0] * len(restricted.codes)
@@ -543,7 +554,7 @@ class TestActiveColumnRestriction:
             counts=[1, 1, 2], denominator=4,
         )
         _assert_matches_all_words(m, B, [[3, 4], [0, 9]])
-        assert m._restrictions == {(1,): None}
+        assert m._restriction == ((1,), None)
 
 
 def _normal_mass(lo, hi, panels=200):
@@ -648,6 +659,16 @@ class TestGaussianPairMass:
         I = (-7, -6)
         want = _conditional_cdf_mass(rho, I, I)
         assert abs(gaussian_pair_mass(rho, I, I) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("rho", [0.5, -0.5, 0.95, 0.99])
+    def test_mixed_tails_mirror_each_coordinate(self, rho):
+        # a side below 0 is mirrored on its own coordinate with rho negated,
+        # so a rectangle with one side in each tail is its upper-right mirror
+        # image, whichever of I and J is the lower one
+        lower, upper = (-7, -6), (6, 7)
+        want = gaussian_pair_mass(-rho, upper, upper)
+        assert gaussian_pair_mass(rho, lower, upper) == want
+        assert gaussian_pair_mass(rho, upper, lower) == want
 
 
 def _gauss_legendre(n):
