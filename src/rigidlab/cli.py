@@ -273,6 +273,8 @@ def _load_bundle(path: str):
         G = lat.Lattice.from_json(bundle["group"])
         sched = Schedule.from_json(bundle["schedule"])
         sigma = ms.AtomicMeasure.from_json(bundle["sigma"])
+    if sum(sigma.counts) != sigma.denominator:
+        raise PreconditionError("sigma bundle weights must sum to 1")
     return fam, G, sched, sigma
 
 
@@ -354,8 +356,8 @@ def cmd_demo(args) -> int:
             args.ell, primes, depth, args.samples, args.seed, **options
         )
     _json_out(report.to_json(), args.out)
-    if args.scan_csv and report.cutoff is not None:
-        _csv_out(_scan_csv(report.scans[report.cutoff]), args.scan_csv)
+    if args.scan_csv and report.scan is not None:
+        _csv_out(_scan_csv(report.scan), args.scan_csv)
     return 0 if report.passed else 2
 
 

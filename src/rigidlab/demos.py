@@ -100,10 +100,10 @@ def smallest_passing_cutoff(
 
 def _sampled_scan(
     group, degree, B, polys, threshold, depth, n_samples, seed, k0_max
-) -> tuple[AtomicMeasure, Schedule, int | None, dict[int, TailScan]]:
+) -> tuple[AtomicMeasure, Schedule, int | None, TailScan | None]:
     """Sample sigma for the monomials n, ..., n^degree on the rigidity group
     and scan the finite-sums tail of its schedule for the smallest passing
-    cutoff.  Returns (sigma, schedule, cutoff, scans)."""
+    cutoff.  Returns (sigma, schedule, cutoff, the cutoff's scan or None)."""
     if k0_max < 0:
         raise PreconditionError("k0_max must be non-negative")
     monomials = fm.polynomial_family([[0] * d + [1] for d in range(1, degree + 1)])
@@ -113,7 +113,7 @@ def _sampled_scan(
     cutoff, scans = smallest_passing_cutoff(
         sigma, B, polys, sched, k0_max, threshold
     )
-    return sigma, sched, cutoff, scans
+    return sigma, sched, cutoff, scans.get(cutoff)
 
 
 def cor65_representatives(ell: int) -> list[tuple[Fraction, ...]]:
@@ -143,14 +143,13 @@ class Cor65Report:
     epsilon: Fraction
     exact_ledger_ok: bool
     cutoff: int | None
-    scans: dict = field(repr=False, default_factory=dict)
+    scan: TailScan | None = field(repr=False, default=None)
 
     @property
     def passed(self) -> bool:
         return self.exact_ledger_ok and self.cutoff is not None
 
     def to_json(self) -> dict:
-        scan = self.scans.get(self.cutoff)
         return {
             "ell": self.ell,
             "polys": [list(p) for p in self.polys],
@@ -165,7 +164,7 @@ class Cor65Report:
             "k0": self.cutoff,
             "threshold": str(self.nu_power - self.epsilon),
             "scan": None
-            if scan is None
+            if self.scan is None
             else [
                 {
                     "alpha": list(p.alpha),
@@ -174,7 +173,7 @@ class Cor65Report:
                     "verdict": p.verdict,
                     "approx": True,
                 }
-                for p in scan.points
+                for p in self.scan.points
             ],
             "passed": self.passed,
         }
@@ -246,7 +245,7 @@ def cor65_demo(
         and gap >= 2 * epsilon
     )
 
-    _, _, cutoff, scans = _sampled_scan(
+    _, _, cutoff, scan = _sampled_scan(
         group, family.max_degree, B, family.polys, float(nu_power - epsilon),
         depth, n_samples, seed, k0_max,
     )
@@ -262,7 +261,7 @@ def cor65_demo(
         epsilon=epsilon,
         exact_ledger_ok=ledger_ok,
         cutoff=cutoff,
-        scans=scans,
+        scan=scan,
     )
 
 
@@ -279,7 +278,7 @@ class Cor66Report:
     rigid_coefficients: list
     mixing_coefficient: float
     cutoff: int | None
-    scans: dict = field(repr=False, default_factory=dict)
+    scan: TailScan | None = field(repr=False, default=None)
 
     @property
     def passed(self) -> bool:
@@ -339,7 +338,7 @@ def cor66_demo(
     group = lat.canonicalize(
         [lat.standard_basis(degree, j) for j in range(1, degree)], degree
     )
-    sigma, sched, cutoff, scans = _sampled_scan(
+    sigma, sched, cutoff, scan = _sampled_scan(
         group, degree, B, (tuple(pc), tuple(qc)), float(B.measure() ** ell),
         depth, n_samples, seed, k0_max,
     )
@@ -358,7 +357,7 @@ def cor66_demo(
         rigid_coefficients=rigid,
         mixing_coefficient=mixing,
         cutoff=cutoff,
-        scans=scans,
+        scan=scan,
     )
 
 
@@ -453,13 +452,13 @@ def cor67_demo(
         cutoff = None
         inconclusive = 0
         if prime <= SCAN_PRIME_CAP:
-            _, _, cutoff, scans = _sampled_scan(
+            _, _, cutoff, scan = _sampled_scan(
                 lat.canonicalize([(prime, 0)], 2), 2, B,
                 ((0, 1), (0, 2), (0, 0, 1)), float(B.measure() ** ell),
                 depth, n_samples, seed, k0_max,
             )
-            if cutoff is not None:
-                inconclusive = scans[cutoff].inconclusive_count
+            if scan is not None:
+                inconclusive = scan.inconclusive_count
         rows.append(Cor67PrimeRow(prime, limit, distance, cutoff, inconclusive))
     return Cor67Report(
         ell=ell,

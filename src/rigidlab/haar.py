@@ -35,20 +35,17 @@ MAX_FREE_COORDS = 2
 
 @dataclass(frozen=True)
 class FactorPattern:
-    """shift = sum(rep_coeffs . rep) + const + free_coef * z_{free_var}."""
+    """shift = sum(rep_coeffs . rep) + free_coef * z_{free_var}."""
 
     rep_coeffs: tuple[int, ...] = ()
-    const: Fraction = Fraction(0)
     free_var: int | None = None
     free_coef: int = 0
 
     @staticmethod
-    def of(rep_coeffs=(), const=0, free_var=None, free_coef=0) -> "FactorPattern":
+    def of(rep_coeffs=(), free_var=None, free_coef=0) -> "FactorPattern":
         if free_var is not None and free_coef == 0:
             raise PreconditionError("free variable declared with zero coefficient")
-        return FactorPattern(
-            tuple(int(c) for c in rep_coeffs), Fraction(const), free_var, int(free_coef)
-        )
+        return FactorPattern(tuple(int(c) for c in rep_coeffs), free_var, int(free_coef))
 
 
 def _three_node_integral(f, lo: Fraction, hi: Fraction) -> Fraction:
@@ -102,7 +99,7 @@ def _single_rep_integral(
     static_shifts: list[Fraction] = []
     free_groups: dict[int, tuple[list[Fraction], list[int]]] = {}
     for f in factors:
-        t = (sum((c * r for c, r in zip(f.rep_coeffs, rep) if c), f.const)) % 1
+        t = sum((c * r for c, r in zip(f.rep_coeffs, rep) if c), Fraction(0)) % 1
         if f.free_var is None:
             static_shifts.append(t)
         else:
@@ -174,14 +171,13 @@ def haar_correlation_limit(
     # set, the shifts as integer numerators over the common denominator D,
     # and integrate once per distinct key, weighted by its multiplicity.
     reps = [[Fraction(r) for r in rep] for rep in reps]
-    D = lcm(*(r.denominator for rep in reps for r in rep), *(f.const.denominator for f in pattern))
-    consts = [f.const.numerator * (D // f.const.denominator) for f in pattern]
+    D = lcm(*(r.denominator for rep in reps for r in rep))
     distinct: dict[frozenset, list] = {}
     for rep in reps:
         nums = [r.numerator * (D // r.denominator) for r in rep]
         key = frozenset(
-            ((sum(c * n for c, n in zip(f.rep_coeffs, nums)) + k) % D, f.free_var, f.free_coef)
-            for f, k in zip(pattern, consts)
+            (sum(c * n for c, n in zip(f.rep_coeffs, nums)) % D, f.free_var, f.free_coef)
+            for f in pattern
         )
         distinct.setdefault(key, [rep, 0])[1] += 1
     total = sum(

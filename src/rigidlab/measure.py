@@ -1,14 +1,15 @@
 """Atomic torus measures sampled from schedules and their Fourier analysis.
 
 Every measure keeps a product structure: each atom is a word of cell digits
-(one digit per column), and the represented point is
-scale * sum digit * alpha mod 1.  Sampled measures have one column per
-schedule level and coordinate; explicit rational atoms are one column with
-alpha = 1/L, L the lcm of their denominators.  Fourier coefficients at huge
-integer arguments t go through exact integers first: residues(t) gives
-t * scale * p mod q per column alpha = p/q (skew.ShiftResidues gives the same
-residues for the finite-sums scans without reducing t), and phases gives each
-digit the correctly rounded (d * r mod q) / q, so no precision is lost to
+(one digit per column), and the represented point is the sum of digit *
+alpha over the columns, mod 1.  Sampled measures have one column per schedule
+level and coordinate; explicit rational atoms are one column with alpha =
+1/L, L the lcm of their denominators; the pushforward image under x -> f * x
+has the alphas f * alpha mod 1.  Fourier coefficients at huge integer
+arguments t go through exact integers first: residues(t) gives t * p mod q
+per column alpha = p/q (skew.ShiftResidues gives the same residues for the
+finite-sums scans without reducing t), and phases gives each digit the
+correctly rounded (d * r mod q) / q, so no precision is lost to
 floating-point reduction of astronomically large products; the float stage
 after it only ever adds a handful of numbers in [0, 1).  sigma-hat at one t
 (fourier_coefficient, the Gaussian transfer's too) goes through phases;
@@ -182,7 +183,7 @@ class AtomicMeasure:
 
     Distinct words are encoded as category columns: codes[i, col] indexes the
     exact digit categories[col][...] of word i, the word's position is
-    scale * sum_col digit * alpha_col mod 1, and its weight is the integer
+    sum_col digit * alphas[col] mod 1, and its weight is the integer
     count counts[i] over the one denominator shared by all words (weights_np
     holds the correctly rounded floats).  sample_sigma builds one column
     per schedule level and coordinate; explicit rational atoms become one
@@ -226,13 +227,13 @@ class AtomicMeasure:
                 key = xn * x_step[xd] % L  # x mod 1 = key / L
                 merged[key] = merged.get(key, 0) + wn * w_step[wd]
             digits = sorted(merged)
-            alphas = ((Fraction(1, L),),)
+            alphas = (Fraction(1, L),)
             categories = [digits]
             codes = np.arange(len(digits), dtype=np.uint32).reshape(-1, 1)
             counts = [merged[d] for d in digits]
         elif codes is None:
             raise PreconditionError("measure needs atoms or a sampled structure")
-        self.alphas = alphas
+        self.alphas = tuple(alphas)  # one Fraction per column
         self.categories = categories  # list per column of digit values
         self.codes = codes  # uint32 array (n_words, n_columns)
         self.counts = counts  # word i weighs counts[i] / denominator, ints
@@ -240,7 +241,6 @@ class AtomicMeasure:
         # int/int true division is correctly rounded at any size, so each
         # entry is float(Fraction(c, denominator)) bit for bit
         self.weights_np = np.array([c / denominator for c in counts])
-        self.scale = 1  # pushforward_scale images multiply it
         self._runs = _prefix_runs(codes)
         self._restriction = None, None  # (active, restriction(active)) of the last call
         # per column, (int64 digits, largest digit) where the column kernel
@@ -251,9 +251,6 @@ class AtomicMeasure:
             and max(digits) < _LIMB_FACTOR_LIMIT else None
             for digits in categories
         ]
-
-    def _flat_alphas(self) -> list[Fraction]:
-        return [a for level in self.alphas for a in level]
 
     @property
     def atoms(self) -> tuple:
@@ -266,16 +263,14 @@ class AtomicMeasure:
     def _integer_atoms(self) -> tuple[int, list[tuple[int, int]]]:
         """(L, [(x, c), ...]): the atoms x / L with weight c / denominator.
 
-        Each word's position is the integer numerator scale * sum d * p * (L/q)
-        over the common denominator L of the column alphas p/q, summed over
-        the prefix tree; words merge their counts on equal numerators mod L.
+        Each word's position is the integer numerator sum d * p * (L/q) over
+        the common denominator L of the column alphas p/q, summed over the
+        prefix tree; words merge their counts on equal numerators mod L.
         """
-        flat = self._flat_alphas()
-        L = math.lcm(*(a.denominator for a in flat))
-        scale = int(self.scale)
+        L = math.lcm(*(a.denominator for a in self.alphas))
         columns = []
-        for a, digits in zip(flat, self.categories, strict=True):
-            step = scale * a.numerator * (L // a.denominator)
+        for a, digits in zip(self.alphas, self.categories, strict=True):
+            step = a.numerator * (L // a.denominator)
             columns.append(np.array([int(d) * step % L for d in digits], dtype=object))
         merged: dict[int, int] = {}
         for x, c in zip(self._tree_sum(columns, object).tolist(), self.counts):
@@ -284,14 +279,13 @@ class AtomicMeasure:
         return L, [(x, merged[x]) for x in sorted(merged)]
 
     def residues(self, t: int) -> list[int]:
-        """Per column, t * scale * p mod q for the column's alpha p/q.
+        """Per column, t * p mod q for the column's alpha p/q.
 
         The column phase of t is this residue over q; it is reduced with
         integer divmod (no gcd normalization), so huge t lose nothing.
         """
-        ts = int(t) * int(self.scale)
-        return [(ts % a.denominator) * a.numerator % a.denominator
-                for a in self._flat_alphas()]
+        t = int(t)
+        return [(t % a.denominator) * a.numerator % a.denominator for a in self.alphas]
 
     def phases(self, residues: Sequence[int]):
         """numpy array of (t * position mod 1) per word, given residues(t) or
@@ -305,7 +299,7 @@ class AtomicMeasure:
         elsewhere."""
         out, batch = [], {}
         for col, (a, digits, r) in enumerate(
-                zip(self._flat_alphas(), self.categories, residues, strict=True)):
+                zip(self.alphas, self.categories, residues, strict=True)):
             q, table = a.denominator, self._kernel_digits[col]
             x1 = r % q
             if not x1:  # every phase is 0 / q = +0.0
@@ -338,9 +332,8 @@ class AtomicMeasure:
                 index[order] = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
                 counts = np.zeros(len(sizes), dtype=object)
                 np.add.at(counts, index, np.array(self.counts, dtype=object))
-                flat = self._flat_alphas()
                 restricted = AtomicMeasure(
-                    alphas=[[flat[c] for c in active]], codes=codes,
+                    alphas=[self.alphas[c] for c in active], codes=codes,
                     categories=[self.categories[c] for c in active],
                     counts=counts.tolist(), denominator=self.denominator,
                 ), index
@@ -519,7 +512,7 @@ def sample_sigma(
         present, codes[:, col] = np.unique(code, return_inverse=True)
         categories[col] = [digits[col][c] for c in present.tolist()]
     return AtomicMeasure(
-        alphas=s.alphas, categories=categories, codes=codes,
+        alphas=[a for level in s.alphas for a in level], categories=categories, codes=codes,
         counts=counts.tolist(), denominator=n_samples,
     )
 
@@ -549,7 +542,7 @@ def _combination_coefficients(
     vector's phases, the correctly rounded (sum_j a_j R_j mod q) / q, come
     from _combination_phases over the limbs of floor(R_j * 2^128 / q).
     """
-    denominators = [a.denominator for a in m._flat_alphas()]
+    denominators = [a.denominator for a in m.alphas]
     residues = [m.residues(v) for v in values]
     # q per digit, and an (l, digits) matrix whose row j holds d * r mod q
     # per digit d, r its column's residue of values_j
@@ -654,8 +647,11 @@ def pushforward_scale(m: AtomicMeasure, factor: int) -> AtomicMeasure:
     if factor < 1:
         raise PreconditionError("scale factor must be a positive integer")
     image = copy.copy(m)  # shares codes, counts and their prefix runs
-    image.scale = m.scale * factor
+    image.alphas = tuple(factor * a % 1 for a in m.alphas)
     image._atoms = None  # positions move; materialized again on demand
+    # a parent restriction would take the image's residues, modulo its own
+    # denominators, for its own
+    image._restriction = None, None
     return image
 
 

@@ -248,7 +248,7 @@ def shifted_intersection_values(
     or a row of ShiftResidues.at.
     """
     residues = [base.residues(t) if isinstance(t, Integral) else t for t in shifts]
-    active = tuple(col for col, a in enumerate(base._flat_alphas())
+    active = tuple(col for col, a in enumerate(base.alphas)
                    if any(r[col] % a.denominator for r in residues))
     if restricted := base.restriction(active):
         base, residues = restricted[0], [[r[c] for c in active] for r in residues]
@@ -303,7 +303,7 @@ class ShiftResidues:
     multiset is the constant term's.  So at(alpha) costs additions of
     residues below q and one reduction per column of a sum of magnitude at
     most sum_d |c_d| * C(|alpha| + d - 1, d) * q, instead of reducing the huge
-    p(n_alpha) * scale; the result is base.residues(p(n_alpha)) exactly.
+    p(n_alpha); the result is base.residues(p(n_alpha)) exactly.
     """
 
     def __init__(
@@ -316,9 +316,7 @@ class ShiftResidues:
         self.generators = tuple(generators)
         self.polys = tuple(polys)
         self._degree = max(len(p) for p in polys) - 1
-        self._moduli = np.array(
-            [a.denominator for a in base._flat_alphas()], dtype=object
-        )
+        self._moduli = np.array([a.denominator for a in base.alphas], dtype=object)
         self._entries: dict[tuple[int, ...], np.ndarray] = {}
 
     def _entry(self, multiset: tuple[int, ...]) -> np.ndarray:

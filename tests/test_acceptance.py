@@ -272,7 +272,7 @@ def test_criterion_08_cor65_empirical_scan():
     ok = rep.exact_ledger_ok and rep.cutoff is not None and rep.cutoff <= 3
     detail = f"k0={rep.cutoff}"
     if rep.cutoff is not None:
-        scan = rep.scans[rep.cutoff]
+        scan = rep.scan
         gens = 13 - rep.cutoff
         ok &= gens >= 10
         ok &= scan.inconclusive_count == 0

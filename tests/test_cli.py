@@ -36,24 +36,31 @@ def families(tmp_path):
 
 
 def fill_placeholders(argv, families, tmp_path):
-    """Replace FAMILY, N_2N, GROUP, OUT, SIGMA and SIGMA_1_0 by files; FAMILY
+    """Replace FAMILY, N_2N, GROUP, OUT and the SIGMA names by files; FAMILY
     is (n, n^2), N_2N is (n, 2n), SIGMA is a measure bundle of (n, n^2) built
-    on the spot, and SIGMA_1_0 that bundle with its first atom at "1/0"."""
+    on the spot, SIGMA_1_0 that bundle with its first atom at "1/0", and
+    SIGMA_EMPTY and SIGMA_TWICE that bundle with no atom and with the atom
+    ("1/2", "1") twice, whose weights do not sum to 1."""
+    edits = {
+        "SIGMA_1_0": lambda atoms: [["1/0", atoms[0][1]], *atoms[1:]],
+        "SIGMA_EMPTY": lambda atoms: [],
+        "SIGMA_TWICE": lambda atoms: [["1/2", "1"], ["1/2", "1"]],
+    }
     names = {
         "FAMILY": families["n_nsq"],
         "N_2N": families["n_2n"],
         "GROUP": families["g23"],
         "OUT": str(tmp_path / "out.json"),
         "SIGMA": str(tmp_path / "sigma.json"),
-        "SIGMA_1_0": str(tmp_path / "sigma_1_0.json"),
+        **{name: str(tmp_path / f"{name.lower()}.json") for name in edits},
     }
-    if {"SIGMA", "SIGMA_1_0"} & set(argv):
+    if {"SIGMA", *edits} & set(argv):
         assert run(["measure", names["FAMILY"], "--group", names["GROUP"], "--depth", "2",
                     "--samples", "50", "--out", names["SIGMA"]]) == 0
-    if "SIGMA_1_0" in argv:
+    for name in edits.keys() & set(argv):
         bundle = json.loads(Path(names["SIGMA"]).read_text())
-        bundle["sigma"]["atoms"][0][0] = "1/0"
-        Path(names["SIGMA_1_0"]).write_text(json.dumps(bundle))
+        bundle["sigma"]["atoms"] = edits[name](bundle["sigma"]["atoms"])
+        Path(names[name]).write_text(json.dumps(bundle))
     return [names.get(a, a) for a in argv]
 
 
@@ -298,20 +305,30 @@ class TestExitCodes:
             ["gaussian", "--sigma", "SIGMA", "--lo", "nan"],
             ["demo", "cor67", "--ell", "3", "--primes", "11", "--depth", "6", "--samples",
              "8000", "--seed", "11", "--k0-max", "4", "--scan-csv", "OUT"],
+            ["verify-dichotomy", "SIGMA_EMPTY"],
+            ["verify-dichotomy", "SIGMA_TWICE"],
+            ["gaussian", "--sigma", "SIGMA_EMPTY"],
+            ["gaussian", "--sigma", "SIGMA_TWICE"],
         ],
         ids=["cor66_no_p_q", "cor66_no_q", "cor67_bad_primes", "splits_bad_F",
              "witness_infeasible_F", "gaussian_no_sigma_no_rho",
              "dichotomy_negative_bound", "dichotomy_atom_zero_denominator",
              "measure_depth_0", "measure_negative_seed",
              "cor65_negative_seed", "cor65_negative_k0_max",
-             "gaussian_rho_nan_bound", "gaussian_sigma_nan_bound", "cor67_scan_csv"],
+             "gaussian_rho_nan_bound", "gaussian_sigma_nan_bound", "cor67_scan_csv",
+             "dichotomy_no_atom", "dichotomy_atom_twice",
+             "gaussian_no_atom", "gaussian_atom_twice"],
     )
     def test_malformed_option_value(self, families, tmp_path, capsys, argv):
         assert run(fill_placeholders(argv, families, tmp_path)) == 2
-        err = json.loads(capsys.readouterr().err)
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
         assert err["error"] == "PreconditionError"
         if "SIGMA_1_0" in argv:
             assert "ZeroDivisionError" in err["detail"]
+        if {"SIGMA_EMPTY", "SIGMA_TWICE"} & set(argv):
+            assert err["detail"] == "sigma bundle weights must sum to 1"
+            assert captured.out == ""
         if argv[0] == "witness":
             # the refusal names the relation -2 phi_1 + phi_2 = 0 escaping
             # F = {1} at coordinate 2, as `splits --F 1` reports it

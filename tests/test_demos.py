@@ -47,6 +47,14 @@ class TestCor65Group:
         assert lat.member(g, (0, 0, 3))
         assert not lat.member(g, (0, 0, 1))
 
+    @pytest.mark.parametrize("ell", range(2, 6))
+    def test_representatives_are_the_annihilator(self, ell):
+        # the hand-built digit set is the annihilator of H = <(1, 1, 0, ...),
+        # 3 e_2, ..., 3 e_ell>, which lat.annihilator reaches more slowly
+        units = [[3 * (i == j) for i in range(ell)] for j in range(1, ell)]
+        H = lat.canonicalize([[1, 1] + [0] * (ell - 2), *units], ell)
+        assert set(cor65_representatives(ell)) == set(lat.annihilator(H).finite_reps)
+
 
 class TestCor65ExactLedger:
     @pytest.mark.parametrize("ell", range(2, 9))
@@ -92,7 +100,7 @@ class TestCor65ExactLedger:
         # an empty tail, and a negative k0_max is refused.
         rep = cor65_demo(2, [(0, 1), (0, 0, 1)], depth=3, n_samples=100, seed=1, k0_max=3)
         assert rep.cutoff is None
-        assert set(rep.scans) <= {0, 1, 2}
+        assert rep.scan is None
         assert rep.to_json()["k0"] is None
         with pytest.raises(PreconditionError, match="k0_max"):
             cor65_demo(2, [(0, 1), (0, 0, 1)], depth=3, n_samples=100, seed=1, k0_max=-1)
@@ -107,13 +115,13 @@ class TestCor65ExactLedger:
     def test_scan_small_and_reproducible(self):
         rep = cor65_demo(2, [(0, 1), (0, 0, 1)], depth=6, n_samples=10**4, seed=7)
         assert rep.passed
-        scan = rep.scans[rep.cutoff]
+        scan = rep.scan
         assert scan.inconclusive_count == 0
         assert all(p.verdict == "BELOW" for p in scan.points)
         # FS-scan soundness: the pipeline is deterministic from the seed, so
         # re-running reproduces every reported correlation bit for bit.
         again = cor65_demo(2, [(0, 1), (0, 0, 1)], depth=6, n_samples=10**4, seed=7)
-        pts, pts2 = scan.points, again.scans[again.cutoff].points
+        pts, pts2 = scan.points, again.scan.points
         assert [(p.alpha, p.correlation) for p in pts] == [
             (p.alpha, p.correlation) for p in pts2
         ]
@@ -138,7 +146,7 @@ class TestCor65ExactLedger:
         monkeypatch.setattr(skew.ShiftResidues, "at", recording)
         rep = cor65_demo(2, [(0, 1), (0, 0, 1)], depth=5, n_samples=2000, seed=3)
         assert rep.cutoff is not None and rep.cutoff > 0
-        reported = [p.alpha for p in rep.scans[rep.cutoff].points]
+        reported = [p.alpha for p in rep.scan.points]
         assert len(calls) == len(alphas) == len(set(alphas)) == len(reported) + 1
         assert set(alphas) - set(reported) == {(rep.cutoff,)}
 

@@ -79,7 +79,7 @@ class TestQuadratureOracle:
             for f in factors:
                 if not ok:
                     break
-                shift = float(f.const)
+                shift = 0.0
                 if f.free_var is not None:
                     shift += f.free_coef * zs[f.free_var]
                 ok = inb(y + shift)
@@ -144,11 +144,10 @@ class TestDistinctShiftSets:
             pattern = []
             for _ in range(rng.randint(1, 4)):
                 coeffs = tuple(rng.randint(-2, 2) for _ in range(dim))
-                const = F(rng.randrange(4), 4)
                 if rng.random() < 0.3:
-                    pattern.append(FactorPattern.of(coeffs, const, rng.randrange(2), rng.choice([1, 2, -1])))
+                    pattern.append(FactorPattern.of(coeffs, rng.randrange(2), rng.choice([1, 2, -1])))
                 else:
-                    pattern.append(FactorPattern.of(coeffs, const))
+                    pattern.append(FactorPattern.of(coeffs))
             want = sum((_single_rep_integral(B, pattern, list(rep)) for rep in reps), F(0)) / len(reps)
             assert haar_correlation_limit(reps, B, pattern) == want
 
@@ -163,7 +162,7 @@ class TestDistinctShiftSets:
             ([(0, 1), (0, 2), (1, 2)], [(a, b, a), (a, a, b)]),
         ]
         for terms, reps in cases:
-            pattern = [FactorPattern.of(tuple(int(i == j) for i in range(len(terms))), 0, *t)
+            pattern = [FactorPattern.of(tuple(int(i == j) for i in range(len(terms))), *t)
                        for j, t in enumerate(terms)]
             values = [_single_rep_integral(B, pattern, list(rep)) for rep in reps]
             assert values[0] != values[1]

@@ -17,9 +17,12 @@ from rigidlab import families as fm
 from rigidlab import lattice as lat
 from rigidlab import measure as ms
 from rigidlab import schedule as sc
+from rigidlab.behrend import behrend_set
+from rigidlab.circleset import CircleSet
 from rigidlab.demos import build_cor65_group
 from rigidlab.errors import CapExceeded, DimensionMismatch, PreconditionError, UnsupportedShape
 from rigidlab.schedule import build_schedule
+from rigidlab.skew import sampled_correlation
 
 from measure_helpers import dirac, total_weight, uniform_atoms
 
@@ -165,10 +168,9 @@ def _column_phases(m, t):
     """Reference: the column-by-column gather that the prefix-tree evaluation
     replaced, kept as the oracle it must reproduce bitwise."""
     total = np.zeros(len(m.codes))
-    ts = int(t) * int(m.scale)
-    for col, a in enumerate(m._flat_alphas()):
+    for col, a in enumerate(m.alphas):
         p, q = a.numerator, a.denominator
-        base = (ts % q) * p % q
+        base = (int(t) % q) * p % q
         cat_phase = np.array([(int(d) * base % q) / q for d in m.categories[col]])
         total += cat_phase[m.codes[:, col]]
     return total % 1.0
@@ -240,7 +242,7 @@ class TestPrefixTreePhases:
         image = ms.pushforward_scale(m, 6)
         assert image.codes is m.codes and image._runs is m._runs
         assert image._kernel_digits is m._kernel_digits
-        assert image.scale == 6 and m.scale == 1
+        assert image.alphas == tuple(6 * a % 1 for a in m.alphas) != m.alphas
 
     def _rebuilt(self, m, codes):
         return ms.AtomicMeasure(
@@ -266,7 +268,7 @@ class TestPrefixTreePhases:
         # two empty words are equal rows too; there is no column to compare
         with pytest.raises(PreconditionError):
             ms.AtomicMeasure(
-                alphas=((),), categories=[], codes=np.empty((2, 0), dtype=np.uint32),
+                alphas=(), categories=[], codes=np.empty((2, 0), dtype=np.uint32),
                 counts=[1, 1], denominator=2,
             )
 
@@ -286,7 +288,7 @@ def _one_column(q, digits):
     its phases at residue r are that column's digit phases, bit for bit."""
     n = len(digits)
     return ms.AtomicMeasure(
-        alphas=((F(1, q),),), categories=[list(digits)],
+        alphas=(F(1, q),), categories=[list(digits)],
         codes=np.arange(n, dtype=np.uint32).reshape(-1, 1), counts=[1] * n, denominator=n,
     )
 
@@ -485,7 +487,7 @@ class TestLongFreeColumns:
                 image.phases(residues)
                 want = [
                     (len(column), r % a.denominator, a.denominator)
-                    for a, column, r in zip(image._flat_alphas(), image.categories, residues)
+                    for a, column, r in zip(image.alphas, image.categories, residues)
                     if len(column) >= ms._KERNEL_FLOOR and max(column) < ms._LIMB_FACTOR_LIMIT
                     and 0 < r % a.denominator
                 ]
@@ -615,7 +617,7 @@ class TestDistinctRows:
         # the explicit-atom denominators are lcms of any size
         counts = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=20))
         m = ms.AtomicMeasure(
-            alphas=((F(1),),), categories=[list(range(len(counts)))],
+            alphas=(F(1),), categories=[list(range(len(counts)))],
             codes=np.arange(len(counts), dtype=np.uint32).reshape(-1, 1),
             counts=counts, denominator=n,
         )
@@ -701,21 +703,20 @@ def _fraction_merge(atoms):
         merged[key] = merged.get(key, F(0)) + F(w)
     atoms = tuple(sorted(merged.items()))
     L = math.lcm(*(x.denominator for x, _ in atoms))
-    return atoms, ((F(1, L),),), [[x.numerator * (L // x.denominator) for x, _ in atoms]]
+    return atoms, (F(1, L),), [[x.numerator * (L // x.denominator) for x, _ in atoms]]
 
 
 def _fraction_atoms(m):
     """Reference: the word-by-word Fraction loop that materialized positions
     before integer numerators over one common denominator did."""
     merged = {}
-    flat = m._flat_alphas()
     for row, c in zip(m.codes, m.counts):
         x = F(0)
         for col, code in enumerate(row):
             d = m.categories[col][code]
             if d:
-                x += d * flat[col]
-        x = (m.scale * x) % 1
+                x += d * m.alphas[col]
+        x %= 1
         merged[x] = merged.get(x, F(0)) + F(c, m.denominator)
     return tuple(sorted(merged.items()))
 
@@ -911,7 +912,7 @@ def _object_coefficients(m, values, vectors):
     """Reference: the dichotomy coefficients as the residue basis gave them
     before the fixed-point kernel, one object combination and reduction per
     column, digit and vector."""
-    denominators = [a.denominator for a in m._flat_alphas()]
+    denominators = [a.denominator for a in m.alphas]
     residues = [m.residues(v) for v in values]
     basis = [
         np.array([[int(d) * r[col] % q for d in digits] for r in residues], dtype=object)
@@ -1091,6 +1092,43 @@ class TestPushforward:
             assert abs(
                 ms.fourier_coefficient(p, t) - ms.fourier_coefficient(m, 6 * t)
             ) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.one_of(_sampled_measures(), _explicit_atoms().map(ms.AtomicMeasure)),
+        data=st.data(),
+        ts=st.lists(st.integers(-(10**60), 10**60), min_size=2, max_size=2),
+        level=_level(),
+    )
+    def test_image_at_t_is_parent_at_factor_t(self, m, data, ts, level):
+        # the definition of the image: evaluated at t, it is its parent at
+        # factor * t, bit for bit, and its atoms are the parent's mapped
+        q = data.draw(st.sampled_from([a.denominator for a in m.alphas]))
+        factor = data.draw(st.one_of(
+            st.integers(1, 50).map(lambda k: k * q),  # that column's alpha -> 0
+            st.integers(2**100, 2**130),
+            st.integers(1, 10**6),
+        ))
+        image = ms.pushforward_scale(m, factor)
+        t = ts[0]
+        assert (image.phases(image.residues(t)).tobytes()
+                == m.phases(m.residues(factor * t)).tobytes())
+        assert (_bits([ms.fourier_coefficient(image, t)])
+                == _bits([ms.fourier_coefficient(m, factor * t)]))
+        for B in (CircleSet.interval(0, F(2, 3)), behrend_set(3)):
+            got = sampled_correlation(image, B, ts)
+            want = sampled_correlation(m, B, [factor * t for t in ts])
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+        values, vectors = level
+        got = ms._combination_coefficients(image, values, vectors)
+        want = ms._combination_coefficients(m, [factor * v for v in values], vectors)
+        assert _bits(got) == _bits(want)
+        mapped = {}
+        for x, w in m.atoms:
+            mapped[factor * x % 1] = mapped.get(factor * x % 1, 0) + w
+        want_atoms = tuple(sorted(mapped.items()))
+        assert image.atoms == want_atoms
+        assert image.to_json() == {"atoms": [[str(x), str(w)] for x, w in want_atoms]}
 
 
 class TestDichotomy:

@@ -396,7 +396,7 @@ def _table_cases(draw):
 
 
 class TestShiftResidues:
-    """The finite-sums residue table against direct t * scale * p % q."""
+    """The finite-sums residue table against direct t * p % q."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=_table_cases())
@@ -407,8 +407,7 @@ class TestShiftResidues:
         shifts = [sum(c * n_alpha**i for i, c in enumerate(p)) for p in polys]
         rows = table.at(alpha)
         for t, row in zip(shifts, rows):
-            assert row == [t * m.scale * a.numerator % a.denominator
-                           for a in m._flat_alphas()]
+            assert row == [t * a.numerator % a.denominator for a in m.alphas]
             assert m.phases(row).tobytes() == m.phases(m.residues(t)).tobytes()
         for B in (B23, CircleSet.from_pairs([(0, F(1, 9)), (F(2, 9), F(1, 3))])):
             got = shifted_intersection_values(m, B, rows)
@@ -474,7 +473,7 @@ def _zeroed_residues(draw):
     drawn set of columns in every shift and on drawn (shift, column) pairs
     besides, each plus a multiple of q, so not reduced."""
     m = draw(st.sampled_from(_RESTRICTION_MEASURES))
-    qs = [a.denominator for a in m._flat_alphas()]
+    qs = [a.denominator for a in m.alphas]
     n_shifts = draw(st.integers(1, 3))
     off = draw(st.sets(st.integers(0, len(qs) - 1)))
     zero = draw(st.lists(st.lists(st.booleans(), min_size=len(qs), max_size=len(qs)),
@@ -512,6 +511,24 @@ class TestActiveColumnRestriction:
         # the late points leave most columns inactive, and rows shrink
         assert shrunk and all(len(r.codes) < len(m.codes) for r in shrunk)
 
+    def test_image_builds_its_own_restriction(self):
+        # the parent's slot is filled at the very pattern the image is then
+        # evaluated at; the image's residues are modulo its own denominators
+        # (7 divides some of the parent's), so the parent's restricted
+        # measure would give it wrong phases
+        G, _ = build_cor65_group(FAM_N_NSQ.polys)
+        sched = build_schedule(FAM_N_NSQ, 8)
+        m = ms.sample_sigma(G, sched, FAM_N_NSQ, 4000, seed=2)
+        probe = ms.pushforward_scale(m, 7)
+        rows = skew.ShiftResidues(probe, sched.indices, FAM_N_NSQ.polys).at((5, 7))
+        active = tuple(col for col, a in enumerate(probe.alphas)
+                       if any(r[col] % a.denominator for r in rows))
+        assert any(probe.alphas[c].denominator != m.alphas[c].denominator for c in active)
+        assert m.restriction(active) is not None
+        image = ms.pushforward_scale(m, 7)
+        for B in (B23, B_FOUR):
+            _assert_matches_all_words(image, B, rows)
+
     def test_restricted_rows_and_counts(self):
         m = _RESTRICTION_MEASURES[1]
         m.restriction(())
@@ -537,7 +554,7 @@ class TestActiveColumnRestriction:
     @pytest.mark.parametrize("B", [B23, B_FOUR])
     def test_no_column_and_every_column_active(self, B):
         m = _RESTRICTION_MEASURES[0]
-        qs = [a.denominator for a in m._flat_alphas()]
+        qs = [a.denominator for a in m.alphas]
         none = [[0] * len(qs), [2 * q for q in qs]]
         _assert_matches_all_words(m, B, none)
         assert m.restriction(())[0].codes.shape == (1, 0)
@@ -549,7 +566,7 @@ class TestActiveColumnRestriction:
     def test_pattern_that_shrinks_nothing(self, B):
         # column 1 alone tells the three words apart: no restricted measure
         m = ms.AtomicMeasure(
-            alphas=((F(1, 3), F(1, 7)),), categories=[[1], [0, 2, 5]],
+            alphas=(F(1, 3), F(1, 7)), categories=[[1], [0, 2, 5]],
             codes=np.array([[0, 0], [0, 1], [0, 2]], dtype=np.uint32),
             counts=[1, 1, 2], denominator=4,
         )
