@@ -129,16 +129,11 @@ def parse_family(obj) -> fm.SequenceFamily:
         )
 
 
-def _json_out(obj, path: str | None):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_out(text: str, path: str | None):
+def _write(text: str, path: str | None):
     if path:
         with open(path, "w", newline="") as fh:
             fh.write(text)
@@ -184,7 +179,7 @@ def cmd_analyze(args) -> int:
         lat.coordinate_image_gcd(A, j) for j in range(1, fam.size + 1)
     ]
     out["interpolation"] = bool(dec._interpolation(fam, A))
-    _json_out(out, args.out)
+    _write(_json_text(out), args.out)
     return 0
 
 
@@ -214,7 +209,7 @@ def cmd_splits(args) -> int:
                 )
             row += f",{group}"
         lines.append(row)
-    _csv_out("\n".join(lines) + "\n", args.out)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -225,7 +220,7 @@ def cmd_interp(args) -> int:
     if verdict.witness_vector is not None:
         out["witness_vector"] = list(verdict.witness_vector)
         out["witness_coordinate"] = verdict.witness_coordinate
-    _json_out(out, args.out)
+    _write(_json_text(out), args.out)
     return 0
 
 
@@ -233,8 +228,8 @@ def cmd_witness(args) -> int:
     fam = parse_family(_load_json(args.family))
     F = _parse_subset(args.F) or set()
     H = dec.split_witness_group(fam, F)
-    _json_out(
-        {"F": sorted(F), "H": H.to_json(), "index": lat.index_in_ambient(H)},
+    _write(
+        _json_text({"F": sorted(F), "H": H.to_json(), "index": lat.index_in_ambient(H)}),
         args.out,
     )
     return 0
@@ -262,7 +257,7 @@ def cmd_measure(args) -> int:
         "samples": args.samples,
         "seed": args.seed,
     }
-    _json_out(bundle, args.out)
+    _write(_json_text(bundle), args.out)
     return 0
 
 
@@ -281,7 +276,7 @@ def _load_bundle(path: str):
 def cmd_verify_dichotomy(args) -> int:
     fam, G, sched, sigma = _load_bundle(args.sigma)
     report = ms.verify_dichotomy(sigma, sched, fam, G, args.bound, args.tol)
-    _csv_out(report.to_csv(), args.out)
+    _write(report.to_csv(), args.out)
     top = sched.depth
     return 0 if report.passes(top) else 2
 
@@ -290,30 +285,29 @@ def cmd_gaussian(args) -> int:
     interval = (float(args.lo), float(args.hi))
     if args.rho is not None:
         mass = ga.gaussian_pair_mass(args.rho, interval, interval)
-        _json_out({"rho": args.rho, "mass": mass, "approx": True}, args.out)
+        _write(_json_text({"rho": args.rho, "mass": mass, "approx": True}), args.out)
         return 0
     if args.sigma is None:
         raise PreconditionError("gaussian needs --sigma or --rho")
     fam, G, sched, sigma = _load_bundle(args.sigma)
     report = ga.verify_gaussian_transfer(sigma, sched, fam, G, interval, args.tol)
     rows = [dataclasses.asdict(r) for r in report.rows]
-    _json_out({"rows": rows, "approx": True, "passes": report.passes(sched.depth)}, args.out)
+    out = {"rows": rows, "approx": True, "passes": report.passes(sched.depth)}
+    _write(_json_text(out), args.out)
     return 0 if report.passes(sched.depth) else 2
 
 
 def cmd_behrend(args) -> int:
     B, value, bound = bh.behrend_certificate(args.ell)
-    _json_out(
-        {
-            "ell": args.ell,
-            "set": B.to_json(),
-            "measure": str(B.measure()),
-            "triple_integral": str(value),
-            "bound": str(bound),
-            "passes": value <= bound,
-        },
-        args.out,
-    )
+    out = {
+        "ell": args.ell,
+        "set": B.to_json(),
+        "measure": str(B.measure()),
+        "triple_integral": str(value),
+        "bound": str(bound),
+        "passes": value <= bound,
+    }
+    _write(_json_text(out), args.out)
     return 0
 
 
@@ -355,9 +349,9 @@ def cmd_demo(args) -> int:
         report = demos.cor67_demo(
             args.ell, primes, depth, args.samples, args.seed, **options
         )
-    _json_out(report.to_json(), args.out)
+    _write(_json_text(report.to_json()), args.out)
     if args.scan_csv and report.scan is not None:
-        _csv_out(_scan_csv(report.scan), args.scan_csv)
+        _write(_scan_csv(report.scan), args.scan_csv)
     return 0 if report.passed else 2
 
 

@@ -62,14 +62,13 @@ merges and sorts on the numerators x * L mod L.  Canonical atom texts are
 read into integers and written from them; only atoms builds Fractions.
 
 The words of a measure are distinct rows of its code matrix in increasing
-lexicographic order (sample_sigma's lexsort of its packed mixed-radix word
-keys and the explicit-atom arange produce them so), so the words sharing
-columns 0..j form contiguous runs.  phases, the dichotomy coefficients and
-atoms (on integer numerators) walk that prefix tree column by column: each
-run adds its column's value once to its parent run's partial sum, instead of
-every word gathering every column.  Each word still receives the same float
-additions in the same order, so the result is bitwise that of the
-word-by-word sum.
+lexicographic order (_distinct_rows and the explicit-atom arange produce
+them so), so the words sharing columns 0..j form contiguous runs.  phases,
+the dichotomy coefficients and atoms (on integer numerators) walk that
+prefix tree column by column: each run adds its column's value once to its
+parent run's partial sum, instead of every word gathering every column.
+Each word still receives the same float additions in the same order, so the
+result is bitwise that of the word-by-word sum.
 """
 
 from __future__ import annotations
@@ -90,6 +89,7 @@ from .schedule import Schedule, build_schedule, check_schedule
 
 SAMPLE_CAP = 10**7
 COEFF_CAP = 5
+VECTOR_CAP = 10**4  # (2 * coeff_bound + 1)^size coefficient vectors per level
 # Limb factors (column digits, a combination's sum |a_j|) stay below 2^31.
 # The column kernel takes columns of _KERNEL_FLOOR digits or more: ~60 us
 # per call and ~10 us per column, then ~0.05 us per digit against ~0.45 us
@@ -319,15 +319,11 @@ class AtomicMeasure:
         columns' codes (lexicographic order, counts summed per row) and word
         i's row index[i], int32; None where every word keeps its own row."""
         if self._restriction[0] != active and len(active) < self.codes.shape[1]:
-            words = [(np.zeros(len(self.codes), dtype=np.uint64), [])]
-            for col in active:
-                _fold(words, self.codes[:, col].astype(np.uint64), len(self.categories[col]))
-            distinct, sizes, order = _distinct_words(words)
+            codes, sizes, order = _distinct_rows(
+                ((self.codes[:, col], len(self.categories[col])) for col in active),
+                len(self.codes))
             restricted = None
             if len(sizes) < len(self.codes):
-                codes = np.empty((len(sizes), len(active)), dtype=np.uint32)
-                for col, code in _unpack(distinct):
-                    codes[:, col] = code
                 index = np.empty(len(order), dtype=np.int32)  # no measure nears 2^31 words
                 index[order] = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
                 counts = np.zeros(len(sizes), dtype=object)
@@ -399,43 +395,42 @@ def _ratio_text(p: int, q: int) -> str:
     return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
-def _fold(words: list, code: np.ndarray, radix: int) -> None:
-    """Append one column to the mixed-radix words: code holds uint64 values
-    in [0, radix), and words is a list of (key, radices) pairs, the first
-    key most significant.  The column joins the last key, or a new one where
-    the product of that key's radices times radix would pass 2^64."""
-    if math.prod(words[-1][1]) * radix > 2**64:
-        words.append((np.zeros(len(code), dtype=np.uint64), []))
-    key, radices = words[-1]
-    key *= np.uint64(radix)
-    key += code
-    radices.append(radix)
+def _distinct_rows(columns, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(codes, sizes, order) for n words given as (code, radix) columns, each
+    code n unsigned integers below radix: the distinct words as matrix rows
+    in increasing lexicographic order (uint32 where every radix is at most
+    2^32, else uint64), the count of each, and the lexsort order of the
+    words (each distinct word's copies in turn).
 
-
-def _distinct_words(words: list) -> tuple[list, np.ndarray, np.ndarray]:
-    """The distinct words of a non-empty _fold list, in increasing order of
-    their keys, first key first, as a list of the same form, the count of
-    each and the lexsort order of the words (each distinct word's copies in
-    turn): one lexsort over the keys and a comparison of adjacent rows."""
-    order = np.lexsort([key for key, _ in reversed(words)])
-    ordered = [(key[order], radices) for key, radices in words]
-    changed = np.zeros(len(order) - 1, dtype=bool)
-    for key, _ in ordered:
-        changed |= key[1:] != key[:-1]
+    The columns fold into uint64 mixed-radix keys, the first column most
+    significant.  A key starts anew before the product of its radices would
+    pass 2^64, so none overflows: with radices r_1, ..., r_m it holds sum_i
+    c_i prod_{i' > i} r_i' <= prod_i r_i - 1.  The key lists then order as
+    the words do: one lexsort, a comparison of adjacent keys, and the codes
+    read back as mixed-radix digits.
+    """
+    keys = [(np.zeros(n, dtype=np.uint64), [])]  # (key, its radices)
+    for code, radix in columns:
+        if math.prod(keys[-1][1]) * radix > 2**64:
+            keys.append((np.zeros(n, dtype=np.uint64), []))
+        key, radices = keys[-1]
+        key *= np.uint64(radix)
+        key += code
+        radices.append(radix)
+    order = np.lexsort([key for key, _ in reversed(keys)])
+    keys = [(key[order], radices) for key, radices in keys]
+    changed = np.any([key[1:] != key[:-1] for key, _ in keys], axis=0)
     first = np.flatnonzero(np.concatenate(([True], changed)))
-    return ([(key[first], radices) for key, radices in ordered],
-            np.diff(first, append=len(order)), order)
-
-
-def _unpack(words: list):
-    """Yield (column, code) for every column of a _fold list, last column
-    first: each key's codes are the digits of its mixed-radix value."""
-    col = sum(len(radices) for _, radices in words)
-    for key, radices in reversed(words):
-        for radix in reversed(radices):
+    radices = [radix for _, rs in keys for radix in rs]
+    codes = np.empty((len(first), len(radices)),
+                     dtype=np.uint32 if max(radices, default=1) <= 2**32 else np.uint64)
+    col = len(radices)
+    for key, rs in reversed(keys):
+        key = key[first]
+        for radix in reversed(rs):
             col -= 1
-            key, code = np.divmod(key, np.uint64(radix))
-            yield col, code
+            key, codes[:, col] = np.divmod(key, np.uint64(radix))
+    return codes, np.diff(first, append=n), order
 
 
 def sample_sigma(
@@ -452,18 +447,11 @@ def sample_sigma(
     and each weighs its integer count over N = n_samples.  Reproducible from
     the seed.
 
-    No samples x columns matrix is built.  Right after its draw, each column
-    becomes a code that increases with its digit (a support coordinate's
-    rank among the level's cell values, a free coordinate's digit itself,
-    of radix k!) and is folded into uint64 mixed-radix keys, most
-    significant column first (_fold).  A key starts anew before the product
-    of its radices would pass 2^64, so no key overflows: a key with radices
-    r_1, ..., r_m holds sum_i c_i prod_{i' > i} r_i' <= prod_i r_i - 1 <
-    2^64.  As the codes increase with the digits, the order of the key lists
-    is the lexicographic order of the words, so one lexsort and a comparison
-    of adjacent rows give the distinct words in the order AtomicMeasure
-    requires (_distinct_words).  Their codes, read back from the keys
-    (_unpack), index each column's digits in increasing order.
+    No samples x columns matrix is built: each column goes to _distinct_rows
+    right after its draw, as a code that increases with its digit (a support
+    coordinate's rank among the level's cell values, a free coordinate's
+    digit, of radix k!), and the codes of the distinct rows are compacted
+    to index each column's present digits in increasing order.
     """
     if n_samples < 1:
         raise PreconditionError("need at least one sample")
@@ -484,36 +472,37 @@ def sample_sigma(
             "free-coordinate sampling is limited to levels with k! below 2^62"
         )
     rng = np.random.default_rng(seed)
-    words = [(np.zeros(n_samples, dtype=np.uint64), [])]
     digits = []  # per column, its digits indexed by code (range(k!) when free)
-    for k in range(1, s.depth + 1):
-        kf = math.factorial(k)
-        cells = _support_cells(structure, k)
-        reps = len(structure.rep_points)
-        probs = np.array([c / reps for _, c in cells])  # correctly rounded weights
-        probs /= probs.sum()
-        picks = rng.choice(len(cells), size=n_samples, p=probs)
-        per_coord = [None] * fam.size
-        for pos, j in enumerate(structure.support):
-            values = sorted({cell[pos] for cell, _ in cells})
-            rank = {v: i for i, v in enumerate(values)}
-            ranks = np.array([rank[cell[pos]] for cell, _ in cells], dtype=np.uint64)
-            per_coord[j] = (ranks[picks], values)
-        for j in structure.free:
-            drawn = rng.integers(0, kf, size=n_samples, dtype=np.int64)
-            per_coord[j] = (drawn.view(np.uint64), range(kf))
-        for code, values in per_coord:
-            _fold(words, code, len(values))
-            digits.append(values)
-    distinct, counts = _distinct_words(words)[:2]
-    categories = [None] * len(digits)
-    codes = np.empty((len(counts), len(digits)), dtype=np.uint32)
-    for col, code in _unpack(distinct):
-        present, codes[:, col] = np.unique(code, return_inverse=True)
-        categories[col] = [digits[col][c] for c in present.tolist()]
+
+    def columns():
+        for k in range(1, s.depth + 1):
+            kf = math.factorial(k)
+            cells = _support_cells(structure, k)
+            reps = len(structure.rep_points)
+            probs = np.array([c / reps for _, c in cells])  # correctly rounded weights
+            probs /= probs.sum()
+            picks = rng.choice(len(cells), size=n_samples, p=probs)
+            per_coord = [None] * fam.size
+            for pos, j in enumerate(structure.support):
+                values = sorted({cell[pos] for cell, _ in cells})
+                rank = {v: i for i, v in enumerate(values)}
+                ranks = np.array([rank[cell[pos]] for cell, _ in cells], dtype=np.uint64)
+                per_coord[j] = (ranks[picks], values)
+            for j in structure.free:
+                drawn = rng.integers(0, kf, size=n_samples, dtype=np.int64)
+                per_coord[j] = (drawn.view(np.uint64), range(kf))
+            for code, values in per_coord:
+                digits.append(values)
+                yield code, len(values)
+
+    codes, counts, _ = _distinct_rows(columns(), n_samples)
+    categories = []
+    for col, values in enumerate(digits):
+        present, codes[:, col] = np.unique(codes[:, col], return_inverse=True)
+        categories.append([values[c] for c in present.tolist()])
     return AtomicMeasure(
-        alphas=[a for level in s.alphas for a in level], categories=categories, codes=codes,
-        counts=counts.tolist(), denominator=n_samples,
+        alphas=[a for level in s.alphas for a in level], categories=categories,
+        codes=codes.astype(np.uint32, copy=False), counts=counts.tolist(), denominator=n_samples,
     )
 
 
@@ -706,6 +695,9 @@ def verify_dichotomy(
         raise CapExceeded(
             f"coefficient bound {coeff_bound} exceeds the cap {COEFF_CAP}"
         )
+    if (2 * coeff_bound + 1) ** fam.size > VECTOR_CAP:
+        raise CapExceeded(f"{2 * coeff_bound + 1}^{fam.size} coefficient vectors exceed the "
+                          f"cap {VECTOR_CAP}")
     vectors = list(product(range(-coeff_bound, coeff_bound + 1), repeat=fam.size))
     targets = [lat.character_integral(G, a) for a in vectors]
     rows = []

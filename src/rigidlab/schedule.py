@@ -103,18 +103,19 @@ class Schedule:
 class ResidualReport:
     """Exact pass/fail per property, with the violating (location, value, bound)."""
 
-    passed: dict = field(default_factory=dict)
     violations: dict = field(default_factory=dict)
 
     PROPERTIES = ("window", "calibration", "offdiagonal", "history")
 
+    @property
+    def passed(self) -> dict:
+        return {p: p not in self.violations for p in self.PROPERTIES}
+
     def all_pass(self) -> bool:
-        return all(self.passed.get(p, True) for p in self.PROPERTIES)
+        return not self.violations
 
     def record(self, prop: str, location, value: Fraction, bound: Fraction, strict: bool):
-        ok = value < bound if strict else value <= bound
-        self.passed[prop] = self.passed.get(prop, True) and ok
-        if not ok:
+        if not (value < bound if strict else value <= bound):
             self.violations.setdefault(prop, []).append((location, value, bound))
 
 
@@ -134,7 +135,6 @@ def check_schedule(s: Schedule, fam: fm.SequenceFamily) -> ResidualReport:
             # window: 0 < alpha <= top  (recorded as value<=bound and value>0)
             report.record("window", (k, j + 1), a, top, strict=False)
             if a <= 0:
-                report.passed["window"] = False
                 report.violations.setdefault("window", []).append(
                     ((k, j + 1), a, Fraction(0))
                 )

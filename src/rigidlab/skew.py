@@ -252,18 +252,16 @@ def shifted_intersection_values(
                    if any(r[col] % a.denominator for r in residues))
     if restricted := base.restriction(active):
         base, residues = restricted[0], [[r[c] for c in active] for r in residues]
-    n_atoms = len(base.codes)
+    phases = np.empty((len(base.codes), len(shifts)))
+    for col, r in enumerate(residues):
+        phases[:, col] = base.phases(r)
     if len(B.intervals) == 1:
         (u, v), = B.intervals
         # B - t x starts at u - t x; offsets cancel u
-        starts = np.zeros((n_atoms, len(shifts) + 1), order="F")
-        for col, r in enumerate(residues, start=1):
-            np.negative(base.phases(r), out=starts[:, col])
+        starts = np.zeros((len(phases), len(shifts) + 1), order="F")
+        np.negative(phases, out=starts[:, 1:])
         values = _arc_intersection_lengths(starts, float(v - u))
     else:
-        phases = np.empty((n_atoms, len(shifts)))
-        for col, r in enumerate(residues):
-            phases[:, col] = base.phases(r)
         arcs = np.array([(float(u), float(v)) for u, v in B.intervals]).reshape(-1, 2)
         values = _multi_arc_intersection_lengths(arcs, phases)
     return values[restricted[1]] if restricted else values

@@ -40,7 +40,9 @@ def fill_placeholders(argv, families, tmp_path):
     is (n, n^2), N_2N is (n, 2n), SIGMA is a measure bundle of (n, n^2) built
     on the spot, SIGMA_1_0 that bundle with its first atom at "1/0", and
     SIGMA_EMPTY and SIGMA_TWICE that bundle with no atom and with the atom
-    ("1/2", "1") twice, whose weights do not sum to 1."""
+    ("1/2", "1") twice, whose weights do not sum to 1.  SIGMA_WIDE is a
+    hand-made bundle of the family (n, ..., n^7) on G = Z^7: a depth-1
+    schedule and a 2-atom sigma, 5^7 coefficient vectors at --bound 2."""
     edits = {
         "SIGMA_1_0": lambda atoms: [["1/0", atoms[0][1]], *atoms[1:]],
         "SIGMA_EMPTY": lambda atoms: [],
@@ -52,8 +54,16 @@ def fill_placeholders(argv, families, tmp_path):
         "GROUP": families["g23"],
         "OUT": str(tmp_path / "out.json"),
         "SIGMA": str(tmp_path / "sigma.json"),
-        **{name: str(tmp_path / f"{name.lower()}.json") for name in edits},
+        **{name: str(tmp_path / f"{name.lower()}.json") for name in [*edits, "SIGMA_WIDE"]},
     }
+    if "SIGMA_WIDE" in argv:
+        Path(names["SIGMA_WIDE"]).write_text(json.dumps({
+            "family": {"kind": "polynomial", "polys": [[0] * d + [1] for d in range(1, 8)]},
+            "group": {"ambient_dim": 7,
+                      "basis": [[int(i == j) for j in range(7)] for i in range(7)]},
+            "schedule": {"depth": 1, "indices": ["1"], "alphas": [["1/2"] * 7]},
+            "sigma": {"atoms": [["0", "1/2"], ["1/2", "1/2"]]},
+        }))
     if {"SIGMA", *edits} & set(argv):
         assert run(["measure", names["FAMILY"], "--group", names["GROUP"], "--depth", "2",
                     "--samples", "50", "--out", names["SIGMA"]]) == 0
@@ -343,8 +353,9 @@ class TestExitCodes:
             ["measure", "FAMILY", "--group", "GROUP", "--depth", "7", "--out", "OUT"],
             ["measure", "FAMILY", "--group", "GROUP", "--samples", "10000001", "--out", "OUT"],
             ["verify-dichotomy", "SIGMA", "--bound", "6"],
+            ["verify-dichotomy", "SIGMA_WIDE", "--bound", "2"],
         ],
-        ids=["measure_depth_7", "measure_samples", "dichotomy_bound_6"],
+        ids=["measure_depth_7", "measure_samples", "dichotomy_bound_6", "dichotomy_wide_family"],
     )
     def test_option_cap_exit_3(self, families, tmp_path, capsys, argv):
         assert run(fill_placeholders(argv, families, tmp_path)) == 3

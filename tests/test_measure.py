@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 import tracemalloc
+from unittest import mock
 from decimal import Decimal
 from fractions import Fraction as F
 from itertools import product
@@ -543,23 +544,19 @@ def _word_rows(m):
     return np.array([[m.categories[col][code] for col, code in enumerate(row)] for row in m.codes])
 
 
-def _packed_rows(matrix, radix):
-    """A non-negative matrix below radix through _fold, _distinct_words and
-    _unpack: its distinct rows, their counts and the number of keys.  The
-    rows in _distinct_words' order must be each distinct row count times."""
-    words = [(np.zeros(len(matrix), dtype=np.uint64), [])]
-    for column in matrix.T:
-        ms._fold(words, column.astype(np.uint64), radix)
-    distinct, counts, order = ms._distinct_words(words)
-    rows = np.empty((len(counts), matrix.shape[1]), dtype=np.int64)
-    for col, code in ms._unpack(distinct):
-        rows[:, col] = code
+def _rows_and_keys(matrix, radix):
+    """A non-negative matrix below radix through _distinct_rows, one column
+    view at a time: its distinct rows, their counts and the number of keys
+    passed to np.lexsort.  The rows in _distinct_rows' order must be each
+    distinct row count times."""
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        rows, counts, order = ms._distinct_rows(((c, radix) for c in matrix.T), len(matrix))
     assert np.array_equal(matrix[order], np.repeat(rows, counts, axis=0))
-    return rows, counts, len(words)
+    return rows, counts, len(lexsort.call_args.args[0])
 
 
 def _assert_same_rows(matrix, radix):
-    got_rows, got_counts, _ = _packed_rows(matrix, radix)
+    got_rows, got_counts, _ = _rows_and_keys(matrix, radix)
     want_rows, want_counts = _unique_rows(matrix)
     assert np.array_equal(got_rows, want_rows)
     assert np.array_equal(got_counts, want_counts)
@@ -580,7 +577,7 @@ SAMPLER_CASES = [
 
 
 class TestDistinctRows:
-    """sample_sigma's packed-key dedup against np.unique(..., axis=0)."""
+    """_distinct_rows and sample_sigma against np.unique(..., axis=0)."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -591,24 +588,41 @@ class TestDistinctRows:
     )
     def test_matches_unique(self, rows, cols, high, seed):
         rng = np.random.default_rng(seed)
-        _assert_same_rows(rng.integers(0, high, size=(rows, cols), dtype=np.int64), high)
+        _assert_same_rows(rng.integers(0, high, size=(rows, cols), dtype=np.uint64), high)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 400),
+        radices=st.lists(st.sampled_from([1, 2, 7, 720, 2**31, 2**32]), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32),
+    )
+    def test_strided_uint32_columns(self, rows, radices, seed):
+        # restriction passes the uint32 columns of a C-order code matrix as
+        # they are; the keys take them without a copy to uint64
+        rng = np.random.default_rng(seed)
+        matrix = np.column_stack([rng.integers(0, r, size=rows, dtype=np.uint32) for r in radices])
+        got, counts, order = ms._distinct_rows(zip(matrix.T, radices), rows)
+        want, want_counts = _unique_rows(matrix)
+        assert got.dtype == np.uint32 and np.array_equal(got, want)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(matrix[order], np.repeat(got, counts, axis=0))
 
     def test_one_row_and_all_equal_rows(self):
-        _assert_same_rows(np.array([[3, 0, 5]], dtype=np.int64), 6)
-        _assert_same_rows(np.full((50, 4), 7, dtype=np.int64), 8)
-        rows, counts, _ = _packed_rows(np.full((50, 4), 7, dtype=np.int64), 8)
+        _assert_same_rows(np.array([[3, 0, 5]], dtype=np.uint64), 6)
+        _assert_same_rows(np.full((50, 4), 7, dtype=np.uint64), 8)
+        rows, counts, _ = _rows_and_keys(np.full((50, 4), 7, dtype=np.uint64), 8)
         assert rows.tolist() == [[7] * 4] and counts.tolist() == [50]
 
     def test_keys_split_before_two_to_the_64(self):
         # radix products up to 2^64 share a key; one more radix-2 column
         # starts a second key, and the largest words still round-trip
         for cols, keys in ((64, 1), (65, 2)):
-            matrix = np.array([[0] * cols, [1] * cols, [1] + [0] * (cols - 1)], dtype=np.int64)
-            rows, counts, n_keys = _packed_rows(matrix, 2)
+            matrix = np.array([[0] * cols, [1] * cols, [1] + [0] * (cols - 1)], dtype=np.uint64)
+            rows, counts, n_keys = _rows_and_keys(matrix, 2)
             assert n_keys == keys
             assert np.array_equal(rows, np.unique(matrix, axis=0)) and counts.tolist() == [1, 1, 1]
-        matrix = np.array([[2**62 - 1, 3], [2**62 - 1, 0], [0, 3]], dtype=np.int64)
-        rows, _, n_keys = _packed_rows(matrix, 2**62)
+        matrix = np.array([[2**62 - 1, 3], [2**62 - 1, 0], [0, 3]], dtype=np.uint64)
+        rows, _, n_keys = _rows_and_keys(matrix, 2**62)
         assert n_keys == 2 and np.array_equal(rows, np.unique(matrix, axis=0))
 
     @settings(max_examples=300, deadline=None)
@@ -655,10 +669,8 @@ class TestDistinctRows:
 
     def test_trivial_depth_7_takes_two_keys(self, monkeypatch):
         seen = []
-        original = ms._distinct_words
-        monkeypatch.setattr(
-            ms, "_distinct_words", lambda words: seen.append(len(words)) or original(words)
-        )
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: seen.append(len(keys)) or lexsort(keys))
         for G, sched, fam in SAMPLER_CASES:
             ms.sample_sigma(G, sched, fam, 3000, seed=1)
         assert seen == [1, 1, 1, 2, 1]
@@ -681,17 +693,28 @@ class TestDistinctRows:
     def test_free_level_cap_fires_before_any_key(self, monkeypatch):
         monkeypatch.setattr(sc, "MAX_DEPTH", 21)
         sched = build_schedule(FAM_N, 21)  # 21! > 2^62
-        folds = []
-        fold = ms._fold
-        monkeypatch.setattr(ms, "_fold", lambda *args: folds.append(1) or fold(*args))
+        drawn = []
+        distinct_rows = ms._distinct_rows
+        monkeypatch.setattr(ms, "_distinct_rows", lambda columns, n: distinct_rows(
+            (drawn.append(radix) or (code, radix) for code, radix in columns), n))
         with pytest.raises(CapExceeded, match="k! below 2\\^62"):
             ms.sample_sigma(lat.trivial(1), sched, FAM_N, ms.SAMPLE_CAP, seed=1)
-        assert folds == []
+        assert drawn == []
         # support digits have no such cap: 21!/2 lies past int64, its code
         # is its rank 1
         m = ms.sample_sigma(lat.canonicalize([(2,)], 1), sched, FAM_N, 50, seed=1)
         assert m.categories[-1] == [0, math.factorial(21) // 2]
-        assert len(folds) == 21
+        assert len(drawn) == 21
+
+    def test_free_digits_past_uint32(self):
+        # 13! > 2^32: the free column's drawn digits need uint64 codes until
+        # they are compacted to the present ones
+        sched = build_schedule(FAM_N, 13)
+        m = ms.sample_sigma(lat.trivial(1), sched, FAM_N, 50, seed=3)
+        categories, codes, counts, _ = _oracle_sigma(lat.trivial(1), sched, FAM_N, 50, 3)
+        assert max(m.categories[-1]) >= 2**32
+        assert m.categories == categories and m.counts == counts
+        assert m.codes.dtype == np.uint32 and m.codes.tobytes() == codes.tobytes()
 
 
 def _fraction_merge(atoms):
