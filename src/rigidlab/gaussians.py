@@ -188,12 +188,7 @@ class GaussianTransferRow:
 @dataclass
 class GaussianTransferReport:
     rows: list[GaussianTransferRow]
-    tolerance: float
-
-    def passes(self, top_level: int) -> bool:
-        return all(
-            r.deviation <= self.tolerance for r in self.rows if r.level == top_level
-        )
+    passed: bool
 
 
 def verify_gaussian_transfer(
@@ -208,7 +203,8 @@ def verify_gaussian_transfer(
 
     With rho_jk = Re sigma-hat(phi_j(n_k)), a rigid direction (e_j in G)
     must bring the pair mass of (interval, interval) near P(interval), and a
-    mixing one near P(interval)^2.
+    mixing one near P(interval)^2.  The report passes when every deviation
+    at the schedule's top level is at most tol.
     """
     p1 = interval_probability(float(interval[0]), float(interval[1]))
     rigid = [lat.member(G, lat.standard_basis(fam.size, j)) for j in range(1, fam.size + 1)]
@@ -222,4 +218,5 @@ def verify_gaussian_transfer(
             rows.append(
                 GaussianTransferRow(j, k, rho, mass, target, in_G, abs(mass - target))
             )
-    return GaussianTransferReport(rows, tol)
+    passed = all(r.deviation <= tol for r in rows if r.level == s.depth)
+    return GaussianTransferReport(rows, passed)

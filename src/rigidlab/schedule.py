@@ -73,6 +73,8 @@ class Schedule:
     def __post_init__(self):
         if not isinstance(self.depth, int) or isinstance(self.depth, bool):
             raise PreconditionError("schedule depth must be an integer")
+        if self.depth < 1:
+            raise PreconditionError("a schedule needs at least one level")
         if len(self.indices) != self.depth or len(self.alphas) != self.depth:
             raise PreconditionError("schedule arrays disagree with depth")
         for k, n in enumerate(self.indices, start=1):
@@ -121,8 +123,10 @@ class ResidualReport:
 
 def check_schedule(s: Schedule, fam: fm.SequenceFamily) -> ResidualReport:
     """Exact rational evaluation of all four inequality families."""
-    report = ResidualReport()
     size = fam.size
+    if any(len(row) != size for row in s.alphas):
+        raise PreconditionError(f"each schedule level needs {size} alphas, one per sequence")
+    report = ResidualReport()
     values = [fm.evaluate(fam, n) for n in s.indices]
     for k in range(1, s.depth + 1):
         kf = math.factorial(k)
@@ -286,7 +290,7 @@ def _pick_alpha(
 def _chain_modulus(
     fam: fm.SequenceFamily,
     k: int,
-    schedule_values: list[tuple[int, ...]],
+    schedule_values: Sequence[tuple[int, ...]],
     depth: int,
 ) -> int:
     """Index modulus cancelling the history phases of zero-constant families.
@@ -321,8 +325,8 @@ def build_schedule(
     budget runs out (shifted-constant families beyond depth 2 typically need
     a larger budget or do not admit the structured candidates at all).
     """
-    if depth < 0 or depth > MAX_DEPTH:
-        raise PreconditionError(f"depth must be between 0 and {MAX_DEPTH}")
+    if depth < 1 or depth > MAX_DEPTH:
+        raise PreconditionError(f"depth must be between 1 and {MAX_DEPTH}")
     if not fm.is_asymptotically_independent(fam):
         raise PreconditionError(
             "schedule construction needs asymptotically linearly independent "
@@ -341,7 +345,7 @@ def build_schedule(
             1, 2 * max_const * depth * depth * math.factorial(depth)
         )
 
-    def level_options(k: int, indices: list[int], alphas: list, values: list):
+    def level_options(k: int, indices: tuple, alphas: tuple, values: tuple):
         """Viable (n_k, alphas, values) choices for level k, lazily.
 
         Two passes over the candidate indices: first only those where every
@@ -372,7 +376,7 @@ def build_schedule(
                 seen += 1
                 n += chain
 
-        per_level_limit = max(64, search_budget // max(1, 2 * depth))
+        per_level_limit = max(64, search_budget // (2 * depth))
         for exact_only in (True, False):
             for n_k in raw_indices(per_level_limit):
                 spent += 1
@@ -397,28 +401,21 @@ def build_schedule(
                 else:
                     yield n_k, tuple(level_alphas), vals
 
-    def descend(k: int, indices: list[int], alphas: list, values: list) -> bool:
+    def descend(indices: tuple, alphas: tuple, values: tuple) -> Schedule | None:
+        k = len(indices) + 1
         if k > depth:
-            return True
+            return Schedule(depth, indices, alphas)
         for n_k, level_alphas, vals in level_options(k, indices, alphas, values):
-            indices.append(n_k)
-            alphas.append(level_alphas)
-            values.append(vals)
-            if descend(k + 1, indices, alphas, values):
-                return True
-            indices.pop()
-            alphas.pop()
-            values.pop()
-        return False
+            found = descend(indices + (n_k,), alphas + (level_alphas,), values + (vals,))
+            if found is not None:
+                return found
+        return None
 
-    indices: list[int] = []
-    alphas: list[tuple[Fraction, ...]] = []
-    values: list[tuple[int, ...]] = []
-    if not descend(1, indices, alphas, values):
+    sched = descend((), (), ())
+    if sched is None:
         raise SearchExhausted(
             f"no schedule of depth {depth} found within budget {search_budget}"
         )
-    sched = Schedule(depth, tuple(indices), tuple(alphas))
     report = check_schedule(sched, fam)
     assert report.all_pass(), "construction postcondition: exact replay must pass"
     return sched

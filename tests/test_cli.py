@@ -38,15 +38,17 @@ def families(tmp_path):
 def fill_placeholders(argv, families, tmp_path):
     """Replace FAMILY, N_2N, GROUP, OUT and the SIGMA names by files; FAMILY
     is (n, n^2), N_2N is (n, 2n), SIGMA is a measure bundle of (n, n^2) built
-    on the spot, SIGMA_1_0 that bundle with its first atom at "1/0", and
+    on the spot, SIGMA_1_0 that bundle with its first atom at "1/0",
     SIGMA_EMPTY and SIGMA_TWICE that bundle with no atom and with the atom
-    ("1/2", "1") twice, whose weights do not sum to 1.  SIGMA_WIDE is a
-    hand-made bundle of the family (n, ..., n^7) on G = Z^7: a depth-1
-    schedule and a 2-atom sigma, 5^7 coefficient vectors at --bound 2."""
-    edits = {
-        "SIGMA_1_0": lambda atoms: [["1/0", atoms[0][1]], *atoms[1:]],
-        "SIGMA_EMPTY": lambda atoms: [],
-        "SIGMA_TWICE": lambda atoms: [["1/2", "1"], ["1/2", "1"]],
+    ("1/2", "1") twice, whose weights do not sum to 1, and SIGMA_DEPTH_0 that
+    bundle with a schedule of no level.  SIGMA_WIDE is a hand-made bundle of
+    the family (n, ..., n^7) on G = Z^7: a depth-1 schedule and a 2-atom
+    sigma, 5^7 coefficient vectors at --bound 2."""
+    edits = {  # name: (bundle key, its new value from the old)
+        "SIGMA_1_0": ("sigma", lambda s: {"atoms": [["1/0", s["atoms"][0][1]], *s["atoms"][1:]]}),
+        "SIGMA_EMPTY": ("sigma", lambda s: {"atoms": []}),
+        "SIGMA_TWICE": ("sigma", lambda s: {"atoms": [["1/2", "1"], ["1/2", "1"]]}),
+        "SIGMA_DEPTH_0": ("schedule", lambda s: {"depth": 0, "indices": [], "alphas": []}),
     }
     names = {
         "FAMILY": families["n_nsq"],
@@ -69,7 +71,8 @@ def fill_placeholders(argv, families, tmp_path):
                     "--samples", "50", "--out", names["SIGMA"]]) == 0
     for name in edits.keys() & set(argv):
         bundle = json.loads(Path(names["SIGMA"]).read_text())
-        bundle["sigma"]["atoms"] = edits[name](bundle["sigma"]["atoms"])
+        key, edit = edits[name]
+        bundle[key] = edit(bundle[key])
         Path(names[name]).write_text(json.dumps(bundle))
     return [names.get(a, a) for a in argv]
 
@@ -319,6 +322,8 @@ class TestExitCodes:
             ["verify-dichotomy", "SIGMA_TWICE"],
             ["gaussian", "--sigma", "SIGMA_EMPTY"],
             ["gaussian", "--sigma", "SIGMA_TWICE"],
+            ["verify-dichotomy", "SIGMA_DEPTH_0"],
+            ["gaussian", "--sigma", "SIGMA_DEPTH_0"],
         ],
         ids=["cor66_no_p_q", "cor66_no_q", "cor67_bad_primes", "splits_bad_F",
              "witness_infeasible_F", "gaussian_no_sigma_no_rho",
@@ -327,7 +332,8 @@ class TestExitCodes:
              "cor65_negative_seed", "cor65_negative_k0_max",
              "gaussian_rho_nan_bound", "gaussian_sigma_nan_bound", "cor67_scan_csv",
              "dichotomy_no_atom", "dichotomy_atom_twice",
-             "gaussian_no_atom", "gaussian_atom_twice"],
+             "gaussian_no_atom", "gaussian_atom_twice",
+             "dichotomy_depth_0", "gaussian_depth_0"],
     )
     def test_malformed_option_value(self, families, tmp_path, capsys, argv):
         assert run(fill_placeholders(argv, families, tmp_path)) == 2
@@ -338,6 +344,7 @@ class TestExitCodes:
             assert "ZeroDivisionError" in err["detail"]
         if {"SIGMA_EMPTY", "SIGMA_TWICE"} & set(argv):
             assert err["detail"] == "sigma bundle weights must sum to 1"
+        if {"SIGMA_EMPTY", "SIGMA_TWICE", "SIGMA_DEPTH_0"} & set(argv):
             assert captured.out == ""
         if argv[0] == "witness":
             # the refusal names the relation -2 phi_1 + phi_2 = 0 escaping

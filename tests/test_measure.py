@@ -113,6 +113,18 @@ class TestSampling:
         m = ms.sample_sigma(G, s, FAM_N_NSQ, 777, seed=5)
         assert total_weight(m) == 1
 
+    @pytest.mark.parametrize("edit", [lambda row: row[:-1], lambda row: row + row[:1]],
+                             ids=["alpha_short", "alpha_over"])
+    def test_level_needs_one_alpha_per_sequence(self, edit):
+        # one alpha too few raised IndexError in check_schedule; one too many
+        # passed it, and the sample's later columns read the wrong alphas
+        s = build_schedule(FAM_N_NSQ, 2)
+        bad = sc.Schedule(2, s.indices, (edit(s.alphas[0]), s.alphas[1]))
+        with pytest.raises(PreconditionError):
+            sc.check_schedule(bad, FAM_N_NSQ)
+        with pytest.raises(PreconditionError):
+            ms.sample_sigma(lat.canonicalize([(2, 0), (0, 3)], 2), bad, FAM_N_NSQ, 50, seed=1)
+
 
 class TestFourier:
     def test_dirac(self):
@@ -1159,7 +1171,7 @@ class TestDichotomy:
         s = build_schedule(FAM_N_NSQ, 3)
         m = ms.sample_sigma(lat.full(2), s, FAM_N_NSQ, 100, seed=2)
         rep = ms.verify_dichotomy(m, s, FAM_N_NSQ, lat.full(2), 2, 0.01)
-        assert rep.max_deviation() < 1e-9
+        assert max(r.deviation for r in rep.rows) < 1e-9
 
     def test_zero_vector_exact(self):
         s = build_schedule(FAM_N_NSQ, 3)
@@ -1175,8 +1187,8 @@ class TestDichotomy:
         G = lat.canonicalize([(2,)], 1)
         m = ms.sample_sigma(G, s, fam, 10**4, seed=3)
         rep = ms.verify_dichotomy(m, s, fam, G, 3, 0.15)
-        assert rep.passes(5)
-        assert rep.max_deviation(5) <= 0.15
+        assert rep.passed
+        assert max(r.deviation for r in rep.rows if r.level == 5) <= 0.15
 
 
 class TestBuildMeasurePipeline:
@@ -1188,7 +1200,7 @@ class TestBuildMeasurePipeline:
         assert red.scale == 1
         assert g_tilde == G
         rep = ms.verify_dichotomy(sigma, sched, FAM_N_NSQ, G, 2, 0.2)
-        assert rep.passes(4)
+        assert rep.passed
 
     def test_reduction_path_n_2n(self):
         fam = fm.polynomial_family([[0, 1], [0, 2]])
@@ -1200,7 +1212,7 @@ class TestBuildMeasurePipeline:
         assert g_tilde == lat.canonicalize([(2,)], 1)
         # dichotomy directly against the original family and group
         rep = ms.verify_dichotomy(sigma, sched_for_original(sched, red), fam, G, 2, 0.2)
-        assert rep.passes(4)
+        assert rep.passed
 
     def test_precondition_not_rigidity_group(self):
         fam = fm.polynomial_family([[0, 1], [0, 2]])

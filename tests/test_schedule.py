@@ -395,10 +395,13 @@ class TestPickAlpha:
 
 
 class TestCheckSchedule:
-    def test_empty_schedule_vacuous(self):
-        s = Schedule(0, (), ())
-        report = check_schedule(s, FAM_N_NSQ)
-        assert report.all_pass()
+    def test_depth_zero_refused(self):
+        with pytest.raises(PreconditionError):
+            Schedule(0, (), ())
+        with pytest.raises(PreconditionError):
+            Schedule.from_json({"depth": 0, "indices": [], "alphas": []})
+        with pytest.raises(PreconditionError):
+            build_schedule(FAM_N_NSQ, 0)
 
     def test_perturbed_alpha_fails_and_is_located(self):
         s = build_schedule(FAM_N_NSQ, 3)

@@ -746,7 +746,7 @@ class TestGaussianTransfer:
         s = build_schedule(fam, 3)
         m = ms.sample_sigma(lat.full(2), s, fam, 100, seed=2)  # delta at 0
         rep = verify_gaussian_transfer(m, s, fam, lat.full(2), (-1, 0), 0.01)
-        assert rep.passes(3)
+        assert rep.passed
         assert all(r.rigid for r in rep.rows)
 
     def test_mixed_directions(self):
@@ -757,7 +757,7 @@ class TestGaussianTransfer:
         rigid_rows = [r for r in rep.rows if r.level == 5 and r.rigid]
         mixing_rows = [r for r in rep.rows if r.level == 5 and not r.rigid]
         assert rigid_rows and mixing_rows
-        assert rep.passes(5)
+        assert rep.passed
 
     def test_full_line_always_passes(self):
         fam = fm.polynomial_family([[0, 1]])
@@ -766,4 +766,4 @@ class TestGaussianTransfer:
         rep = verify_gaussian_transfer(
             m, s, fam, lat.canonicalize([(2,)], 1), (-40, 40), 1e-6
         )
-        assert rep.passes(2)
+        assert rep.passed
