@@ -441,6 +441,8 @@ def cor67_demo(
     primes = tuple(int(x) for x in primes)
     if any(b <= a for a, b in zip(primes, primes[1:])):
         raise PreconditionError("primes must be increasing")
+    if primes and primes[0] < 1:
+        raise PreconditionError(f"primes must be positive, got {primes[0]}")
     B, triple, _ = behrend_certificate(ell)
     uniform = cor67_uniform_limit(B)
     bound = B.measure() ** ell / 2 * B.measure()

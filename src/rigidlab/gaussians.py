@@ -206,6 +206,8 @@ def verify_gaussian_transfer(
     mixing one near P(interval)^2.  The report passes when every deviation
     at the schedule's top level is at most tol.
     """
+    if not tol >= 0:
+        raise PreconditionError(f"tolerance must be a nonnegative number, got {tol}")
     p1 = interval_probability(float(interval[0]), float(interval[1]))
     rigid = [lat.member(G, lat.standard_basis(fam.size, j)) for j in range(1, fam.size + 1)]
     rows = []

@@ -315,24 +315,21 @@ class AtomicMeasure:
         return out
 
     def restriction(self, active: tuple[int, ...]):
-        """(measure, index): the measure on the distinct rows of the active
-        columns' codes (lexicographic order, counts summed per row) and word
-        i's row index[i], int32; None where every word keeps its own row."""
+        """The marginal on the active columns, their codes' distinct rows with
+        their words' counts summed exactly; None where every word keeps its row."""
         if self._restriction[0] != active and len(active) < self.codes.shape[1]:
             codes, sizes, order = _distinct_rows(
                 ((self.codes[:, col], len(self.categories[col])) for col in active),
                 len(self.codes))
             restricted = None
             if len(sizes) < len(self.codes):
-                index = np.empty(len(order), dtype=np.int32)  # no measure nears 2^31 words
-                index[order] = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-                counts = np.zeros(len(sizes), dtype=object)
-                np.add.at(counts, index, np.array(self.counts, dtype=object))
+                counts = np.add.reduceat(np.array(self.counts, dtype=object)[order],
+                                         np.cumsum(sizes) - sizes)
                 restricted = AtomicMeasure(
                     alphas=[self.alphas[c] for c in active], codes=codes,
                     categories=[self.categories[c] for c in active],
                     counts=counts.tolist(), denominator=self.denominator,
-                ), index
+                )
             self._restriction = active, restricted
         return self._restriction[1] if self._restriction[0] == active else None
 
@@ -508,7 +505,7 @@ def _transform(m: AtomicMeasure, phases: np.ndarray) -> complex:
     """sum w * e^{2 pi i phase} over the words, given their phases t * x mod 1."""
     angles = 2 * math.pi * phases
     w = m.weights_np
-    return complex(np.dot(w, np.cos(angles)), np.dot(w, np.sin(angles)))
+    return complex(np.add.reduce(w * np.cos(angles)), np.add.reduce(w * np.sin(angles)))
 
 
 def fourier_coefficient(m: AtomicMeasure, t: int) -> complex:
@@ -680,6 +677,8 @@ def verify_dichotomy(
     deviation per (level, vector) and passes when every deviation at the
     schedule's top level is at most tol.
     """
+    if not tol >= 0:
+        raise PreconditionError(f"tolerance must be a nonnegative number, got {tol}")
     if coeff_bound < 0:
         raise PreconditionError("coefficient bound must be nonnegative")
     if coeff_bound > COEFF_CAP:

@@ -22,14 +22,15 @@ some arc of B meets every shifted copy; the others are 0.0 without a sweep.
 On the cor66/cor67 scans it keeps about 23% of the rows, and 19% of all
 rows are nonzero.
 
-Phases and kernels run on the distinct rows of the active columns, those
-where some shift's residue is nonzero mod q (AtomicMeasure.restriction,
-which keeps the last pattern's rows; the sums that share their least index
-share a pattern), and the row-wise values are gathered back to the words (11
-times fewer rows on the depth-11 cor65 scan).  Elsewhere each digit's phase
-is +0.0, which adds no bit to a partial sum >= +0.0, so the values are
-bitwise those of the words and the budget below holds unchanged;
-sampled_correlation still dots them with the words' weights in word order.
+Each scan point is scored on the marginal of its active columns, those
+where some shift's residue is nonzero mod q (AtomicMeasure.restriction keeps
+the last pattern's; the sums that share their least index share a pattern):
+phases and kernels run on its rows, weighted by their summed counts (11
+times fewer rows than words on the depth-11 cor65 scan).  An inactive
+column's digit phases are +0.0, which adds no bit to a partial sum >= +0.0,
+so a row's value is bitwise that of each of its words; the budget holds.
+The weighted sums are np.add.reduce, in the order numpy's source fixes, so
+no BLAS kernel or thread count moves a bit.
 
 Error budget of a per-word value, against the exact measure for the exact
 phases, with K the arcs of B, m the shifts and 2^-53 the unit roundoff:
@@ -55,6 +56,8 @@ value, K = 1 for the single-interval form (whose gaps, slack and wrap term
 round at most four times each and whose pairwise sum obeys the same bound).
 For the cor66/cor67 scans at their CLI defaults (K = 8, m <= 3, c = 14)
 that is below 2e-12, far under their Monte Carlo standard errors of ~1e-3.
+The weighted sums over n rows round each weight w and product once, and
+each pairwise sum adds at most ceil(log2 n) * 2^-53 * sum w * v.
 """
 
 from __future__ import annotations
@@ -118,15 +121,20 @@ def sampled_correlation(
     B: CircleSet,
     shifts: Sequence[int | Sequence[int]],
 ) -> tuple[float, float]:
-    """Float correlation over the words of a sampled base, plus the Monte
-    Carlo standard error of the mean for its denominator draws.  The shifts
-    are integers or their residues, as in shifted_intersection_values."""
-    weights = base.weights_np
-    values = shifted_intersection_values(base, B, shifts)
-    mean = float(np.dot(weights, values))
-    second = float(np.dot(weights, values * values))
-    variance = max(0.0, second - mean * mean)
-    return mean, math.sqrt(variance / base.denominator)
+    """Float correlation over a sampled base, scored on the marginal of the
+    active columns, plus the Monte Carlo standard error of the mean for its
+    denominator draws.  The shifts are integers or their residues, as in
+    shifted_intersection_values."""
+    residues = [base.residues(t) if isinstance(t, Integral) else t for t in shifts]
+    active = tuple(col for col, a in enumerate(base.alphas)
+                   if any(r[col] % a.denominator for r in residues))
+    m = base.restriction(active) or base
+    if m is not base:
+        residues = [[r[c] for c in active] for r in residues]
+    values = shifted_intersection_values(m, B, residues)
+    weighted = m.weights_np * values
+    mean, second = float(np.add.reduce(weighted)), float(np.add.reduce(weighted * values))
+    return mean, math.sqrt(max(0.0, second - mean * mean) / base.denominator)
 
 
 def _contact_table(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,24 +255,17 @@ def shifted_intersection_values(
     Each shift is an integer t or its per-column residues, base.residues(t)
     or a row of ShiftResidues.at.
     """
-    residues = [base.residues(t) if isinstance(t, Integral) else t for t in shifts]
-    active = tuple(col for col, a in enumerate(base.alphas)
-                   if any(r[col] % a.denominator for r in residues))
-    if restricted := base.restriction(active):
-        base, residues = restricted[0], [[r[c] for c in active] for r in residues]
     phases = np.empty((len(base.codes), len(shifts)))
-    for col, r in enumerate(residues):
-        phases[:, col] = base.phases(r)
+    for col, t in enumerate(shifts):
+        phases[:, col] = base.phases(base.residues(t) if isinstance(t, Integral) else t)
     if len(B.intervals) == 1:
         (u, v), = B.intervals
         # B - t x starts at u - t x; offsets cancel u
         starts = np.zeros((len(phases), len(shifts) + 1), order="F")
         np.negative(phases, out=starts[:, 1:])
-        values = _arc_intersection_lengths(starts, float(v - u))
-    else:
-        arcs = np.array([(float(u), float(v)) for u, v in B.intervals]).reshape(-1, 2)
-        values = _multi_arc_intersection_lengths(arcs, phases)
-    return values[restricted[1]] if restricted else values
+        return _arc_intersection_lengths(starts, float(v - u))
+    arcs = np.array([(float(u), float(v)) for u, v in B.intervals]).reshape(-1, 2)
+    return _multi_arc_intersection_lengths(arcs, phases)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import platform
 import random
 import subprocess
 import sys
@@ -324,6 +325,12 @@ class TestExitCodes:
             ["gaussian", "--sigma", "SIGMA_TWICE"],
             ["verify-dichotomy", "SIGMA_DEPTH_0"],
             ["gaussian", "--sigma", "SIGMA_DEPTH_0"],
+            ["verify-dichotomy", "SIGMA", "--tol", "nan"],
+            ["verify-dichotomy", "SIGMA", "--tol", "-1"],
+            ["gaussian", "--sigma", "SIGMA", "--tol", "nan"],
+            ["gaussian", "--sigma", "SIGMA", "--tol", "-1"],
+            ["demo", "cor67", "--primes", "0,1"],
+            ["demo", "cor67", "--primes", "-5"],
         ],
         ids=["cor66_no_p_q", "cor66_no_q", "cor67_bad_primes", "splits_bad_F",
              "witness_infeasible_F", "gaussian_no_sigma_no_rho",
@@ -333,7 +340,10 @@ class TestExitCodes:
              "gaussian_rho_nan_bound", "gaussian_sigma_nan_bound", "cor67_scan_csv",
              "dichotomy_no_atom", "dichotomy_atom_twice",
              "gaussian_no_atom", "gaussian_atom_twice",
-             "dichotomy_depth_0", "gaussian_depth_0"],
+             "dichotomy_depth_0", "gaussian_depth_0",
+             "dichotomy_nan_tol", "dichotomy_negative_tol",
+             "gaussian_nan_tol", "gaussian_negative_tol",
+             "cor67_zero_prime", "cor67_negative_prime"],
     )
     def test_malformed_option_value(self, families, tmp_path, capsys, argv):
         assert run(fill_placeholders(argv, families, tmp_path)) == 2
@@ -344,8 +354,11 @@ class TestExitCodes:
             assert "ZeroDivisionError" in err["detail"]
         if {"SIGMA_EMPTY", "SIGMA_TWICE"} & set(argv):
             assert err["detail"] == "sigma bundle weights must sum to 1"
-        if {"SIGMA_EMPTY", "SIGMA_TWICE", "SIGMA_DEPTH_0"} & set(argv):
+        if {"SIGMA_EMPTY", "SIGMA_TWICE", "SIGMA_DEPTH_0", "--tol"} & set(argv):
             assert captured.out == ""
+        if argv[-2:-1] == ["--primes"] and argv[-1] != "2,x":
+            # the refusal names the prime given, not haar's empty ladder
+            assert err["detail"] == f"primes must be positive, got {argv[-1].split(',')[0]}"
         if argv[0] == "witness":
             # the refusal names the relation -2 phi_1 + phi_2 = 0 escaping
             # F = {1} at coordinate 2, as `splits --F 1` reports it
@@ -482,8 +495,40 @@ class TestDeterminism:
         for path in (bundle, csv_out, gauss):
             digest.update(path.read_bytes())
         assert digest.hexdigest() == (
-            "6da82a96b8e4c490714dce764b786d8363af8335f463dc497792a4cfccdccc6f"
+            "596ab762072d1e3125758e54055cf02a2784a3f6790503eeac809d0d1b989328"
         )
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="the OpenBLAS core-type names are x86 ones")
+    def test_outputs_independent_of_blas(self, families, tmp_path):
+        # A cor65 scan and the bundle path, run in the default environment
+        # and under another OpenBLAS kernel and thread count, write the same
+        # bytes and exit codes: no float sum goes through BLAS.
+        src = str(Path(rigidlab.__file__).resolve().parents[1])
+
+        def outputs(name, **env):
+            out = tmp_path / name
+            out.mkdir()
+            calls = [
+                ["demo", "cor65", "--ell", "2", "--polys", "n,n^2", "--depth", "6",
+                 "--samples", "10000", "--seed", "7", "--out", str(out / "cor65.json"),
+                 "--scan-csv", str(out / "scan.csv")],
+                ["measure", families["n_nsq"], "--group", families["g23"], "--depth", "4",
+                 "--samples", "10000", "--seed", "7", "--out", str(out / "s.json")],
+                ["verify-dichotomy", str(out / "s.json"), "--out", str(out / "d.csv")],
+                ["gaussian", "--sigma", str(out / "s.json"), "--out", str(out / "g.json")],
+            ]
+            probe = f"import rigidlab.cli\nprint([rigidlab.cli.run(a) for a in {calls!r}])"
+            done = subprocess.run([sys.executable, "-c", probe],
+                                  env=dict(os.environ, PYTHONPATH=src, **env),
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            return done.stdout, {p.name: p.read_bytes() for p in out.iterdir()}
+
+        default = outputs("default")
+        assert len(default[1]) == 5
+        assert outputs("prescott", OPENBLAS_NUM_THREADS="2",
+                       OPENBLAS_CORETYPE="Prescott") == default
 
     def test_dichotomy_phases_come_from_the_kernel(self, families, tmp_path, monkeypatch):
         # On the pinned bundle, verify-dichotomy takes its phases from the

@@ -82,7 +82,7 @@ class TestCor65ExactLedger:
         assert rep.epsilon == F(1, 27)
         assert rep.exact_ledger_ok
         assert report_sha256(rep) == (
-            "69d4db0bf4576e4476332d83edfb9a1099a21f2bac637d7a1220bc8877bf01f9"
+            "da59d0fa19bec4bcf1d9a80549e78e7d9b9209bd0df032d352d44830547e53fb"
         )
 
     def test_ell3_values(self):

@@ -428,8 +428,8 @@ class TestShiftResidues:
 
 
 def _all_words_values(base, B, residues):
-    """Reference: shifted_intersection_values' kernels on the phases of
-    every word, the computation the restriction to active columns replaced."""
+    """Reference: the arc kernels on the phases of every word, the values
+    that scoring on the marginal of the active columns replaced."""
     phases = np.zeros((len(base.codes), len(residues)))
     for col, r in enumerate(residues):
         phases[:, col] = base.phases(r)
@@ -443,15 +443,28 @@ def _all_words_values(base, B, residues):
 
 
 def _assert_matches_all_words(base, B, residues):
-    """Values and sampled_correlation bitwise those of every word, the
-    correlation's two dots taken over the words' weights in word order."""
+    """sampled_correlation against every word: each word's value is bitwise
+    that of its row of the marginal on the active columns, the correlation
+    is bitwise np.add.reduce over the marginal's rows, and those sums are
+    within 1e-12 of the sums over the words."""
     want = _all_words_values(base, B, residues)
-    assert shifted_intersection_values(base, B, residues).tobytes() == want.tobytes()
-    mean = float(np.dot(base.weights_np, want))
-    second = float(np.dot(base.weights_np, want * want))
-    err = math.sqrt(max(0.0, second - mean * mean) / base.denominator)
     got = sampled_correlation(base, B, residues)
+    active = tuple(col for col, a in enumerate(base.alphas)
+                   if any(r[col] % a.denominator for r in residues))
+    m = base.restriction(active)
+    cols = list(active) if m else list(range(len(base.alphas)))
+    m = m or base
+    row_of = {code: i for i, code in enumerate(map(tuple, m.codes.tolist()))}
+    rows = [row_of[code] for code in map(tuple, base.codes[:, cols].tolist())]
+    values = shifted_intersection_values(m, B, [[r[c] for c in cols] for r in residues])
+    assert values[rows].tobytes() == want.tobytes()
+    weighted = m.weights_np * values
+    mean, second = float(np.add.reduce(weighted)), float(np.add.reduce(weighted * values))
+    err = math.sqrt(max(0.0, second - mean * mean) / base.denominator)
     assert [x.hex() for x in got] == [mean.hex(), err.hex()]
+    words = base.weights_np * want
+    assert abs(mean - np.add.reduce(words)) <= 1e-12
+    assert abs(second - np.add.reduce(words * want)) <= 1e-12
 
 
 B_FOUR = CircleSet.from_pairs(
@@ -488,8 +501,8 @@ def _zeroed_residues(draw):
 
 
 class TestActiveColumnRestriction:
-    """shifted_intersection_values on the distinct rows of the active
-    columns, gathered back to the words, against every word's values."""
+    """sampled_correlation on the marginal of the active columns against
+    every word's values."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=_zeroed_residues(), B=st.sampled_from([B23, B_FOUR]))
@@ -507,7 +520,7 @@ class TestActiveColumnRestriction:
             _assert_matches_all_words(m, B23, table.at(alpha))
             active, restricted = m._restriction
             if restricted is not None:
-                shrunk.append(restricted[0])
+                shrunk.append(restricted)
         # the late points leave most columns inactive, and rows shrink
         assert shrunk and all(len(r.codes) < len(m.codes) for r in shrunk)
 
@@ -534,22 +547,24 @@ class TestActiveColumnRestriction:
         m.restriction(())
         image = ms.pushforward_scale(m, 7)
         active = tuple(range(2, m.codes.shape[1], 3))
-        restricted, index = image.restriction(active)
+        restricted = image.restriction(active)
         # a repeated pattern returns the slot's object; a new pattern replaces
         # it, and an image's slot is its own
-        assert image.restriction(active)[0] is restricted and index.dtype == np.int32
-        own = m.restriction(active)[0]
+        assert image.restriction(active) is restricted
+        own = m.restriction(active)
         assert own is not restricted and np.array_equal(own.codes, restricted.codes)
         other = tuple(range(1, m.codes.shape[1], 3))
-        assert image.restriction(other)[0] is image._restriction[1][0]
+        assert image.restriction(other) is image._restriction[1]
         assert image._restriction[0] == other and m._restriction[0] == active
-        assert image.restriction(active)[0] is not restricted
-        assert np.array_equal(restricted.codes[index], m.codes[:, list(active)])
+        assert image.restriction(active) is not restricted
+        # the rows are the distinct active codes in order, each counting its
+        # words' counts exactly
+        want = {}
+        for code, c in zip(map(tuple, m.codes[:, list(active)].tolist()), m.counts):
+            want[code] = want.get(code, 0) + c
+        assert list(map(tuple, restricted.codes.tolist())) == sorted(want)
+        assert restricted.counts == [want[code] for code in sorted(want)]
         assert sum(restricted.counts) == restricted.denominator == m.denominator
-        want = [0] * len(restricted.codes)
-        for i, c in zip(index.tolist(), m.counts):
-            want[i] += c
-        assert restricted.counts == want
 
     @pytest.mark.parametrize("B", [B23, B_FOUR])
     def test_no_column_and_every_column_active(self, B):
@@ -557,7 +572,7 @@ class TestActiveColumnRestriction:
         qs = [a.denominator for a in m.alphas]
         none = [[0] * len(qs), [2 * q for q in qs]]
         _assert_matches_all_words(m, B, none)
-        assert m.restriction(())[0].codes.shape == (1, 0)
+        assert m.restriction(()).codes.shape == (1, 0)
         every = [[q - 1 for q in qs]]
         _assert_matches_all_words(m, B, every)
         assert m.restriction(tuple(range(len(qs)))) is None
