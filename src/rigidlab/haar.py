@@ -6,10 +6,8 @@ The integrals have the shape
 
 where each factor's shift is an affine combination of the representative's
 coordinates and up to two free torus coordinates that integrate out as
-independent uniforms.  Everything is computed in rational arithmetic.
-
-For a fixed representative, a factor tied to a free coordinate z with integer
-coefficient c contributes through
+independent uniforms.  For a fixed representative, a factor tied to a free
+coordinate z with integer coefficient c contributes through
 
     g(y) = int_T prod_f 1_B(y + t_f + c_f z) dz,
 
@@ -18,16 +16,21 @@ piecewise linear in y with kinks only where two endpoint trajectories of
 different speeds meet, all of which are rational and enumerable.  The outer
 integrand is then piecewise polynomial of degree <= number of free
 coordinates, and a three-interior-node rule integrates each piece exactly.
+Each integral runs on integer numerators over one common denominator and
+builds a single Fraction at the end.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations, product
 from math import gcd, lcm
 from typing import Sequence
 
-from .circleset import CircleSet, intersect_all
+from .circleset import CircleSet, _meet, _num, _preimage
 from .errors import PreconditionError, UnsupportedShape
 
 MAX_FREE_COORDS = 2
@@ -41,115 +44,84 @@ class FactorPattern:
     free_var: int | None = None
     free_coef: int = 0
 
+    def __post_init__(self):
+        if (self.free_var is None) != (self.free_coef == 0):
+            raise PreconditionError("free_coef must be nonzero exactly when free_var is set")
+        if self.free_var is not None and self.free_var < 0:
+            raise PreconditionError("free variable index must be nonnegative")
+
     @staticmethod
     def of(rep_coeffs=(), free_var=None, free_coef=0) -> "FactorPattern":
-        if free_var is not None and free_coef == 0:
-            raise PreconditionError("free variable declared with zero coefficient")
         return FactorPattern(tuple(int(c) for c in rep_coeffs), free_var, int(free_coef))
 
 
-def _three_node_integral(f, lo: Fraction, hi: Fraction) -> Fraction:
-    """Exact integral of a polynomial of degree <= 2 from samples at the
-    quarter points (all interior, so indicator pieces are unambiguous)."""
-    length = hi - lo
-    q = length / 4
-    return length * (2 * f(lo + q) - f(lo + 2 * q) + 2 * f(lo + 3 * q)) / 3
-
-
-def _g_value(B: CircleSet, offsets: list[Fraction], coefs: list[int], y: Fraction) -> Fraction:
-    sets = [B.shift(-(y + t)).scale_preimage(c) for t, c in zip(offsets, coefs)]
-    return intersect_all(sets).measure()
-
-
-def _g_kinks(B: CircleSet, offsets: list[Fraction], coefs: list[int]) -> set[Fraction]:
-    """y-values where the z-measure can change slope.
-
+def _g_kinks(ends: set[int], group: list[tuple[int, int]], K: int, scale: int) -> set[int]:
+    """Numerators over K*scale of the y in [0, 1) where the z-measure of a
+    group's (offset, coefficient) factors can change slope; ends and offsets
+    are over K, and scale is a multiple of every coefficient difference.
     Endpoint trajectories of factor f sit at z with c_f z = e - t_f - y
     (mod 1); two trajectories of factors with different coefficients meet at
     rationals y solving c_g(e - t_f) - c_f(e' - t_g) - y(c_g - c_f) in
     gcd(c_f, c_g) Z.
     """
-    ends = B.endpoints()
-    kinks: set[Fraction] = set()
-    n = len(offsets)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ci, cj = coefs[i], coefs[j]
-            if ci == cj:
-                continue
-            denom = cj - ci
-            # The kinks y = (base + g k)/denom, g = gcd(ci, cj), form a
-            # progression of step s = g/|denom| <= 1, since g divides denom.
-            s = Fraction(gcd(ci, cj), abs(denom))
-            for e in ends:
-                for e2 in ends:
-                    base = cj * (e - offsets[i]) - ci * (e2 - offsets[j])
-                    t = (base / denom) % s  # the least kink in [0, 1)
-                    while t < 1:
-                        kinks.add(t)
-                        t += s
+    kinks: set[int] = set()
+    for (ti, ci), (tj, cj) in combinations(group, 2):
+        if ci == cj:
+            continue
+        # The kinks y = (base + g k)/(cj - ci), g = gcd(ci, cj), form a
+        # progression of step g/|cj - ci| <= 1, since g divides cj - ci.
+        step, q = gcd(ci, cj) * K * (scale // abs(cj - ci)), scale // (cj - ci)
+        for e, e2 in product(ends, repeat=2):
+            base = (cj * (e - ti) - ci * (e2 - tj)) * q
+            kinks.update(range(base % step, K * scale, step))
     return kinks
 
 
-def _single_rep_integral(
-    B: CircleSet, factors: Sequence[FactorPattern], rep: list[Fraction]
-) -> Fraction:
-    if B.is_empty():
-        return Fraction(0)
-    static_shifts: list[Fraction] = []
-    free_groups: dict[int, tuple[list[Fraction], list[int]]] = {}
+def _single_rep_integral(B: CircleSet, factors: Sequence[FactorPattern], rep: list) -> Fraction:
+    # Every shift as an integer numerator over K, a multiple of B's denominator.
+    K = lcm(B.den, *(r.denominator for r in rep))
+    rep = [_num(r, K) for r in rep]
+    ends = [e * (K // B.den) for e in B.ends]
+    static, free = [0], {}
     for f in factors:
-        t = sum((c * r for c, r in zip(f.rep_coeffs, rep) if c), Fraction(0)) % 1
+        t = sum(c * r for c, r in zip(f.rep_coeffs, rep)) % K
         if f.free_var is None:
-            static_shifts.append(t)
+            static.append(t)
         else:
-            offs, cs = free_groups.setdefault(f.free_var, ([], []))
-            offs.append(t)
-            cs.append(f.free_coef)
-    constant_factor = Fraction(1)
-    varying: list[tuple[list[Fraction], list[int]]] = []
-    for offs, cs in free_groups.values():
-        if len(offs) == 1:
-            constant_factor *= B.measure()  # single translate integrates freely
-        else:
-            varying.append((offs, cs))
-    if not varying and len(B.intervals) == 1:
-        # arcs of equal length: sum of max(0, gap - (1 - L)) over the cyclic
-        # gaps between the sorted start offsets
-        (u, v), = B.intervals
-        starts = sorted({Fraction(0)} | {(-t) % 1 for t in static_shifts})
-        slack = v - u - 1
-        total = max(Fraction(0), 1 - (starts[-1] - starts[0]) + slack)
-        for a, b in zip(starts, starts[1:]):
-            total += max(Fraction(0), b - a + slack)
-        return constant_factor * total
-    static_sets = [B] + [B.shift(-t) for t in static_shifts]
-    if not varying:
-        return constant_factor * intersect_all(static_sets).measure()
+            free.setdefault(f.free_var, []).append((t, f.free_coef))
+    # a free coordinate of one factor is a single translate: it integrates to mu(B)
+    varying = [g for g in free.values() if len(g) > 1]
+    constant_factor = B.measure() ** (len(free) - len(varying))
 
-    breakpoints: set[Fraction] = set()
-    for s in static_sets:
-        breakpoints.update(s.endpoints())
-    for offs, cs in varying:
-        breakpoints.update(_g_kinks(B, offs, cs))
-    cuts = sorted({b % 1 for b in breakpoints} | {Fraction(0), Fraction(1)})
-    if cuts[-1] != 1:
-        cuts.append(Fraction(1))
+    # One denominator for the whole integral: cuts over M = K*scale, the
+    # quarter nodes over N = 4M, and each g's arcs over D = N*C.
+    scale = lcm(*(ci - cj for g in varying for _, ci in g for _, cj in g if ci != cj))
+    C = lcm(*(c for g in varying for _, c in g))
+    M, N = K * scale, 4 * K * scale
+    cuts = {0, M} | {(e - t) % K * scale for e in ends for t in static}
+    cuts = sorted(cuts.union(*(_g_kinks({e % K for e in ends}, g, K, scale) for g in varying)))
+    ends_n, static_n = [e * 4 * scale for e in ends], [t * 4 * scale for t in static]
+    # factor (t, c) works over N*r, r = C/|c|, so that its preimage lands over D
+    groups = [[(r, c, t * 4 * scale * r, [e * r for e in ends_n])
+               for t, c in g for r in [C // abs(c)]] for g in varying]
 
-    def integrand(y: Fraction) -> Fraction:
-        for s in static_sets:
-            if not s.contains(y):
-                return Fraction(0)
-        val = constant_factor
-        for offs, cs in varying:
-            val *= _g_value(B, offs, cs, y)
+    def integrand(y: int) -> int:
+        """The product of the g's at y/N, as a numerator over D^len(groups)."""
+        val = 1
+        for group in groups:
+            meet = reduce(_meet, [_preimage(e, N * r, c, t + y * r) for r, c, t, e in group])
+            val *= sum(meet[1::2]) - sum(meet[::2])
         return val
 
-    total = Fraction(0)
+    total = 0
     for lo, hi in zip(cuts, cuts[1:]):
-        if hi > lo:
-            total += _three_node_integral(integrand, lo, hi)
-    return total
+        # The interior quarter nodes y + q, y + 2q, y + 3q integrate degree
+        # <= 2 exactly and sit off every jump; static membership is constant
+        # between cuts, so it is tested at the middle node alone.
+        y, q = 4 * lo, hi - lo
+        if all(bisect_right(ends_n, (y + 2 * q + t) % N) % 2 for t in static_n):
+            total += q * (2 * integrand(y + q) - integrand(y + 2 * q) + 2 * integrand(y + 3 * q))
+    return constant_factor * Fraction(total, 3 * M * (N * C) ** len(groups))
 
 
 def haar_correlation_limit(
@@ -174,16 +146,13 @@ def haar_correlation_limit(
     D = lcm(*(r.denominator for rep in reps for r in rep))
     distinct: dict[frozenset, list] = {}
     for rep in reps:
-        nums = [r.numerator * (D // r.denominator) for r in rep]
+        nums = [_num(r, D) for r in rep]
         key = frozenset(
             (sum(c * n for c, n in zip(f.rep_coeffs, nums)) % D, f.free_var, f.free_coef)
             for f in pattern
         )
         distinct.setdefault(key, [rep, 0])[1] += 1
-    total = sum(
-        (count * _single_rep_integral(B, pattern, rep) for rep, count in distinct.values()),
-        Fraction(0),
-    )
+    total = sum(count * _single_rep_integral(B, pattern, rep) for rep, count in distinct.values())
     return total / len(reps)
 
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidlab.circleset import CircleSet
 from rigidlab.errors import PreconditionError, UnsupportedShape
@@ -13,6 +15,8 @@ from rigidlab.haar import (
     haar_correlation_limit,
     triple_progression_integral,
 )
+
+import fraction_oracle
 
 B23 = CircleSet.interval(0, F(2, 3))
 
@@ -55,6 +59,15 @@ class TestClosedForms:
             haar_correlation_limit(
                 [()], B23, [FactorPattern.of(free_var=2, free_coef=1)]
             )
+
+    def test_negative_free_variable_rejected(self):
+        # vars -2 ... 1 would give four free coordinates past the cap
+        with pytest.raises(PreconditionError):
+            FactorPattern.of(free_var=-1, free_coef=1)
+
+    def test_free_coefficient_without_free_variable_rejected(self):
+        with pytest.raises(PreconditionError):
+            FactorPattern.of((1,), None, 5)
 
 
 class TestQuadratureOracle:
@@ -171,3 +184,52 @@ class TestDistinctShiftSets:
     def test_short_representative_rejected(self):
         with pytest.raises(PreconditionError):
             haar_correlation_limit([(F(1, 3),), ()], B23, [FactorPattern.of(rep_coeffs=(1,))])
+
+
+@st.composite
+def _integrals(draw):
+    """(pairs of B, pattern, rep): at most two free variables, coefficients
+    of either sign, B over small denominators so the oracle stays quick."""
+    ends = sorted(draw(st.lists(st.fractions(0, 1, max_denominator=9), min_size=2, max_size=6,
+                                unique=True)))
+    pairs = list(zip(ends[::2], ends[1::2]))
+    dim = draw(st.integers(0, 2))
+    rep = [F(draw(st.integers(0, 11)), draw(st.sampled_from([1, 2, 3, 4, 6, 12]))) for _ in range(dim)]
+    pattern = []
+    for _ in range(draw(st.integers(2, 4))):
+        coeffs = tuple(draw(st.integers(-2, 2)) for _ in range(dim))
+        var = draw(st.sampled_from([None, 0, 0, 1]))
+        coef = 0 if var is None else draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        pattern.append(FactorPattern.of(coeffs, var, coef))
+    return pairs, pattern, rep
+
+
+class TestFractionOracle:
+    """_single_rep_integral on integer numerators against the Fraction
+    implementation it replaced, kept in tests/fraction_oracle.py."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_integrals())
+    def test_single_rep_integral_matches(self, case):
+        pairs, pattern, rep = case
+        want = fraction_oracle.single_rep_integral(
+            fraction_oracle.FractionCircleSet.from_pairs(pairs), pattern, rep
+        )
+        assert _single_rep_integral(CircleSet.from_pairs(pairs), pattern, rep) == want
+
+    def test_behrend_integrals_match(self):
+        from rigidlab.behrend import behrend_set
+
+        B = behrend_set(3)
+        old = fraction_oracle.FractionCircleSet.from_pairs(B.intervals)
+        patterns = [
+            [FactorPattern.of(free_var=0, free_coef=1), FactorPattern.of(free_var=0, free_coef=2)],
+            [FactorPattern.of((1,)), FactorPattern.of((2,)), FactorPattern.of(free_var=0, free_coef=1)],
+            [FactorPattern.of((1,), 0, -1), FactorPattern.of((-1,), 0, 3), FactorPattern.of((2,))],
+            [FactorPattern.of((1,), 0, 1), FactorPattern.of((), 0, -2),  # two varying g's
+             FactorPattern.of((), 1, 1), FactorPattern.of((3,), 1, 2)],
+        ]
+        for pattern in patterns:
+            for rep in ([F(0)], [F(2, 5)], [F(6, 7)]):
+                want = fraction_oracle.single_rep_integral(old, pattern, rep)
+                assert _single_rep_integral(B, pattern, rep) == want
