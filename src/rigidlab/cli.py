@@ -327,26 +327,26 @@ def cmd_demo(args) -> int:
     # discretization spike mu(B)/k! clears their small thresholds
     depth = args.depth if args.depth is not None else (6 if args.which == "cor65" else 7)
     options = {} if args.k0_max is None else {"k0_max": args.k0_max}
+    # without --ell, cor65 takes one sequence per polynomial
+    ell = args.ell if args.ell is not None else (len(polys or ()) if args.which == "cor65" else 2)
     if args.scan_csv and args.which == "cor67":
         raise PreconditionError("--scan-csv applies to cor65 and cor66 only")
     if args.which == "cor65":
         if polys is None:
             raise PreconditionError("--polys is required for cor65")
-        report = demos.cor65_demo(
-            args.ell, polys, depth, args.samples, args.seed, **options
-        )
+        report = demos.cor65_demo(ell, polys, depth, args.samples, args.seed, **options)
     elif args.which == "cor66":
         if args.p is None or args.q is None:
             raise PreconditionError("--p and --q are required for cor66")
         p = parse_poly_expr(args.p)
         q = parse_poly_expr(args.q)
         report = demos.cor66_demo(
-            p, q, args.ell, depth, args.samples, args.seed, **options
+            p, q, ell, depth, args.samples, args.seed, **options
         )
     else:
         primes = _int_list(args.primes, "--primes")
         report = demos.cor67_demo(
-            args.ell, primes, depth, args.samples, args.seed, **options
+            ell, primes, depth, args.samples, args.seed, **options
         )
     _write(_json_text(report.to_json()), args.out)
     if args.scan_csv and report.scan is not None:
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_behrend)
     p = sub.add_parser("demo", help="counterexample demos")
     p.add_argument("which", choices=("cor65", "cor66", "cor67"))
-    p.add_argument("--ell", type=int, default=2)
+    p.add_argument("--ell", type=int, default=None)
     p.add_argument("--polys", help="comma-separated polynomials, e.g. 'n,n^2'")
     p.add_argument("--p")
     p.add_argument("--q")

@@ -66,7 +66,8 @@ def scan_fs_tail(
     points = []
     for rest in (c for r in range(len(later) + 1) for c in combinations(later, r)):
         alpha = (start_index + 1, *rest)
-        corr, err = sampled_correlation(shifts.base, B, shifts.at(alpha))
+        m, residues = shifts.at(alpha)
+        corr, err = sampled_correlation(m, B, residues)
         verdict = (BELOW if corr + 3 * err <= threshold
                    else ABOVE if corr - 3 * err > threshold else INCONCLUSIVE)
         points.append(ScanPoint(alpha, sum(gens[i - 1] for i in alpha), corr, err, verdict))
@@ -99,14 +100,14 @@ def smallest_passing_cutoff(
 
 
 def _sampled_scan(
-    group, degree, B, polys, threshold, depth, n_samples, seed, k0_max
+    group, B, polys, threshold, depth, n_samples, seed, k0_max
 ) -> tuple[AtomicMeasure, Schedule, int | None, TailScan | None]:
-    """Sample sigma for the monomials n, ..., n^degree on the rigidity group
-    and scan the finite-sums tail of its schedule for the smallest passing
+    """Sample sigma for the monomials n, ..., n^d on the rigidity group in
+    Z^d and scan the finite-sums tail of its schedule for the smallest passing
     cutoff.  Returns (sigma, schedule, cutoff, the cutoff's scan or None)."""
     if k0_max < 0:
         raise PreconditionError("k0_max must be non-negative")
-    monomials = fm.polynomial_family([[0] * d + [1] for d in range(1, degree + 1)])
+    monomials = fm.polynomial_family([[0] * d + [1] for d in range(1, group.ambient_dim + 1)])
     sigma, sched, _, _ = build_measure_for_group(
         monomials, group, depth, n_samples, seed
     )
@@ -217,8 +218,10 @@ def cor65_demo(
     """Non-IP* recurrence set for independent polynomials (exact ledger plus
     finite-sums scan of the sampled skew product)."""
     family = fm.polynomial_family(polys)
-    if family.size != ell or ell < 2:
-        raise PreconditionError("need ell >= 2 polynomials")
+    if family.size != ell:
+        raise PreconditionError(f"ell = {ell} does not match the {family.size} polynomials")
+    if ell < 2:
+        raise PreconditionError("the construction needs at least two polynomials")
     if any(p[0] != 0 for p in family.polys):
         raise PreconditionError("polynomials must have zero constant term")
     matrix = [row[1:] for row in family.coefficient_matrix()]
@@ -246,7 +249,7 @@ def cor65_demo(
     )
 
     _, _, cutoff, scan = _sampled_scan(
-        group, family.max_degree, B, family.polys, float(nu_power - epsilon),
+        group, B, family.polys, float(nu_power - epsilon),
         depth, n_samples, seed, k0_max,
     )
     return Cor65Report(
@@ -339,7 +342,7 @@ def cor66_demo(
         [lat.standard_basis(degree, j) for j in range(1, degree)], degree
     )
     sigma, sched, cutoff, scan = _sampled_scan(
-        group, degree, B, (tuple(pc), tuple(qc)), float(B.measure() ** ell),
+        group, B, (tuple(pc), tuple(qc)), float(B.measure() ** ell),
         depth, n_samples, seed, k0_max,
     )
     top = sched.indices[-1]
@@ -455,7 +458,7 @@ def cor67_demo(
         inconclusive = 0
         if prime <= SCAN_PRIME_CAP:
             _, _, cutoff, scan = _sampled_scan(
-                lat.canonicalize([(prime, 0)], 2), 2, B,
+                lat.canonicalize([(prime, 0)], 2), B,
                 ((0, 1), (0, 2), (0, 0, 1)), float(B.measure() ** ell),
                 depth, n_samples, seed, k0_max,
             )

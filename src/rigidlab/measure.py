@@ -197,8 +197,8 @@ class AtomicMeasure:
     The rows of codes must be distinct and strictly increasing in
     lexicographic order (PreconditionError otherwise): phases evaluates them
     over the prefix tree of runs that order makes contiguous, built once here
-    and shared by pushforward_scale images; restriction keeps just its last
-    marginal on some columns (their distinct rows with summed counts).
+    and shared by pushforward_scale images; restriction builds its marginal
+    on some columns (their distinct rows with summed counts).
     """
 
     def __init__(
@@ -242,7 +242,6 @@ class AtomicMeasure:
         # entry is float(Fraction(c, denominator)) bit for bit
         self.weights_np = np.array([c / denominator for c in counts])
         self._runs = _prefix_runs(codes)
-        self._restriction = None, None  # (active, restriction(active)) of the last call
         # per column, (int64 digits, largest digit) where the column kernel
         # may take it, else None; pushforward_scale images share the list
         self._kernel_digits = [
@@ -317,21 +316,20 @@ class AtomicMeasure:
     def restriction(self, active: tuple[int, ...]):
         """The marginal on the active columns, their codes' distinct rows with
         their words' counts summed exactly; None where every word keeps its row."""
-        if self._restriction[0] != active and len(active) < self.codes.shape[1]:
-            codes, sizes, order = _distinct_rows(
-                ((self.codes[:, col], len(self.categories[col])) for col in active),
-                len(self.codes))
-            restricted = None
-            if len(sizes) < len(self.codes):
-                counts = np.add.reduceat(np.array(self.counts, dtype=object)[order],
-                                         np.cumsum(sizes) - sizes)
-                restricted = AtomicMeasure(
-                    alphas=[self.alphas[c] for c in active], codes=codes,
-                    categories=[self.categories[c] for c in active],
-                    counts=counts.tolist(), denominator=self.denominator,
-                )
-            self._restriction = active, restricted
-        return self._restriction[1] if self._restriction[0] == active else None
+        if len(active) == self.codes.shape[1]:
+            return None
+        codes, sizes, order = _distinct_rows(
+            ((self.codes[:, col], len(self.categories[col])) for col in active),
+            len(self.codes))
+        if len(sizes) == len(self.codes):
+            return None
+        counts = np.add.reduceat(np.array(self.counts, dtype=object)[order],
+                                 np.cumsum(sizes) - sizes)
+        return AtomicMeasure(
+            alphas=[self.alphas[c] for c in active], codes=codes,
+            categories=[self.categories[c] for c in active],
+            counts=counts.tolist(), denominator=self.denominator,
+        )
 
     def _tree_sum(self, columns, dtype=float) -> np.ndarray:
         """Per word, the sum of its category values, one array per column.
@@ -633,9 +631,6 @@ def pushforward_scale(m: AtomicMeasure, factor: int) -> AtomicMeasure:
     image = copy.copy(m)  # shares codes, counts and their prefix runs
     image.alphas = tuple(factor * a % 1 for a in m.alphas)
     image._atoms = None  # positions move; materialized again on demand
-    # a parent restriction would take the image's residues, modulo its own
-    # denominators, for its own
-    image._restriction = None, None
     return image
 
 

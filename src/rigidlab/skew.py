@@ -5,9 +5,9 @@ sigma and Lebesgue fibers; the correlation of A = T x B along integer shifts
 reduces per atom to the measure of an intersection of rotated copies of B.
 skew_correlation sums that measure exactly over the rational atoms of any
 base measure and is the reference value.  sampled_correlation is the Monte
-Carlo estimate used by the scans: it goes through the exact per-column
-residues of each shift (AtomicMeasure.residues, or the ShiftResidues table
-for the finite-sums scans), their phases and one of two vectorized arc
+Carlo estimate used by the scans: it takes the exact per-column residues of
+each shift (AtomicMeasure.residues, or the ShiftResidues table for the
+finite-sums scans), goes through their phases and one of two vectorized arc
 kernels, the closed form over cyclic gaps for a single-interval B
 (_arc_intersection_lengths) and the endpoint sweep with a running cover
 count for a multi-interval B (_multi_arc_intersection_lengths), so the only
@@ -23,12 +23,13 @@ On the cor66/cor67 scans it keeps about 23% of the rows, and 19% of all
 rows are nonzero.
 
 Each scan point is scored on the marginal of its active columns, those
-where some shift's residue is nonzero mod q (AtomicMeasure.restriction keeps
-the last pattern's; the sums that share their least index share a pattern):
-phases and kernels run on its rows, weighted by their summed counts (11
-times fewer rows than words on the depth-11 cor65 scan).  An inactive
-column's digit phases are +0.0, which adds no bit to a partial sum >= +0.0,
-so a row's value is bitwise that of each of its words; the budget holds.
+where some shift's residue is nonzero mod q (ShiftResidues.at gives it with
+the residues on its columns, and keeps it for the next points: the sums that
+share their least index share a pattern): phases and kernels run on its
+rows, weighted by their summed counts (11 times fewer rows than words on the
+depth-11 cor65 scan).  An inactive column's digit phases are +0.0, which
+adds no bit to a partial sum >= +0.0, so a row's value is bitwise that of
+each of its words; the budget holds.
 The weighted sums are np.add.reduce, in the order numpy's source fixes, so
 no BLAS kernel or thread count moves a bit.
 
@@ -67,7 +68,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -117,24 +117,15 @@ def skew_correlation(base: AtomicMeasure, B: CircleSet, shifts: Sequence[int]) -
 
 
 def sampled_correlation(
-    base: AtomicMeasure,
-    B: CircleSet,
-    shifts: Sequence[int | Sequence[int]],
+    m: AtomicMeasure, B: CircleSet, residues: Sequence[Sequence[int]]
 ) -> tuple[float, float]:
-    """Float correlation over a sampled base, scored on the marginal of the
-    active columns, plus the Monte Carlo standard error of the mean for its
-    denominator draws.  The shifts are integers or their residues, as in
-    shifted_intersection_values."""
-    residues = [base.residues(t) if isinstance(t, Integral) else t for t in shifts]
-    active = tuple(col for col, a in enumerate(base.alphas)
-                   if any(r[col] % a.denominator for r in residues))
-    m = base.restriction(active) or base
-    if m is not base:
-        residues = [[r[c] for c in active] for r in residues]
+    """Float correlation over the words of a sampled m, plus the Monte Carlo
+    standard error of the mean for its denominator draws.  The residues are
+    per shift, as in shifted_intersection_values."""
     values = shifted_intersection_values(m, B, residues)
     weighted = m.weights_np * values
     mean, second = float(np.add.reduce(weighted)), float(np.add.reduce(weighted * values))
-    return mean, math.sqrt(max(0.0, second - mean * mean) / base.denominator)
+    return mean, math.sqrt(max(0.0, second - mean * mean) / m.denominator)
 
 
 def _contact_table(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,16 +239,16 @@ def _multi_arc_intersection_lengths(arcs: np.ndarray, phases: np.ndarray) -> np.
 
 
 def shifted_intersection_values(
-    base: AtomicMeasure, B: CircleSet, shifts: Sequence[int | Sequence[int]]
+    base: AtomicMeasure, B: CircleSet, shifts: Sequence[Sequence[int]]
 ) -> np.ndarray:
     """Per-word measure of B meet (B - s1 x) meet ... as floats.
 
-    Each shift is an integer t or its per-column residues, base.residues(t)
-    or a row of ShiftResidues.at.
+    Each shift s comes as its per-column residues, base.residues(s) or a row
+    that ShiftResidues.at gives for base.
     """
     phases = np.empty((len(base.codes), len(shifts)))
-    for col, t in enumerate(shifts):
-        phases[:, col] = base.phases(base.residues(t) if isinstance(t, Integral) else t)
+    for col, residues in enumerate(shifts):
+        phases[:, col] = base.phases(residues)
     if len(B.intervals) == 1:
         (u, v), = B.intervals
         # B - t x starts at u - t x; offsets cancel u
@@ -317,6 +308,7 @@ class ShiftResidues:
         self._degree = max(len(p) for p in polys) - 1
         self._moduli = np.array([a.denominator for a in base.alphas], dtype=object)
         self._entries: dict[tuple[int, ...], np.ndarray] = {}
+        self._marginal = None, None  # (active, base.restriction(active))
 
     def _entry(self, multiset: tuple[int, ...]) -> np.ndarray:
         entry = self._entries.get(multiset)
@@ -329,14 +321,21 @@ class ShiftResidues:
             self._entries[multiset] = entry
         return entry
 
-    def at(self, alpha: Sequence[int]) -> list[list[int]]:
-        """Per poly p, base.residues(p(n_alpha)) with n_alpha the sum of the
-        generators indexed by alpha (distinct 1-based indices)."""
+    def at(self, alpha: Sequence[int]) -> tuple[AtomicMeasure, list[list[int]]]:
+        """(m, residues): per poly p, base.residues(p(n_alpha)), n_alpha the
+        sum of the generators indexed by alpha (distinct 1-based indices), on
+        the columns of m, base's marginal on the active columns or base."""
         power_sums = [
             sum(self._entry(m) for m in combinations_with_replacement(alpha, d))
             for d in range(self._degree + 1)
         ]
-        return [
+        residues = [
             list(sum(c * s for c, s in zip(p, power_sums) if c) % self._moduli)
             for p in self.polys
         ]
+        active = tuple(col for col in range(len(self._moduli)) if any(r[col] for r in residues))
+        if self._marginal[0] != active:
+            self._marginal = active, self.base.restriction(active)
+        if self._marginal[1] is None:
+            return self.base, residues
+        return self._marginal[1], [[r[c] for c in active] for r in residues]

@@ -393,6 +393,33 @@ class TestExitCodes:
                  "--samples", "100", "--seed", "1"]) == 2
         )
 
+    @pytest.mark.parametrize(
+        "argv, detail",
+        [
+            (["--ell", "3", "--polys", "n,n^2"], "ell = 3 does not match the 2 polynomials"),
+            (["--ell", "2", "--polys", "n,n^2,n^3"],
+             "ell = 2 does not match the 3 polynomials"),
+            (["--polys", "n"], "the construction needs at least two polynomials"),
+            (["--ell", "1", "--polys", "n"], "the construction needs at least two polynomials"),
+        ],
+        ids=["ell_above_polys", "ell_below_polys", "one_poly", "ell_1"],
+    )
+    def test_cor65_ell_against_polys(self, capsys, argv, detail):
+        assert run(["demo", "cor65", *argv, "--depth", "3", "--samples", "200"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "PreconditionError", "detail": detail}
+
+    def test_cor65_ell_defaults_to_the_polys(self, tmp_path):
+        # without --ell, cor65 takes one sequence per polynomial
+        runs = []
+        for ell in ([], ["--ell", "3"]):
+            out = tmp_path / f"cor65{len(ell)}.json"
+            code = run(["demo", "cor65", *ell, "--polys", "n,n^2,n^3", "--depth", "3",
+                        "--samples", "200", "--out", str(out)])
+            runs.append((code, out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][1])["ell"] == 3
+
     def test_cap_exceeded_exit_3(self, tmp_path, capsys):
         big = tmp_path / "big.json"
         big.write_text(

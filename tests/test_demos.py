@@ -152,14 +152,15 @@ class TestCor65ExactLedger:
 
 
 class _SumTable:
-    """Stands in for ShiftResidues: at(alpha) hands the sum's index set to
-    the stubbed correlation, which looks its verdict up."""
+    """Stands in for ShiftResidues: at(alpha) hands the sum's index set, in
+    place of its residues, to the stubbed correlation, which looks its
+    verdict up."""
 
     def __init__(self, base, generators, polys):
         self.base, self.generators = base, tuple(generators)
 
     def at(self, alpha):
-        return tuple(alpha)
+        return self.base, tuple(alpha)
 
 
 # (correlation, stderr) per verdict against the threshold 0.5
@@ -175,7 +176,8 @@ def _upward_search(shifts, k0_max, depth):
     for k0 in range(min(k0_max, depth - 1) + 1):
         points = []
         for alpha, n_alpha in fs_tail(shifts.generators, k0).sums:
-            corr, err = demos.sampled_correlation(shifts.base, None, shifts.at(alpha))
+            m, residues = shifts.at(alpha)
+            corr, err = demos.sampled_correlation(m, None, residues)
             if corr + 3 * err <= 0.5:
                 verdict = demos.BELOW
             elif corr - 3 * err > 0.5:
@@ -211,7 +213,7 @@ class TestCutoffSearchOracle:
         depth, k0_max, verdicts = case
         scored = []
 
-        def correlation(base, B, alpha):
+        def correlation(m, B, alpha):
             scored.append(alpha)
             return _STUB_VALUES[verdicts[alpha]]
 

@@ -18,6 +18,7 @@ from rigidlab import families as fm
 from rigidlab import lattice as lat
 from rigidlab import measure as ms
 from rigidlab import schedule as sc
+from rigidlab import skew
 from rigidlab.behrend import behrend_set
 from rigidlab.circleset import CircleSet
 from rigidlab.demos import build_cor65_group
@@ -1151,8 +1152,11 @@ class TestPushforward:
         assert (_bits([ms.fourier_coefficient(image, t)])
                 == _bits([ms.fourier_coefficient(m, factor * t)]))
         for B in (CircleSet.interval(0, F(2, 3)), behrend_set(3)):
-            got = sampled_correlation(image, B, ts)
-            want = sampled_correlation(m, B, [factor * t for t in ts])
+            # a table of the constant polys ts scores at ts, on their marginal
+            sub, rows = skew.ShiftResidues(image, (), [(t,) for t in ts]).at(())
+            got = sampled_correlation(sub, B, rows)
+            sub, rows = skew.ShiftResidues(m, (), [(factor * t,) for t in ts]).at(())
+            want = sampled_correlation(sub, B, rows)
             assert [x.hex() for x in got] == [x.hex() for x in want]
         values, vectors = level
         got = ms._combination_coefficients(image, values, vectors)

@@ -84,7 +84,7 @@ class TestSkewCorrelation:
         G = lat.canonicalize([(2, 0), (0, 3)], 2)
         m = ms.sample_sigma(G, s, fam, 300, seed=8)
         for shifts in ([1], [3, 7], [2, 5, 11]):
-            fast, _ = sampled_correlation(m, B23, shifts)
+            fast, _ = sampled_correlation(m, B23, [m.residues(t) for t in shifts])
             exact = skew_correlation(m, B23, shifts)
             assert fast == pytest.approx(float(exact), abs=1e-9)
 
@@ -93,7 +93,7 @@ class TestSkewCorrelation:
         s = build_schedule(fam, 3)
         m = ms.sample_sigma(lat.canonicalize([(2,)], 1), s, fam, 200, seed=8)
         Bset = CircleSet.from_pairs([(0, F(1, 5)), (F(2, 5), F(4, 5))])
-        fast, _ = sampled_correlation(m, Bset, [1, 3])
+        fast, _ = sampled_correlation(m, Bset, [m.residues(t) for t in (1, 3)])
         exact = skew_correlation(m, Bset, [1, 3])
         assert fast == pytest.approx(float(exact), abs=1e-9)
 
@@ -155,11 +155,11 @@ def _adversarial_phases(B, n, m, seed):
     of shifted copies on top of each other (0.0 and endpoint differences,
     taken in float and exactly) or on the edges of the prefilter's cells
     (within 1e-12 of its breakpoints, and 1 - 2^-53), half uniform."""
-    exact_ends = [x for arc in B.intervals for x in arc]
-    ends = [float(x) for x in exact_ends]
+    # int / int true division rounds correctly, as float(Fraction) does
+    ends = [e / B.den for e in B.ends]
     arcs = np.array(ends).reshape(-1, 2)
     pool = [0.0, 1.0 - 2.0**-53] + [(a - b) % 1.0 for a in ends for b in ends]
-    pool += [float((a - b) % 1) for a in exact_ends for b in exact_ends]
+    pool += [(a - b) % B.den / B.den for a in B.ends for b in B.ends]
     breaks, _ = skew._contact_table(arcs)
     pool += [x % 1.0 for b in breaks for x in (b - 1e-12, b, b + 1e-12)]
     pool = [x for x in pool if 0.0 <= x < 1.0]
@@ -247,7 +247,8 @@ class TestMultiArcKernel:
         arcs = [(float(u), float(v)) for u, v in B.intervals]
         assert values.tolist() == [_float_intersection(arcs, [])] * 11
         assert all(abs(F(v) - B.measure()) <= _budget(B, 0) for v in values)
-        empty = shifted_intersection_values(base, CircleSet.empty(), [1, 2])
+        empty = shifted_intersection_values(base, CircleSet.empty(),
+                                            [base.residues(t) for t in (1, 2)])
         assert empty.tolist() == [0.0] * 11
 
     def test_sampled_words_match_float_sweep(self):
@@ -258,7 +259,7 @@ class TestMultiArcKernel:
             [(0, F(1, 9)), (F(2, 9), F(1, 3)), (F(2, 3), F(7, 9)), (F(8, 9), 1)]
         )
         shifts = [1, 6, 35]
-        got = shifted_intersection_values(m, Bset, shifts)
+        got = shifted_intersection_values(m, Bset, [m.residues(t) for t in shifts])
         arcs = [(float(u), float(v)) for u, v in Bset.intervals]
         cols = [m.phases(m.residues(t)) for t in shifts]
         want = [_float_intersection(arcs, [c[i] for c in cols]) for i in range(len(got))]
@@ -395,6 +396,10 @@ def _table_cases(draw):
     return m, gens, polys, alpha
 
 
+def _polys_at(polys, n_alpha):
+    return [sum(c * n_alpha**i for i, c in enumerate(p)) for p in polys]
+
+
 class TestShiftResidues:
     """The finite-sums residue table against direct t * p % q."""
 
@@ -403,15 +408,14 @@ class TestShiftResidues:
     def test_matches_direct_reduction(self, case):
         m, gens, polys, alpha = case
         table = skew.ShiftResidues(m, gens, polys)
-        n_alpha = sum(gens[i - 1] for i in alpha)
-        shifts = [sum(c * n_alpha**i for i, c in enumerate(p)) for p in polys]
-        rows = table.at(alpha)
-        for t, row in zip(shifts, rows):
-            assert row == [t * a.numerator % a.denominator for a in m.alphas]
-            assert m.phases(row).tobytes() == m.phases(m.residues(t)).tobytes()
+        shifts = _polys_at(polys, sum(gens[i - 1] for i in alpha))
+        full = [[t * a.numerator % a.denominator for a in m.alphas] for t in shifts]
+        assert [m.residues(t) for t in shifts] == full
+        scored = table.at(alpha)
+        cols = _kept_columns(m, scored[0], full)
+        assert scored[1] == [[r[c] for c in cols] for r in full]
         for B in (B23, CircleSet.from_pairs([(0, F(1, 9)), (F(2, 9), F(1, 3))])):
-            got = shifted_intersection_values(m, B, rows)
-            assert got.tobytes() == shifted_intersection_values(m, B, shifts).tobytes()
+            _assert_matches_all_words(m, B, full, scored)
 
     def test_tails_share_one_table(self):
         fam, sched = _TABLE_SCHEDULES[1]
@@ -420,9 +424,9 @@ class TestShiftResidues:
         table = skew.ShiftResidues(m, sched.indices, polys)
         for k0 in range(sched.depth):
             for alpha, n_alpha in fs_tail(sched.indices, k0).sums:
-                for p, row in zip(polys, table.at(alpha)):
-                    t = sum(c * n_alpha**i for i, c in enumerate(p))
-                    assert row == m.residues(t)
+                full = [m.residues(t) for t in _polys_at(polys, n_alpha)]
+                sub, rows = table.at(alpha)
+                assert rows == [[r[c] for c in _kept_columns(m, sub, full)] for r in full]
         # one entry per multiset of at most two of the five indices
         assert len(table._entries) == 1 + 5 + 15
 
@@ -442,22 +446,46 @@ def _all_words_values(base, B, residues):
     return skew._multi_arc_intersection_lengths(arcs, phases)
 
 
-def _assert_matches_all_words(base, B, residues):
-    """sampled_correlation against every word: each word's value is bitwise
-    that of its row of the marginal on the active columns, the correlation
-    is bitwise np.add.reduce over the marginal's rows, and those sums are
-    within 1e-12 of the sums over the words."""
-    want = _all_words_values(base, B, residues)
-    got = sampled_correlation(base, B, residues)
-    active = tuple(col for col, a in enumerate(base.alphas)
-                   if any(r[col] % a.denominator for r in residues))
+def _active(base, residues):
+    """The columns where some shift's residue is nonzero mod q."""
+    return tuple(col for col, a in enumerate(base.alphas)
+                 if any(r[col] % a.denominator for r in residues))
+
+
+def _kept_columns(base, m, residues):
+    """The columns of base that m, base or a marginal, keeps."""
+    return list(range(len(base.alphas))) if m is base else list(_active(base, residues))
+
+
+def _marginal(base, residues):
+    """(m, residues) as ShiftResidues.at gives them: base's marginal on the
+    active columns with the residues on its columns, or base with all."""
+    active = _active(base, residues)
     m = base.restriction(active)
-    cols = list(active) if m else list(range(len(base.alphas)))
-    m = m or base
+    return (base, residues) if m is None else (m, [[r[c] for c in active] for r in residues])
+
+
+def _assert_matches_all_words(base, B, residues, scored=None):
+    """sampled_correlation on scored, the (m, residues) of base's shifts
+    that ShiftResidues.at gives (by default _marginal's), against every word:
+    m is the marginal on the active columns, or base where there is none,
+    each word's value is bitwise that of its row of m, the correlation is
+    bitwise np.add.reduce over m's rows, and those sums are within 1e-12 of
+    the sums over the words."""
+    want = _all_words_values(base, B, residues)
+    m, shifts = scored or _marginal(base, residues)
+    cols = _kept_columns(base, m, residues)
+    if m is base:
+        assert base.restriction(_active(base, residues)) is None
+    else:
+        assert m.alphas == tuple(base.alphas[c] for c in cols)
+    assert [[x % m.alphas[i].denominator for i, x in enumerate(s)] for s in shifts] == [
+        [r[c] % base.alphas[c].denominator for c in cols] for r in residues]
     row_of = {code: i for i, code in enumerate(map(tuple, m.codes.tolist()))}
     rows = [row_of[code] for code in map(tuple, base.codes[:, cols].tolist())]
-    values = shifted_intersection_values(m, B, [[r[c] for c in cols] for r in residues])
+    values = shifted_intersection_values(m, B, shifts)
     assert values[rows].tobytes() == want.tobytes()
+    got = sampled_correlation(m, B, shifts)
     weighted = m.weights_np * values
     mean, second = float(np.add.reduce(weighted)), float(np.add.reduce(weighted * values))
     err = math.sqrt(max(0.0, second - mean * mean) / base.denominator)
@@ -515,48 +543,56 @@ class TestActiveColumnRestriction:
         sched = build_schedule(FAM_N_NSQ, 8)
         m = ms.pushforward_scale(ms.sample_sigma(G, sched, FAM_N_NSQ, 4000, seed=2), 3)
         table = skew.ShiftResidues(m, sched.indices, FAM_N_NSQ.polys)
-        shrunk = []
-        for alpha, _ in fs_tail(sched.indices, 4).sums:
-            _assert_matches_all_words(m, B23, table.at(alpha))
-            active, restricted = m._restriction
-            if restricted is not None:
-                shrunk.append(restricted)
+        shrunk, kept, last = [], 0, (None, None)
+        for alpha, n_alpha in fs_tail(sched.indices, 4).sums:
+            full = [m.residues(t) for t in _polys_at(FAM_N_NSQ.polys, n_alpha)]
+            scored = table.at(alpha)
+            _assert_matches_all_words(m, B23, full, scored)
+            active = _active(m, full)
+            if scored[0] is not m:
+                shrunk.append(scored[0])
+                # the table keeps its marginal for the next sums of the same
+                # active columns, and builds a new one for another pattern
+                assert (scored[0] is last[1]) == (active == last[0])
+                kept += scored[0] is last[1]
+            last = active, scored[0]
         # the late points leave most columns inactive, and rows shrink
         assert shrunk and all(len(r.codes) < len(m.codes) for r in shrunk)
+        assert kept
 
     def test_image_builds_its_own_restriction(self):
-        # the parent's slot is filled at the very pattern the image is then
-        # evaluated at; the image's residues are modulo its own denominators
-        # (7 divides some of the parent's), so the parent's restricted
-        # measure would give it wrong phases
+        # the parent's table is scored at the very pattern the image's table
+        # is then scored at; the image's residues are modulo its own
+        # denominators (7 divides some of the parent's), so the parent's
+        # marginal would give it wrong phases
         G, _ = build_cor65_group(FAM_N_NSQ.polys)
         sched = build_schedule(FAM_N_NSQ, 8)
         m = ms.sample_sigma(G, sched, FAM_N_NSQ, 4000, seed=2)
-        probe = ms.pushforward_scale(m, 7)
-        rows = skew.ShiftResidues(probe, sched.indices, FAM_N_NSQ.polys).at((5, 7))
-        active = tuple(col for col, a in enumerate(probe.alphas)
-                       if any(r[col] % a.denominator for r in rows))
-        assert any(probe.alphas[c].denominator != m.alphas[c].denominator for c in active)
-        assert m.restriction(active) is not None
         image = ms.pushforward_scale(m, 7)
+        n_alpha = sched.indices[4] + sched.indices[6]
+        full = [image.residues(t) for t in _polys_at(FAM_N_NSQ.polys, n_alpha)]
+        active = _active(image, full)
+        assert any(image.alphas[c].denominator != m.alphas[c].denominator for c in active)
+        parent, _ = skew.ShiftResidues(m, sched.indices, FAM_N_NSQ.polys).at((5, 7))
+        parent_full = [m.residues(t) for t in _polys_at(FAM_N_NSQ.polys, n_alpha)]
+        assert parent is not m and _active(m, parent_full) == active
+        table = skew.ShiftResidues(image, sched.indices, FAM_N_NSQ.polys)
         for B in (B23, B_FOUR):
-            _assert_matches_all_words(image, B, rows)
+            _assert_matches_all_words(image, B, full, table.at((5, 7)))
 
     def test_restricted_rows_and_counts(self):
         m = _RESTRICTION_MEASURES[1]
-        m.restriction(())
         image = ms.pushforward_scale(m, 7)
         active = tuple(range(2, m.codes.shape[1], 3))
         restricted = image.restriction(active)
-        # a repeated pattern returns the slot's object; a new pattern replaces
-        # it, and an image's slot is its own
-        assert image.restriction(active) is restricted
+        # each call builds its marginal anew; an image's has the image's
+        # alphas on the parent's rows
+        again = image.restriction(active)
+        assert again is not restricted and np.array_equal(again.codes, restricted.codes)
         own = m.restriction(active)
         assert own is not restricted and np.array_equal(own.codes, restricted.codes)
-        other = tuple(range(1, m.codes.shape[1], 3))
-        assert image.restriction(other) is image._restriction[1]
-        assert image._restriction[0] == other and m._restriction[0] == active
-        assert image.restriction(active) is not restricted
+        assert restricted.alphas == tuple(image.alphas[c] for c in active)
+        assert own.alphas == tuple(m.alphas[c] for c in active)
         # the rows are the distinct active codes in order, each counting its
         # words' counts exactly
         want = {}
@@ -586,7 +622,7 @@ class TestActiveColumnRestriction:
             counts=[1, 1, 2], denominator=4,
         )
         _assert_matches_all_words(m, B, [[3, 4], [0, 9]])
-        assert m._restriction == ((1,), None)
+        assert m.restriction((1,)) is None
 
 
 def _normal_mass(lo, hi, panels=200):
