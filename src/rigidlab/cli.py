@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import decimal
 import functools
 import json
 import re
@@ -311,17 +312,32 @@ def cmd_behrend(args) -> int:
 
 
 def _scan_csv(scan) -> str:
+    # str() of an int takes time quadratic in its digits, and n_alpha runs to
+    # thousands of them: each generator becomes a Decimal once, and a point's
+    # n_alpha is their sum, which the context keeps exact or refuses
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                            traps=[decimal.Inexact, decimal.Rounded])
+    gens = [exact.create_decimal(g) for g in scan.generators]
     lines = ["alpha,n_alpha,correlation,threshold,stderr,verdict"]
     for p in scan.points:
         alpha = " ".join(str(i) for i in p.alpha)
+        n_alpha = functools.reduce(exact.add, (gens[i - 1] for i in p.alpha))
         lines.append(
-            f"{alpha},{p.value},{p.correlation:.12g},{scan.threshold:.12g},"
+            f"{alpha},{n_alpha},{p.correlation:.12g},{scan.threshold:.12g},"
             f"{p.stderr:.12g},{p.verdict}"
         )
     return "\n".join(lines) + "\n"
 
 
+_COR67_PRIMES = "2,3,5,7,11,13"
+# each demo's own options: given to another demo, they are refused
+_DEMO_OPTIONS = {"polys": "cor65", "p": "cor66", "q": "cor66", "primes": "cor67"}
+
+
 def cmd_demo(args) -> int:
+    for option, which in _DEMO_OPTIONS.items():
+        if getattr(args, option) is not None and args.which != which:
+            raise PreconditionError(f"--{option} applies to {which} only")
     polys = [parse_poly_expr(p) for p in args.polys.split(",")] if args.polys else None
     # the Behrend-target demos need deeper tails before the free-coordinate
     # discretization spike mu(B)/k! clears their small thresholds
@@ -344,7 +360,7 @@ def cmd_demo(args) -> int:
             p, q, ell, depth, args.samples, args.seed, **options
         )
     else:
-        primes = _int_list(args.primes, "--primes")
+        primes = _int_list(_COR67_PRIMES if args.primes is None else args.primes, "--primes")
         report = demos.cor67_demo(
             ell, primes, depth, args.samples, args.seed, **options
         )
@@ -412,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polys", help="comma-separated polynomials, e.g. 'n,n^2'")
     p.add_argument("--p")
     p.add_argument("--q")
-    p.add_argument("--primes", default="2,3,5,7,11,13")
+    p.add_argument("--primes", help=f"cor67 only; default {_COR67_PRIMES}")
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--samples", type=int, default=10**4)
     p.add_argument("--seed", type=int, default=42)

@@ -46,6 +46,7 @@ class ScanPoint:
 class TailScan:
     threshold: float
     points: list[ScanPoint]
+    generators: tuple[int, ...]  # the schedule's n_i; a point's value sums those in alpha
 
     @property
     def inconclusive_count(self) -> int:
@@ -73,7 +74,7 @@ def scan_fs_tail(
         points.append(ScanPoint(alpha, sum(gens[i - 1] for i in alpha), corr, err, verdict))
         if verdict != BELOW:
             break
-    return TailScan(threshold, points)
+    return TailScan(threshold, points, gens)
 
 
 def smallest_passing_cutoff(
@@ -96,7 +97,7 @@ def smallest_passing_cutoff(
     if cutoff > last:
         return None, {}
     points = [scored[alpha] for alpha, _ in fs_tail(schedule.indices, cutoff).sums]
-    return cutoff, {cutoff: TailScan(threshold, points)}
+    return cutoff, {cutoff: TailScan(threshold, points, shifts.generators)}
 
 
 def _sampled_scan(

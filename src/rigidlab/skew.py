@@ -9,18 +9,19 @@ Carlo estimate used by the scans: it takes the exact per-column residues of
 each shift (AtomicMeasure.residues, or the ShiftResidues table for the
 finite-sums scans), goes through their phases and one of two vectorized arc
 kernels, the closed form over cyclic gaps for a single-interval B
-(_arc_intersection_lengths) and the endpoint sweep with a running cover
-count for a multi-interval B (_multi_arc_intersection_lengths), so the only
-inexactness is the final float, not the reduction of huge shifts.  The
+(_arc_intersection_lengths) and a progressive intersection over contact
+candidates for a multi-interval B (_multi_arc_intersection_lengths), so the
+only inexactness is the final float, not the reduction of huge shifts.  The
 closed form orders each word's m + 1 arc starts with a compare-exchange
 network over whole columns instead of a row sort; min and max are exact, so
 for m < 8 its values are those of the sorted form bit for bit (beyond,
 numpy's row sum would add the gaps pairwise, the kernel still adds them left
-to right), and the budget below is unchanged.  In front of the sweep, a
-conservative contact prefilter (_contact_rows) keeps only the rows where
-some arc of B meets every shifted copy; the others are 0.0 without a sweep.
-On the cor66/cor67 scans it keeps about 23% of the rows, and 19% of all
-rows are nonzero.
+to right), and the budget below is unchanged.  The multi-arc kernel reads,
+per shift t, the arcs of B - t that can meet each arc of B from a table over
+power-of-two buckets of t built once per B (_candidates), and intersects
+only the (row, arc) pairs that every shift can reach; the other rows are 0.0
+without a piece.  On the cor66/cor67 scans (seed 42) 13.8% of the rows hold
+such a pair, and 7.9% of all rows are nonzero.
 
 Each scan point is scored on the marginal of its active columns, those
 where some shift's residue is nonzero mod q (ShiftResidues.at gives it with
@@ -42,15 +43,19 @@ phases, with K the arcs of B, m the shifts and 2^-53 the unit roundoff:
   or twice, so it sits within delta + 1.5 * 2^-53 of the exact endpoint, and
   the computed sets differ from the exact ones in measure by at most
   2K(m + 1) times that;
-- a value sums at most K(m + 1) + 1 nonnegative segment lengths of total at
-  most 1, each one subtraction: at most (K(m + 1) + 1) * 2^-53 more.
+- a value sums at most K(m + 1) + 1 nonnegative piece lengths of total at
+  most 1 (disjoint pieces between the 2K(m + 1) endpoints), each one
+  subtraction: at most (K(m + 1) + 1) * 2^-53 more.
 
-The prefilter adds nothing to this budget: its values are the sweep's bit
-for bit.  It reads the same float phases as the sweep and widens each
-contact interval by epsilon = 1e-9 on each side, many orders above the few
-ulp by which a float endpoint u - t can miss its real value.  So a row it
-drops has no segment of positive float length covered by every copy, the
-sweep would give it 0.0 too, and a kept row gets the sweep's own value.
+The candidate table adds nothing to this budget: the kernel's values are
+those of the endpoint sweep with a running cover count, bit for bit.  A
+piece's endpoints are arc endpoints picked by max and min, which are exact;
+the pieces are the sweep's covered segments less those of length 0.0, which
+add +0.0 and change nothing; and both add left to right in start order.
+The table widens each contact interval by epsilon = 1e-9 on each side, many
+orders above the few ulp by which a float endpoint u - t can miss its real
+value, and then takes whole buckets, so it never drops an arc of B - t that
+meets an arc of B in a segment of positive float length.
 
 So either kernel is within K(m + 1) * (2 delta + 5 * 2^-53) of the exact
 value, K = 1 for the single-interval form (whose gaps, slack and wrap term
@@ -63,6 +68,7 @@ each pairwise sum adds at most ceil(log2 n) * 2^-53 * sum w * v.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -76,11 +82,13 @@ from .circleset import CircleSet, intersection_measure
 from .errors import PreconditionError
 from .measure import AtomicMeasure
 
-# rows per block of the multi-arc sweep: bounds its (rows, 2K(m+1)) temporaries
-_ROW_BLOCK = 256
-# widening of the prefilter's contact intervals: many orders above the float
-# error of an arc endpoint (a few ulp), so the prefilter never drops a row
-# the sweep gives a positive value
+# buckets of the multi-arc candidate table, a power of two: int(t * _BUCKETS)
+# is floor(t * _BUCKETS) exactly for t in [0, 1)
+_BUCKETS = 256
+# (row, arc) pairs per block of the multi-arc kernel: bounds its temporaries
+_BLOCK_PAIRS = 1 << 15
+# widening of the contact intervals: many orders above the float error of an
+# arc endpoint (a few ulp), so the table never drops a piece of positive length
 _CONTACT_EPS = 1e-9
 
 
@@ -128,113 +136,105 @@ def sampled_correlation(
     return mean, math.sqrt(max(0.0, second - mean * mean) / m.denominator)
 
 
-def _contact_table(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints and packed arc masks of the multi-arc prefilter.
+@functools.lru_cache(maxsize=8)
+def _candidates(ends: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate table of the multi-arc kernel for the (K, 2) float arcs of B,
+    given as their bytes so that a scan builds it once per B.
 
     Arc i = [u_i, v_i) of B meets arc k of B - t in a segment of positive
     length only for t in (u_k - v_i, v_k - u_i) mod 1.  Widened by
-    _CONTACT_EPS on each side, these K^2 contact intervals cut [0, 1) at
-    their sorted, distinct endpoints b_0 < ... < b_{P-1}.  For t in the open
-    cell c between b_{c-1} and b_c (cell 0 starts at 0, cell P ends at 1),
-    table[2c] holds the K-bit mask of the arcs i that B - t meets; for t
-    equal to b_c, table[2c + 1] holds the OR of cells c and c + 1.  The
-    masks are np.packbits rows of bools, so any K fits.
+    _CONTACT_EPS on each side, this contact interval meets the buckets
+    g = int(t * _BUCKETS) from floor(lo * G) to floor(hi * G) (G = _BUCKETS,
+    lo shifted into [0, 1), the range taken mod G).  Row g * K + i of the
+    table lists the arcs k whose interval meets bucket g, in increasing
+    order and padded with K; reach[g] is the np.packbits mask of the arcs i
+    with a candidate in bucket g, so any K fits.
     """
+    arcs = np.frombuffer(ends).reshape(-1, 2)
     k = len(arcs)
     u, v = arcs[:, 0], arcs[:, 1]
-    lo = (u[None, :] - v[:, None]).ravel() - _CONTACT_EPS  # pair (i, k) at i*K + k
-    hi = (v[None, :] - u[:, None]).ravel() + _CONTACT_EPS
-    whole = hi - lo >= 1.0
-    lo, hi = lo - np.floor(lo), hi - np.floor(hi)
-    breaks = np.unique(np.concatenate([lo, hi]))
-    arc = np.repeat(np.arange(k), k)
-    part = ~whole
-    # +1 from the cell after lo, -1 from the cell after hi, and +1 from cell 0
-    # for intervals that wrap through 0 or cover the circle
-    opens = np.concatenate([
-        (np.searchsorted(breaks, lo[part]) + 1) * k + arc[part],
-        arc[whole | (lo >= hi)],
-    ])
-    closes = (np.searchsorted(breaks, hi[part]) + 1) * k + arc[part]
-    size = (len(breaks) + 1) * k
-    delta = np.bincount(opens, minlength=size) - np.bincount(closes, minlength=size)
-    cells = np.cumsum(delta.reshape(-1, k), axis=0) > 0
-    table = np.empty((2 * len(cells) - 1, k), dtype=bool)
-    table[0::2] = cells
-    table[1::2] = cells[:-1] | cells[1:]
-    return breaks, np.packbits(table, axis=1)
+    lo = u[None, :] - v[:, None] - _CONTACT_EPS  # pair (i, k) at [i, k]
+    hi = v[None, :] - u[:, None] + _CONTACT_EPS
+    shift = np.floor(lo)
+    first = np.floor((lo - shift) * _BUCKETS)
+    span = np.where(hi - lo >= 1.0, _BUCKETS, np.floor((hi - shift) * _BUCKETS) - first)
+    g = np.arange(_BUCKETS, dtype=np.int16)[:, None, None]
+    meets = (g - first.astype(np.int16)) % _BUCKETS <= span.astype(np.int16)  # (G, K, K)
+    cell, arc = np.nonzero(meets.reshape(-1, k))  # cell g * K + i, arcs k in order
+    rank = np.arange(len(arc)) - np.searchsorted(cell, cell)
+    table = np.full((len(meets) * k, rank.max(initial=0) + 1), k, np.min_scalar_type(k))
+    table[cell, rank] = arc
+    reach = np.packbits(meets.any(axis=2), axis=1)
+    table.flags.writeable = reach.flags.writeable = False  # the cache shares them
+    return table, reach
 
 
-def _arc_sweep(arcs: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Measure of S_0 meet S_1 meet ... per row, with S_0 = B and S_j = B - t_j.
-
-    arcs holds the K float arcs (u, v) of B, phases the (n, m) shifts t_j in
-    [0, 1).  Each arc of each S_j starts at u - t (plus 1.0 when negative)
-    and ends at v - t (plus 1.0 when <= 0); an arc with u - t < 0 < v - t
-    wraps through 0 and covers it.  Sorting the 2K(m+1) endpoints of a row
-    and taking the running cover count, the intersection is the union of
-    the elementary segments covered m + 1 times, summed left to right.
-    Each row's value depends on that row alone.
+def _contact_pairs(arcs: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, arcs): the pairs (row, i), in increasing order, of the (n, m)
+    phases and the arcs i of B that every shift t_j of the row can bring into
+    contact with B - t_j (the AND over j of _candidates' reach at t_j), so
+    every arc i holding a piece of positive float length; with m = 0, all.
     """
-    n, m = phases.shape
-    u, v = arcs[:, 0], arcs[:, 1]
-    values = np.empty(n)
-    for first in range(0, n, _ROW_BLOCK):
-        block = phases[first:first + _ROW_BLOCK]
-        t = np.zeros((len(block), m + 1, 1))
-        t[:, 1:, 0] = block
-        lo, hi = u - t, v - t
-        starts = np.where(lo < 0, lo + 1.0, lo).reshape(len(block), -1)
-        ends = np.where(hi <= 0, hi + 1.0, hi).reshape(len(block), -1)
-        # endpoints in [0, 1] order as their int64 bits; the low bit marks
-        # a start (+1 to the cover count) and sorts after an end it ties,
-        # which only reorders segments of length 0.0
-        keys = np.concatenate([starts, ends], axis=1).view(np.int64) << 1
-        keys[:, :starts.shape[1]] |= 1
-        keys.sort(axis=1)
-        edges = np.pad((keys >> 1).view(np.float64), ((0, 0), (1, 1)),
-                       constant_values=(0.0, 1.0))
-        covered = np.count_nonzero((lo < 0) & (hi > 0), axis=(1, 2))
-        cover = np.cumsum(np.column_stack([covered, 2 * (keys & 1) - 1]), axis=1)
-        segments = np.where(cover == m + 1, np.diff(edges, axis=1), 0.0)
-        # cumsum adds left to right; .sum() is pairwise and would change the
-        # last bits
-        values[first:first + len(block)] = np.cumsum(segments, axis=1)[:, -1]
-    return values
-
-
-def _contact_rows(arcs: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Indices of the rows where S_0 meet ... meet S_m can have positive
-    measure, with S_0 = B and S_j = B - t_j as in _arc_sweep.
-
-    A segment covered by every S_j lies in some arc i of S_0, which then
-    meets every S_j, so a row is kept only if the AND over j of the masks
-    _contact_table gives t_j is nonzero.  The widening dwarfs the few-ulp
-    error of any float endpoint, so every row the sweep gives a positive
-    value is kept.  With m = 0 every row is kept, with an empty B none.
-    """
-    n, m = phases.shape
-    if not len(arcs):
-        return np.arange(0)
-    if m == 0:
-        return np.arange(n)
-    breaks, table = _contact_table(arcs)
-    mask = None
+    _, reach = _candidates(arcs.tobytes())
+    mask = np.full((len(phases), reach.shape[1]), 255, np.uint8)
     for col in phases.T:
-        cell = np.searchsorted(breaks, col)
-        at_break = breaks[np.minimum(cell, len(breaks) - 1)] == col
-        hits = table[2 * cell + at_break]
-        mask = hits if mask is None else mask & hits
-    return np.flatnonzero(mask.any(axis=1))
+        mask &= reach.take((col * _BUCKETS).astype(np.intp), axis=0)
+    rows = np.flatnonzero(mask.any(axis=1))
+    pair_rows, pair_arcs = np.nonzero(np.unpackbits(mask[rows], axis=1, count=len(arcs)))
+    return rows[pair_rows], pair_arcs
 
 
 def _multi_arc_intersection_lengths(arcs: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """_arc_sweep's values: the sweep runs on the _contact_rows alone, which
-    gives each of them the value it gets among all rows, and every other
-    row is 0.0."""
-    values = np.zeros(len(phases))
-    rows = _contact_rows(arcs, phases)
-    values[rows] = _arc_sweep(arcs, phases[rows])
+    """Measure of S_0 meet S_1 meet ... per row, with S_0 = B and S_j = B - t_j.
+
+    arcs holds the K float arcs (u, v) of B, phases the (n, m) shifts t_j in
+    [0, 1).  Blocks of rows run a progressive intersection over their
+    _contact_pairs: a pair (row, i) starts as the piece arc i, and each shift
+    meets every piece with the arcs of S_j that _candidates lists.  Such an
+    arc starts at u - t (plus 1.0 when negative) and ends at v - t (plus 1.0
+    when <= 0); one with u - t < 0 < v - t wraps through 0 and is met as
+    [start, 1.0] and [0.0, end].  Pieces of positive length are kept; a row's
+    are disjoint, and their lengths add left to right in start order, the
+    r-th pieces of all rows at once.  A row's value depends on that row
+    alone; with no pair it is 0.0.
+    """
+    k, n = len(arcs), len(phases)
+    values = np.zeros(n)
+    if not k:
+        return values
+    table, _ = _candidates(arcs.tobytes())
+    u, v = np.append(arcs[:, 0], 2.0), np.append(arcs[:, 1], 2.0)  # padding arc K misses [0, 1]
+    step = max(1, _BLOCK_PAIRS // k)
+    for first in range(0, n, step):
+        block = phases[first:first + step]
+        row, i = _contact_pairs(arcs, block)
+        lo, hi = u[i], v[i]
+        for col in block.T:
+            t = col[row, None]
+            cand = table[(t[:, 0] * _BUCKETS).astype(np.intp) * k + i]
+            start, end = u[cand], v[cand]
+            start -= t
+            end -= t
+            wrap = (start < 0) & (end > 0)
+            np.add(start, 1.0, out=start, where=start < 0)
+            np.add(end, 1.0, out=end, where=end <= 0)
+            a_lo = np.maximum(start, lo[:, None], out=start)
+            a_hi = np.minimum(np.where(wrap, 1.0, end), hi[:, None])
+            p, c = np.nonzero(a_hi > a_lo)
+            w, c_w = np.nonzero(wrap)
+            b_hi = np.minimum(hi[w], end[w, c_w])  # [0.0, end] meets [lo, hi), lo >= 0.0
+            keep = b_hi > lo[w]
+            w = w[keep]
+            lo = np.concatenate([a_lo[p, c], lo[w]])
+            hi = np.concatenate([a_hi[p, c], b_hi[keep]])
+            row, i = np.concatenate([row[p], row[w]]), np.concatenate([i[p], i[w]])
+        order = np.lexsort((lo, row))
+        row, length = row[order], (hi - lo)[order]
+        rank = np.arange(len(row)) - np.searchsorted(row, row)
+        out = values[first:first + step]
+        for r in range(rank.max(initial=-1) + 1):
+            at = rank == r
+            out[row[at]] += length[at]
     return values
 
 

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import rigidlab
+from rigidlab import demos
 from rigidlab import measure as ms
-from rigidlab.cli import build_parser, parse_poly_expr, run
+from rigidlab.cli import _scan_csv, build_parser, parse_poly_expr, run
 from rigidlab.errors import ParseError
 
 from measure_helpers import total_weight
@@ -193,6 +194,16 @@ class TestSubcommands:
         assert obj["gap"] == "2/27"
         assert obj["epsilon"] == "1/27"
         assert obj["passed"] is True
+
+
+def test_scan_csv_n_alpha_is_the_exact_sum():
+    # the n_alpha column is str() of each point's exact value, for sums of
+    # thousands of digits and with carries across them
+    gens = (7, 10**4000 - 1, 3**9000, 2**20000 - 1)
+    points = [demos.ScanPoint(alpha, sum(gens[i - 1] for i in alpha), 0.1, 0.01, demos.BELOW)
+              for alpha in [(1,), (2, 4), (1, 2), (1, 2, 3, 4)]]
+    text = _scan_csv(demos.TailScan(0.5, points, gens))
+    assert [line.split(",")[1] for line in text.splitlines()[1:]] == [str(p.value) for p in points]
 
 
 class TestExitCodes:
@@ -420,6 +431,41 @@ class TestExitCodes:
         assert runs[0] == runs[1]
         assert json.loads(runs[0][1])["ell"] == 3
 
+    @pytest.mark.parametrize(
+        "argv, option, owner",
+        [
+            (["cor67", "--polys", "n,n^2,n^3", "--primes", "2"], "polys", "cor65"),
+            (["cor67", "--p", "n", "--primes", "2"], "p", "cor66"),
+            (["cor67", "--q", "2n"], "q", "cor66"),
+            (["cor66", "--p", "n", "--q", "2n", "--polys", "n,n^2"], "polys", "cor65"),
+            (["cor66", "--p", "n", "--q", "2n", "--primes", "2"], "primes", "cor67"),
+            (["cor65", "--polys", "n,n^2", "--primes", "2"], "primes", "cor67"),
+            (["cor65", "--polys", "n,n^2", "--p", "n"], "p", "cor66"),
+            (["cor65", "--polys", "n,n^2", "--q", "n"], "q", "cor66"),
+        ],
+        ids=["cor67_polys", "cor67_p", "cor67_q", "cor66_polys", "cor66_primes",
+             "cor65_primes", "cor65_p", "cor65_q"],
+    )
+    def test_demo_refuses_another_demos_option(self, tmp_path, capsys, argv, option, owner):
+        # an option of another demo is refused by name, not silently dropped
+        out = tmp_path / "out.json"
+        assert run(["demo", *argv, "--depth", "3", "--samples", "100", "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "PreconditionError",
+                       "detail": f"--{option} applies to {owner} only"}
+        assert not out.exists()
+
+    def test_cor67_primes_default(self, tmp_path):
+        # without --primes, cor67 takes the primes 2, 3, 5, 7, 11, 13
+        runs = []
+        for primes in ([], ["--primes", "2,3,5,7,11,13"]):
+            out = tmp_path / f"cor67{len(primes)}.json"
+            code = run(["demo", "cor67", "--ell", "3", *primes, "--depth", "3",
+                        "--samples", "100", "--out", str(out)])
+            runs.append((code, out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][1])["primes"] == [2, 3, 5, 7, 11, 13]
+
     def test_cap_exceeded_exit_3(self, tmp_path, capsys):
         big = tmp_path / "big.json"
         big.write_text(
@@ -524,6 +570,30 @@ class TestDeterminism:
         assert digest.hexdigest() == (
             "596ab762072d1e3125758e54055cf02a2784a3f6790503eeac809d0d1b989328"
         )
+
+    def test_benchmark_demo_invocations_pinned(self, tmp_path):
+        # The three demo calls of the benchmark's workloads (seed 42) pass
+        # every option to the demo it belongs to: they exit 0 with these bytes.
+        out = tmp_path
+        calls = [
+            ["demo", "cor65", "--ell", "2", "--polys", "n,n^2", "--depth", "11",
+             "--samples", "100000", "--seed", "42", "--out", str(out / "cor65.json"),
+             "--scan-csv", str(out / "cor65.csv")],
+            ["demo", "cor66", "--p", "n^2+n", "--q", "2n^2+3n", "--ell", "3", "--seed", "42",
+             "--out", str(out / "cor66.json"), "--scan-csv", str(out / "cor66.csv")],
+            ["demo", "cor67", "--ell", "3", "--primes", "2,3,5,7,11,13", "--seed", "42",
+             "--out", str(out / "cor67.json")],
+        ]
+        assert [run(argv) for argv in calls] == [0, 0, 0]
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("cor65.json", "cor65.csv", "cor66.json", "cor66.csv", "cor67.json")}
+        assert digests == {
+            "cor65.json": "5172d33c5488c462be370ee0ea5247bb7d3c9fd1dc7a0e2fa62f2a760d1832a2",
+            "cor65.csv": "1a54028014b229d126c6773b86d4b6abf98c7702cc6eba1d535faa6a61e61dc3",
+            "cor66.json": "746cbea734ebd0d4c78dae38ae3ba09831edd3fae2c65226aacfd87c568ab6c7",
+            "cor66.csv": "ece3c8888e77e15f015110b122864e97f6ebd3c9d54acd0061cf38d0211f8cfe",
+            "cor67.json": "9b7fd33183490fecf0b958317f14a1eb003ffa30cea8b3c0293ad68fb5114511",
+        }
 
     @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                         reason="the OpenBLAS core-type names are x86 ones")

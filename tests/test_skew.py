@@ -3,10 +3,11 @@
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigidlab import families as fm
@@ -140,7 +141,7 @@ def _arc_sets(draw, max_pairs=8):
     through 0, which splits one arc into the pieces [u, 1) and [0, v)."""
     k = draw(st.integers(1, max_pairs))
     den = draw(
-        st.sampled_from([d for d in (2, 3, 7, 10, 27, 1000, 3**13, 2**40) if d >= 2 * k])
+        st.sampled_from([d for d in (2, 3, 7, 10, 27, 256, 1000, 3**13, 2**40) if d >= 2 * k])
     )
     ends = sorted(
         draw(st.lists(st.integers(0, den), min_size=2 * k, max_size=2 * k, unique=True))
@@ -150,18 +151,29 @@ def _arc_sets(draw, max_pairs=8):
     return CircleSet.from_pairs([(u + rot, v + rot) for u, v in pairs])
 
 
+def _contact_breaks(arcs):
+    """The endpoints mod 1 of the widened contact intervals
+    (u_k - v_i - eps, v_k - u_i + eps) of the kernel's candidate table."""
+    u, v, eps = arcs[:, 0], arcs[:, 1], skew._CONTACT_EPS
+    lo = (u[None, :] - v[:, None]).ravel() - eps
+    hi = (v[None, :] - u[:, None]).ravel() + eps
+    return np.concatenate([lo, hi]) % 1.0
+
+
 def _adversarial_phases(B, n, m, seed):
     """(n, m) phases in [0, 1), half of them from a pool that puts endpoints
     of shifted copies on top of each other (0.0 and endpoint differences,
-    taken in float and exactly) or on the edges of the prefilter's cells
-    (within 1e-12 of its breakpoints, and 1 - 2^-53), half uniform."""
+    taken in float and exactly), near the candidate table's contact
+    breakpoints (within 1e-12) or on its bucket edges (each edge and the
+    float below it, and 1 - 2^-53), half uniform."""
     # int / int true division rounds correctly, as float(Fraction) does
     ends = [e / B.den for e in B.ends]
     arcs = np.array(ends).reshape(-1, 2)
     pool = [0.0, 1.0 - 2.0**-53] + [(a - b) % 1.0 for a in ends for b in ends]
     pool += [(a - b) % B.den / B.den for a in B.ends for b in B.ends]
-    breaks, _ = skew._contact_table(arcs)
-    pool += [x % 1.0 for b in breaks for x in (b - 1e-12, b, b + 1e-12)]
+    pool += [x % 1.0 for b in _contact_breaks(arcs) for x in (b - 1e-12, b, b + 1e-12)]
+    edges = np.arange(skew._BUCKETS) / skew._BUCKETS
+    pool += edges.tolist() + np.nextafter(edges, 0.0).tolist()
     pool = [x for x in pool if 0.0 <= x < 1.0]
     rng = np.random.default_rng(seed)
     return np.where(
@@ -171,10 +183,44 @@ def _adversarial_phases(B, n, m, seed):
     )
 
 
+def _positive_pieces(arcs, shifts):
+    """(i, ks) for each piece of positive length that _float_intersection's
+    progressive intersection keeps, met the same way: the arc i of B it
+    lies in and, per shift t, the arc k of B - t it lies in."""
+    current = [(u, v, i, ()) for i, (u, v) in enumerate(arcs)]
+    for t in shifts:
+        shifted = []
+        for k, (u, v) in enumerate(arcs):
+            lo, hi = u - t, v - t
+            if lo < 0 and hi > 0:
+                shifted += [(lo + 1.0, 1.0, k), (0.0, hi, k)]
+            elif hi <= 0:
+                shifted.append((lo + 1.0, hi + 1.0, k))
+            else:
+                shifted.append((lo, hi, k))
+        current = [
+            (max(u, c), min(v, d), i, ks + (k,))
+            for u, v, i, ks in current
+            for c, d, k in shifted
+            if max(u, c) < min(v, d)
+        ]
+    return [(i, ks) for _, _, i, ks in current]
+
+
+def _bucket_range(lo, hi):
+    """The buckets g whose closed cell [g/G, (g+1)/G] meets the open arc
+    (lo, hi) of the circle, exactly; G = skew._BUCKETS."""
+    G = skew._BUCKETS
+    if hi - lo >= 1:
+        return set(range(G))
+    first, last = math.floor(lo * G), math.ceil(hi * G) - 1
+    return {g % G for g in range(first, last + 1)}
+
+
 class TestMultiArcKernel:
-    """The vectorized multi-arc sweep against the per-word float sweep
+    """The vectorized multi-arc kernel against the per-word float sweep
     (bitwise) and against exact intersection_measure (within the budget),
-    and its contact prefilter against the sweep."""
+    and its candidate table against the pieces that sweep keeps."""
 
     @staticmethod
     def _check_against_oracles(B, m, n, seed):
@@ -195,15 +241,28 @@ class TestMultiArcKernel:
             if closed is not None:
                 assert abs(F(closed[i]) - exact) <= _budget(B, m)
 
+    @staticmethod
+    def _blocks_of(rows, B):
+        """The kernel with `rows` rows to a block for B's K arcs."""
+        return mock.patch.object(skew, "_BLOCK_PAIRS", rows * len(B.intervals))
+
+    # n for a block of `rows` rows: one row, below, at and across the block
+    _SIZES = {"one": lambda r: 1, "below": lambda r: r - 1, "at": lambda r: r,
+              "across": lambda r: 2 * r + 1, "past": lambda r: r + 1}
+
+    # n below, at and across a block of `rows` rows; the module's own block
+    # size is exercised in test_module_block_size_matches_one_block
     @settings(max_examples=150, deadline=None)
     @given(
         B=_arc_sets(),
         m=st.integers(0, 4),
-        n=st.sampled_from([1, skew._ROW_BLOCK - 1, 2 * skew._ROW_BLOCK + 1]),
+        rows=st.sampled_from([2, 64, 256]),
+        n=st.sampled_from(["one", "below", "at", "across"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_float_sweep_and_exact(self, B, m, n, seed):
-        self._check_against_oracles(B, m, n, seed)
+    def test_matches_float_sweep_and_exact(self, B, m, rows, n, seed):
+        with self._blocks_of(rows, B):
+            self._check_against_oracles(B, m, self._SIZES[n](rows), seed)
 
     # up to 64 arcs, as the digit candidate t = 6; the per-word oracle costs
     # O(K^2) per shift, so fewer and shorter draws than above
@@ -211,32 +270,80 @@ class TestMultiArcKernel:
     @given(
         B=_arc_sets(max_pairs=63),
         m=st.integers(1, 4),
-        n=st.sampled_from([1, skew._ROW_BLOCK + 1]),
+        rows=st.sampled_from([2, 256]),
+        n=st.sampled_from(["one", "past"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_many_arcs_match_float_sweep_and_exact(self, B, m, n, seed):
-        self._check_against_oracles(B, m, n, seed)
+    def test_many_arcs_match_float_sweep_and_exact(self, B, m, rows, n, seed):
+        with self._blocks_of(rows, B):
+            self._check_against_oracles(B, m, self._SIZES[n](rows), seed)
+
+    def test_module_block_size_matches_one_block(self):
+        """At the module's own block size (8192 rows for the 8 Behrend arcs),
+        n = 2 blocks + 1 row gives the values of a single block, bit for
+        bit, and the float sweep's on the rows around each block edge."""
+        B = behrend_set(3)
+        arcs = np.array([(float(u), float(v)) for u, v in B.intervals])
+        rows = skew._BLOCK_PAIRS // len(arcs)
+        phases = _adversarial_phases(B, 2 * rows + 1, 3, seed=12)
+        got = skew._multi_arc_intersection_lengths(arcs, phases)
+        with self._blocks_of(len(phases), B):
+            whole = skew._multi_arc_intersection_lengths(arcs, phases)
+        assert got.tobytes() == whole.tobytes()
+        edge_rows = [0, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows]
+        want = [_float_intersection(arcs.tolist(), list(phases[r])) for r in edge_rows]
+        assert got[edge_rows].tolist() == want
+        assert np.count_nonzero(got) > len(got) // 20
 
     @settings(max_examples=100, deadline=None)
     @given(
-        B=_arc_sets(max_pairs=63),
+        B=_arc_sets(max_pairs=16),
         m=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_prefilter_keeps_every_nonzero_row(self, B, m, seed):
+    def test_candidates_hold_every_positive_piece(self, B, m, seed):
+        """Every (row, arc i) where the float sweep keeps a piece of
+        positive length is a contact pair, and each arc k of B - t_j that
+        piece lies in is among the candidates of (int(t_j G), i)."""
         arcs = np.array([(float(u), float(v)) for u, v in B.intervals])
-        phases = _adversarial_phases(B, 2 * skew._ROW_BLOCK + 1, m, seed)
-        nonzero = np.flatnonzero(skew._arc_sweep(arcs, phases))
-        assert np.isin(nonzero, skew._contact_rows(arcs, phases)).all()
+        phases = _adversarial_phases(B, 100, m, seed)
+        table, _ = skew._candidates(arcs.tobytes())
+        pair_rows, pair_arcs = skew._contact_pairs(arcs, phases)
+        pairs = set(zip(pair_rows.tolist(), pair_arcs.tolist()))
+        for r, row in enumerate(phases):
+            cells = (row * skew._BUCKETS).astype(int)
+            for i, ks in _positive_pieces(arcs.tolist(), row.tolist()):
+                assert (r, i) in pairs
+                for cell, k in zip(cells, ks):
+                    assert k in table[cell * len(arcs) + i]
+
+    @settings(max_examples=100, deadline=None)
+    @given(B=_arc_sets(max_pairs=16))
+    @example(B=CircleSet.from_pairs([(0, F(1, 4)), (F(1, 2), F(3, 4))]))
+    @example(B=behrend_set(3))
+    def test_candidates_keep_a_margin(self, B):
+        """The table lists arc k for (bucket g, arc i) whenever the exact
+        contact interval (u_k - v_i, v_k - u_i) of the float arcs, widened by
+        half of _CONTACT_EPS, meets the closed cell of g: a margin that
+        dwarfs the rounding of the table's own float endpoints."""
+        arcs = np.array([(float(u), float(v)) for u, v in B.intervals])
+        table, _ = skew._candidates(arcs.tobytes())
+        margin = F(skew._CONTACT_EPS) / 2
+        K = len(arcs)
+        for i, (ui, vi) in enumerate(map(lambda a: map(F, a), arcs.tolist())):
+            for k, (uk, vk) in enumerate(map(lambda a: map(F, a), arcs.tolist())):
+                for g in _bucket_range(uk - vi - margin, vk - ui + margin):
+                    assert k in table[g * K + i]
 
     def test_prefilter_skips_most_behrend_rows(self):
-        """On the cor66/cor67 set with uniform phases and m = 3 the prefilter
-        skips at least 40% of the rows, so it has not decayed into keeping
-        all of them."""
+        """On the cor66/cor67 set with uniform phases and m = 3 at least 40%
+        of the rows have no contact pair, so the candidate table has not
+        decayed into listing every arc."""
         B = behrend_set(3)
         arcs = np.array([(float(u), float(v)) for u, v in B.intervals])
         phases = np.random.default_rng(11).random((4000, 3))
-        assert len(skew._contact_rows(arcs, phases)) <= 0.6 * len(phases)
+        rows, _ = skew._contact_pairs(arcs, phases)
+        assert len(np.unique(rows)) <= 0.6 * len(phases)
 
     def test_no_shifts_and_empty_set(self):
         B = CircleSet.from_pairs(
