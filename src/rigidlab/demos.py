@@ -25,7 +25,7 @@ from .errors import ConstructionFailed, PreconditionError
 from .haar import FactorPattern, haar_correlation_limit
 from .measure import AtomicMeasure, build_measure_for_group, fourier_coefficient
 from .schedule import Schedule
-from .skew import ShiftResidues, fs_tail, sampled_correlation
+from .skew import ShiftResidues, _tail_alphas, sampled_correlation
 
 BELOW = "BELOW"
 ABOVE = "ABOVE"
@@ -36,7 +36,6 @@ SCAN_PRIME_CAP = 50  # cor67 scans the sampled system only up to this prime
 @dataclass
 class ScanPoint:
     alpha: tuple[int, ...]
-    value: int
     correlation: float
     stderr: float
     verdict: str
@@ -46,7 +45,7 @@ class ScanPoint:
 class TailScan:
     threshold: float
     points: list[ScanPoint]
-    generators: tuple[int, ...]  # the schedule's n_i; a point's value sums those in alpha
+    generators: tuple[int, ...]  # the schedule's n_i; a point's n_alpha sums those in alpha
 
     @property
     def inconclusive_count(self) -> int:
@@ -71,7 +70,7 @@ def scan_fs_tail(
         corr, err = sampled_correlation(m, B, residues)
         verdict = (BELOW if corr + 3 * err <= threshold
                    else ABOVE if corr - 3 * err > threshold else INCONCLUSIVE)
-        points.append(ScanPoint(alpha, sum(gens[i - 1] for i in alpha), corr, err, verdict))
+        points.append(ScanPoint(alpha, corr, err, verdict))
         if verdict != BELOW:
             break
     return TailScan(threshold, points, gens)
@@ -96,7 +95,7 @@ def smallest_passing_cutoff(
         scored.update((p.alpha, p) for p in group.points)
     if cutoff > last:
         return None, {}
-    points = [scored[alpha] for alpha, _ in fs_tail(schedule.indices, cutoff).sums]
+    points = [scored[alpha] for alpha in _tail_alphas(cutoff, schedule.depth)]
     return cutoff, {cutoff: TailScan(threshold, points, shifts.generators)}
 
 

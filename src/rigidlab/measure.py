@@ -68,7 +68,8 @@ the dichotomy coefficients and atoms (on integer numerators) walk that
 prefix tree column by column: each run adds its column's value once to its
 parent run's partial sum, instead of every word gathering every column.
 Each word still receives the same float additions in the same order, so the
-result is bitwise that of the word-by-word sum.
+result is bitwise that of the word-by-word sum.  prefix(d), the marginal on
+the first d columns, is that tree cut at depth d.
 """
 
 from __future__ import annotations
@@ -144,38 +145,35 @@ def _support_cells(structure: GroupCellStructure, k: int):
     return sorted(merged.items())
 
 
-def _prefix_runs(codes: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray]]:
-    """Per column j, (parent, code) of the runs of rows sharing columns 0..j.
-
-    parent[r] is the run at column j - 1 that run r extends (None where the
-    runs map one to one or extend a single parent, so no gather is needed)
-    and code[r] its column-j code.  The last column's runs are the rows.
-    Refuses rows that are not strictly increasing in lexicographic order:
-    each row must exceed the one before at the first column they differ.
+def _prefix_runs(codes: np.ndarray) -> tuple[list, np.ndarray]:
+    """(runs, branch): per column j, (parent, code) of the runs of rows
+    sharing columns 0..j, and per row the first column where it differs from
+    the row before (-1 for row 0), so it starts a run at column j iff
+    branch <= j.  parent[r] is the run at column j - 1 that run r extends
+    (None where the runs map one to one or extend a single parent, so no
+    gather is needed) and code[r] its column-j code; the last column's runs
+    are the rows.  Refuses rows that are not strictly increasing in
+    lexicographic order: each must exceed the one before where they differ.
     """
     n, cols = codes.shape
-    step = codes[1:] != codes[:-1]  # where row i + 1 differs from row i
-    at = (np.arange(n - 1), step.argmax(axis=1)) if cols else None
-    if n > 1 and (at is None or not (codes[1:][at] > codes[:-1][at]).all()):
+    branch = np.full(n, -1, dtype=np.intp)
+    if n > 1 and cols:
+        branch[1:] = (codes[1:] != codes[:-1]).argmax(axis=1)
+    at = np.arange(1, n), branch[1:]
+    if n > 1 and not (cols and (codes[at] > codes[at[0] - 1, at[1]]).all()):
         raise PreconditionError(
             "words must be distinct code rows in increasing lexicographic order"
         )
-    splits = np.logical_or.accumulate(step, axis=1)
-    runs = []
-    prev_ids = np.zeros(n, dtype=np.intp)
-    prev_count = min(n, 1)
+    runs, prev = [], np.zeros(min(n, 1), dtype=np.intp)  # the runs' first rows
     for col in range(cols):
-        starts = np.ones(n, dtype=bool)
-        starts[1:] = splits[:, col]
-        first = np.flatnonzero(starts)
+        first = np.flatnonzero(branch <= col)
         parent = None
-        if prev_count not in (1, len(first)):
-            parent = prev_ids[first]
+        if 1 < len(prev) < len(first):
+            parent = np.searchsorted(prev, first, side="right") - 1
         # intp codes index without a cast on every phases call
         runs.append((parent, codes[first, col].astype(np.intp)))
-        prev_ids = np.cumsum(starts) - 1
-        prev_count = len(first)
-    return runs
+        prev = first
+    return runs, branch
 
 
 class AtomicMeasure:
@@ -186,19 +184,19 @@ class AtomicMeasure:
     sum_col digit * alphas[col] mod 1, and its weight is the integer
     count counts[i] over the one denominator shared by all words (weights_np
     holds the correctly rounded floats).  sample_sigma builds one column
-    per schedule level and coordinate; explicit rational atoms become one
-    column with alpha = 1/L (L the lcm of the denominators) and digit
-    x * L mod L.  Exact positions are materialized on demand by atoms, from
-    integer numerators over one common denominator; Fourier analysis reduces
-    t * digit * alpha mod 1 with raw integer arithmetic (residues, then per
-    category in phases), so huge arguments lose nothing before the final
-    float.
+    per schedule level and coordinate, the top level first; explicit
+    rational atoms become one column with alpha = 1/L (L the lcm of the
+    denominators) and digit x * L mod L.  Exact positions are materialized on
+    demand by atoms, from integer numerators over one common denominator;
+    Fourier analysis reduces t * digit * alpha mod 1 with raw integer
+    arithmetic (residues, then per category in phases), so huge arguments
+    lose nothing before the final float.
 
     The rows of codes must be distinct and strictly increasing in
     lexicographic order (PreconditionError otherwise): phases evaluates them
     over the prefix tree of runs that order makes contiguous, built once here
-    and shared by pushforward_scale images; restriction builds its marginal
-    on some columns (their distinct rows with summed counts).
+    and shared by pushforward_scale images and by prefix(d), the marginal on
+    the first d columns: the runs at depth d with their summed counts.
     """
 
     def __init__(
@@ -241,7 +239,7 @@ class AtomicMeasure:
         # int/int true division is correctly rounded at any size, so each
         # entry is float(Fraction(c, denominator)) bit for bit
         self.weights_np = np.array([c / denominator for c in counts])
-        self._runs = _prefix_runs(codes)
+        self._runs, self._branch = _prefix_runs(codes)
         # per column, (int64 digits, largest digit) where the column kernel
         # may take it, else None; pushforward_scale images share the list
         self._kernel_digits = [
@@ -313,23 +311,21 @@ class AtomicMeasure:
                 out[col] = phases
         return out
 
-    def restriction(self, active: tuple[int, ...]):
-        """The marginal on the active columns, their codes' distinct rows with
-        their words' counts summed exactly; None where every word keeps its row."""
-        if len(active) == self.codes.shape[1]:
-            return None
-        codes, sizes, order = _distinct_rows(
-            ((self.codes[:, col], len(self.categories[col])) for col in active),
-            len(self.codes))
-        if len(sizes) == len(self.codes):
-            return None
-        counts = np.add.reduceat(np.array(self.counts, dtype=object)[order],
-                                 np.cumsum(sizes) - sizes)
-        return AtomicMeasure(
-            alphas=[self.alphas[c] for c in active], codes=codes,
-            categories=[self.categories[c] for c in active],
-            counts=counts.tolist(), denominator=self.denominator,
-        )
+    def prefix(self, depth: int) -> "AtomicMeasure":
+        """The marginal on columns 0..depth-1 (self at full depth): the runs
+        at that depth with their words' counts summed exactly, on this
+        measure's prefix tree cut there, so without a sort or a new tree."""
+        if depth == len(self.alphas):
+            return self
+        first = np.flatnonzero(self._branch < depth)
+        view = copy.copy(self)
+        view.alphas, view.categories = self.alphas[:depth], self.categories[:depth]
+        view._runs, view._kernel_digits = self._runs[:depth], self._kernel_digits[:depth]
+        view.codes, view._branch = self.codes[first, :depth], self._branch[first]
+        view.counts = np.add.reduceat(np.array(self.counts, dtype=object), first).tolist()
+        view.weights_np = np.array([c / self.denominator for c in view.counts])
+        view._atoms = None
+        return view
 
     def _tree_sum(self, columns, dtype=float) -> np.ndarray:
         """Per word, the sum of its category values, one array per column.
@@ -390,29 +386,29 @@ def _ratio_text(p: int, q: int) -> str:
     return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
-def _distinct_rows(columns, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(codes, sizes, order) for n words given as (code, radix) columns, each
-    code n unsigned integers below radix: the distinct words as matrix rows
-    in increasing lexicographic order (uint32 where every radix is at most
-    2^32, else uint64), the count of each, and the lexsort order of the
-    words (each distinct word's copies in turn).
+def _distinct_rows(columns, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, sizes) for n words given as (code, radix) columns, each code n
+    unsigned integers below radix: the distinct words as matrix rows with
+    the columns in reverse order, the last one given first, in increasing
+    lexicographic order (uint32 where every radix is at most 2^32, else
+    uint64), and the count of each.
 
-    The columns fold into uint64 mixed-radix keys, the first column most
-    significant.  A key starts anew before the product of its radices would
+    The columns fold into uint64 mixed-radix keys, the last column most
+    significant: each adds its code times the product of the radices before
+    it in its key.  A key starts anew before the product of its radices would
     pass 2^64, so none overflows: with radices r_1, ..., r_m it holds sum_i
-    c_i prod_{i' > i} r_i' <= prod_i r_i - 1.  The key lists then order as
-    the words do: one lexsort, a comparison of adjacent keys, and the codes
-    read back as mixed-radix digits.
+    c_i prod_{i' < i} r_i' <= prod_i r_i - 1.  The key lists then order as
+    the reversed words do: one lexsort, a comparison of adjacent keys, and
+    the codes read back as mixed-radix digits.
     """
-    keys = [(np.zeros(n, dtype=np.uint64), [])]  # (key, its radices)
+    keys = [(np.zeros(n, dtype=np.uint64), [])]  # (key, its radices), least significant first
     for code, radix in columns:
         if math.prod(keys[-1][1]) * radix > 2**64:
             keys.append((np.zeros(n, dtype=np.uint64), []))
         key, radices = keys[-1]
-        key *= np.uint64(radix)
-        key += code
+        key += code * np.uint64(math.prod(radices) % 2**64)  # 2^64 only before radix 1: codes 0
         radices.append(radix)
-    order = np.lexsort([key for key, _ in reversed(keys)])
+    order = np.lexsort([key for key, _ in keys])
     keys = [(key[order], radices) for key, radices in keys]
     changed = np.any([key[1:] != key[:-1] for key, _ in keys], axis=0)
     first = np.flatnonzero(np.concatenate(([True], changed)))
@@ -420,12 +416,12 @@ def _distinct_rows(columns, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     codes = np.empty((len(first), len(radices)),
                      dtype=np.uint32 if max(radices, default=1) <= 2**32 else np.uint64)
     col = len(radices)
-    for key, rs in reversed(keys):
+    for key, rs in keys:
         key = key[first]
-        for radix in reversed(rs):
+        for radix in rs:
             col -= 1
             key, codes[:, col] = np.divmod(key, np.uint64(radix))
-    return codes, np.diff(first, append=n), order
+    return codes, np.diff(first, append=n)
 
 
 def sample_sigma(
@@ -440,14 +436,23 @@ def sample_sigma(
     Each draw picks, independently per level, a support cell according to
     lambda_G and uniform digits on the free coordinates; equal words merge,
     and each weighs its integer count over N = n_samples.  Reproducible from
-    the seed.
+    the seed.  The schedule must pass check_schedule.
 
-    No samples x columns matrix is built: each column goes to _distinct_rows
-    right after its draw, as a code that increases with its digit (a support
-    coordinate's rank among the level's cell values, a free coordinate's
-    digit, of radix k!), and the codes of the distinct rows are compacted
-    to index each column's present digits in increasing order.
+    The draws go level 1 first and the columns the other way, the last drawn
+    first, so the marginal on the levels j..K is a prefix.  No samples x
+    columns matrix is built: each column goes to _distinct_rows right after
+    its draw, as a code that increases with its digit (a support coordinate's
+    rank among the level's cell values, a free coordinate's digit, of radix
+    k!), and the codes of the distinct rows are compacted to index each
+    column's present digits in increasing order.
     """
+    if not check_schedule(s, fam).all_pass():
+        raise PreconditionError("schedule does not pass its exact residual check")
+    return _sample_checked(G, s, fam, n_samples, seed)
+
+
+def _sample_checked(G, s, fam, n_samples, seed) -> AtomicMeasure:
+    """sample_sigma on a schedule that has passed check_schedule."""
     if n_samples < 1:
         raise PreconditionError("need at least one sample")
     if seed < 0:
@@ -456,16 +461,13 @@ def sample_sigma(
         raise CapExceeded(f"{n_samples} samples exceed the cap {SAMPLE_CAP}")
     if G.ambient_dim != fam.size:
         raise PreconditionError("group dimension differs from family size")
-    report = check_schedule(s, fam)
-    if not report.all_pass():
-        raise PreconditionError("schedule does not pass its exact residual check")
     structure = group_cell_structure(G)
     if structure.free and math.factorial(s.depth) > 2**62:
         raise CapExceeded(
             "free-coordinate sampling is limited to levels with k! below 2^62"
         )
     rng = np.random.default_rng(seed)
-    digits = []  # per column, its digits indexed by code (range(k!) when free)
+    digits = []  # per drawn column, its digits indexed by code (range(k!) when free)
 
     def columns():
         for k in range(1, s.depth + 1):
@@ -488,13 +490,13 @@ def sample_sigma(
                 digits.append(values)
                 yield code, len(values)
 
-    codes, counts, _ = _distinct_rows(columns(), n_samples)
+    codes, counts = _distinct_rows(columns(), n_samples)
     categories = []
-    for col, values in enumerate(digits):
+    for col, values in enumerate(reversed(digits)):
         present, codes[:, col] = np.unique(codes[:, col], return_inverse=True)
         categories.append([values[c] for c in present.tolist()])
     return AtomicMeasure(
-        alphas=[a for level in s.alphas for a in level], categories=categories,
+        alphas=[a for level in reversed(s.alphas) for a in reversed(level)], categories=categories,
         codes=codes.astype(np.uint32, copy=False), counts=counts.tolist(), denominator=n_samples,
     )
 
@@ -713,7 +715,7 @@ def build_measure_for_group(
     """
     red, g_tilde = fm.reduce_family(fam, G)
     subfam = fm.subfamily(fam, red)
-    sched = build_schedule(subfam, depth)
-    rho = sample_sigma(g_tilde, sched, subfam, n_samples, seed)
+    sched = build_schedule(subfam, depth)  # checked as its postcondition
+    rho = _sample_checked(g_tilde, sched, subfam, n_samples, seed)
     sigma = pushforward_scale(rho, red.scale)
     return sigma, sched, red, g_tilde

@@ -23,14 +23,16 @@ only the (row, arc) pairs that every shift can reach; the other rows are 0.0
 without a piece.  On the cor66/cor67 scans (seed 42) 13.8% of the rows hold
 such a pair, and 7.9% of all rows are nonzero.
 
-Each scan point is scored on the marginal of its active columns, those
-where some shift's residue is nonzero mod q (ShiftResidues.at gives it with
-the residues on its columns, and keeps it for the next points: the sums that
-share their least index share a pattern): phases and kernels run on its
-rows, weighted by their summed counts (11 times fewer rows than words on the
-depth-11 cor65 scan).  An inactive column's digit phases are +0.0, which
-adds no bit to a partial sum >= +0.0, so a row's value is bitwise that of
-each of its words; the budget holds.
+Each scan point is scored on the smallest prefix of the columns that holds
+its active ones, those where some shift's residue is nonzero mod q (on the
+demos' scans, exactly the top levels down to the sum's least index):
+ShiftResidues.at gives that depth of the word tree, AtomicMeasure.prefix,
+with the residues on its columns, and keeps it for the next points of the
+same depth.  Phases and kernels run on its runs, weighted by their summed
+counts (11 times fewer rows than words on the depth-11 cor65 scan).  An
+inactive column's digit phases are +0.0, which adds no bit to a partial sum
+>= +0.0, so a run's value is bitwise that of each of its words; the budget
+holds.
 The weighted sums are np.add.reduce, in the order numpy's source fixes, so
 no BLAS kernel or thread count moves a bit.
 
@@ -274,12 +276,15 @@ def fs_tail(generators: Sequence[int], start_index: int) -> FSTail:
         raise PreconditionError("generators must be strictly increasing")
     if not 0 <= start_index < len(gens):
         raise PreconditionError("start index must satisfy 0 <= k0 < m")
-    live = list(range(start_index + 1, len(gens) + 1))
-    sums = []
-    for r in range(1, len(live) + 1):
-        for alpha in combinations(live, r):
-            sums.append((alpha, sum(gens[i - 1] for i in alpha)))
-    return FSTail(gens, start_index, tuple(sums))
+    alphas = _tail_alphas(start_index, len(gens))
+    return FSTail(gens, start_index, tuple((a, sum(gens[i - 1] for i in a)) for a in alphas))
+
+
+def _tail_alphas(start_index: int, m: int) -> list[tuple[int, ...]]:
+    """The index sets of fs_tail's sums, in its order: past start_index among
+    m generators (1-based), by size and then lexicographically."""
+    live = range(start_index + 1, m + 1)
+    return [alpha for r in range(1, len(live) + 1) for alpha in combinations(live, r)]
 
 
 class ShiftResidues:
@@ -308,7 +313,7 @@ class ShiftResidues:
         self._degree = max(len(p) for p in polys) - 1
         self._moduli = np.array([a.denominator for a in base.alphas], dtype=object)
         self._entries: dict[tuple[int, ...], np.ndarray] = {}
-        self._marginal = None, None  # (active, base.restriction(active))
+        self._prefix = None, None  # (depth, base.prefix(depth))
 
     def _entry(self, multiset: tuple[int, ...]) -> np.ndarray:
         entry = self._entries.get(multiset)
@@ -324,7 +329,7 @@ class ShiftResidues:
     def at(self, alpha: Sequence[int]) -> tuple[AtomicMeasure, list[list[int]]]:
         """(m, residues): per poly p, base.residues(p(n_alpha)), n_alpha the
         sum of the generators indexed by alpha (distinct 1-based indices), on
-        the columns of m, base's marginal on the active columns or base."""
+        the columns of m, base's prefix up to its last active column."""
         power_sums = [
             sum(self._entry(m) for m in combinations_with_replacement(alpha, d))
             for d in range(self._degree + 1)
@@ -333,9 +338,7 @@ class ShiftResidues:
             list(sum(c * s for c, s in zip(p, power_sums) if c) % self._moduli)
             for p in self.polys
         ]
-        active = tuple(col for col in range(len(self._moduli)) if any(r[col] for r in residues))
-        if self._marginal[0] != active:
-            self._marginal = active, self.base.restriction(active)
-        if self._marginal[1] is None:
-            return self.base, residues
-        return self._marginal[1], [[r[c] for c in active] for r in residues]
+        depth = max((col + 1 for r in residues for col, x in enumerate(r) if x), default=0)
+        if self._prefix[0] != depth:
+            self._prefix = depth, self.base.prefix(depth)
+        return self._prefix[1], [r[:depth] for r in residues]

@@ -82,7 +82,7 @@ class TestCor65ExactLedger:
         assert rep.epsilon == F(1, 27)
         assert rep.exact_ledger_ok
         assert report_sha256(rep) == (
-            "da59d0fa19bec4bcf1d9a80549e78e7d9b9209bd0df032d352d44830547e53fb"
+            "f7a8a29fd3a3225c19948b778106c0a71dd9430e627a93ec3eb69603e4c1a205"
         )
 
     def test_ell3_values(self):
@@ -175,7 +175,7 @@ def _upward_search(shifts, k0_max, depth):
     point that is not BELOW; returns the first passing k0 and its points."""
     for k0 in range(min(k0_max, depth - 1) + 1):
         points = []
-        for alpha, n_alpha in fs_tail(shifts.generators, k0).sums:
+        for alpha, _ in fs_tail(shifts.generators, k0).sums:
             m, residues = shifts.at(alpha)
             corr, err = demos.sampled_correlation(m, None, residues)
             if corr + 3 * err <= 0.5:
@@ -184,7 +184,7 @@ def _upward_search(shifts, k0_max, depth):
                 verdict = demos.ABOVE
             else:
                 verdict = demos.INCONCLUSIVE
-            points.append(demos.ScanPoint(alpha, n_alpha, corr, err, verdict))
+            points.append(demos.ScanPoint(alpha, corr, err, verdict))
             if verdict != demos.BELOW:
                 break
         if all(p.verdict == demos.BELOW for p in points):

@@ -95,7 +95,7 @@ class TestSampling:
         fam = FAM_N
         s = build_schedule(fam, 2)
         m = ms.sample_sigma(lat.canonicalize([(2,)], 1), s, fam, 10**4, seed=9)
-        col = 1  # level-2 column
+        col = 0  # level-2 column: the top level comes first
         freq = sum(
             c for row, c in zip(m.codes, m.counts) if m.categories[col][row[col]] == 0
         ) / m.denominator
@@ -517,7 +517,8 @@ def _unique_rows(matrix):
 
 def _drawn_matrix(G, s, fam, n_samples, seed):
     """Reference: the samples x columns matrix of digits that sample_sigma
-    drew before it packed words into keys, with the same RNG calls."""
+    draws, with the same RNG calls, its columns listed from the last drawn
+    (the top level's last coordinate) to the first, as sample_sigma's are."""
     structure = ms.group_cell_structure(G)
     rng = np.random.default_rng(seed)
     columns = []
@@ -535,7 +536,7 @@ def _drawn_matrix(G, s, fam, n_samples, seed):
         for j in structure.free:
             per_coord[j] = rng.integers(0, kf, size=n_samples, dtype=np.int64)
         columns.extend(per_coord)
-    return np.column_stack(columns)
+    return np.column_stack(columns[::-1])
 
 
 def _oracle_sigma(G, s, fam, n_samples, seed):
@@ -559,12 +560,11 @@ def _word_rows(m):
 
 def _rows_and_keys(matrix, radix):
     """A non-negative matrix below radix through _distinct_rows, one column
-    view at a time: its distinct rows, their counts and the number of keys
-    passed to np.lexsort.  The rows in _distinct_rows' order must be each
-    distinct row count times."""
+    view at a time from the last to the first (the rows list the last-given
+    column first): its distinct rows, their counts and the number of keys
+    passed to np.lexsort."""
     with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
-        rows, counts, order = ms._distinct_rows(((c, radix) for c in matrix.T), len(matrix))
-    assert np.array_equal(matrix[order], np.repeat(rows, counts, axis=0))
+        rows, counts = ms._distinct_rows(((c, radix) for c in matrix.T[::-1]), len(matrix))
     return rows, counts, len(lexsort.call_args.args[0])
 
 
@@ -577,7 +577,9 @@ def _assert_same_rows(matrix, radix):
 
 # sample_sigma inputs: cor66's group (first coordinate Z, second free with k!
 # uniform digits), the full group, a finite-index group, the trivial group
-# at depth 7 (radix product (1! 2! ... 7!)^2 ~ 2^73.7: two keys), and a
+# at depth 7 (radix product (1! 2! ... 7!)^2 ~ 2^73.7: the first 13 drawn
+# columns fill one key up to ~2^61.4, the last-drawn 7! column takes a second,
+# most significant one), and a
 # slanted three-coordinate group with a free third coordinate
 FAM_CUBE = fm.polynomial_family([[0, 1], [0, 0, 1], [0, 0, 0, 1]])
 SAMPLER_CASES = [
@@ -610,15 +612,14 @@ class TestDistinctRows:
         seed=st.integers(0, 2**32),
     )
     def test_strided_uint32_columns(self, rows, radices, seed):
-        # restriction passes the uint32 columns of a C-order code matrix as
-        # they are; the keys take them without a copy to uint64
+        # the uint32 columns of a C-order code matrix, as they are, last
+        # first: each key adds them times its uint64 place value
         rng = np.random.default_rng(seed)
         matrix = np.column_stack([rng.integers(0, r, size=rows, dtype=np.uint32) for r in radices])
-        got, counts, order = ms._distinct_rows(zip(matrix.T, radices), rows)
+        got, counts = ms._distinct_rows(zip(matrix.T[::-1], radices[::-1]), rows)
         want, want_counts = _unique_rows(matrix)
         assert got.dtype == np.uint32 and np.array_equal(got, want)
         assert np.array_equal(counts, want_counts)
-        assert np.array_equal(matrix[order], np.repeat(got, counts, axis=0))
 
     def test_one_row_and_all_equal_rows(self):
         _assert_same_rows(np.array([[3, 0, 5]], dtype=np.uint64), 6)
@@ -637,6 +638,14 @@ class TestDistinctRows:
         matrix = np.array([[2**62 - 1, 3], [2**62 - 1, 0], [0, 3]], dtype=np.uint64)
         rows, _, n_keys = _rows_and_keys(matrix, 2**62)
         assert n_keys == 2 and np.array_equal(rows, np.unique(matrix, axis=0))
+        # 64 radix-2 columns fill a key to 2^64; a radix-1 column after them,
+        # all codes 0, still fits it at the place value 2^64
+        matrix = np.array([[0] + [1] * 64, [0] * 65, [0] * 64 + [1]], dtype=np.uint64)
+        radices = [1] + [2] * 64
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            rows, counts = ms._distinct_rows(zip(matrix.T[::-1], radices[::-1]), len(matrix))
+        assert len(lexsort.call_args.args[0]) == 1
+        assert np.array_equal(rows, np.unique(matrix, axis=0)) and counts.tolist() == [1, 1, 1]
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.one_of(st.integers(1, ms.SAMPLE_CAP), st.integers(1, 10**400)), data=st.data())
@@ -714,9 +723,9 @@ class TestDistinctRows:
             ms.sample_sigma(lat.trivial(1), sched, FAM_N, ms.SAMPLE_CAP, seed=1)
         assert drawn == []
         # support digits have no such cap: 21!/2 lies past int64, its code
-        # is its rank 1
+        # is its rank 1; the top level's column comes first
         m = ms.sample_sigma(lat.canonicalize([(2,)], 1), sched, FAM_N, 50, seed=1)
-        assert m.categories[-1] == [0, math.factorial(21) // 2]
+        assert m.categories[0] == [0, math.factorial(21) // 2]
         assert len(drawn) == 21
 
     def test_free_digits_past_uint32(self):
@@ -725,7 +734,7 @@ class TestDistinctRows:
         sched = build_schedule(FAM_N, 13)
         m = ms.sample_sigma(lat.trivial(1), sched, FAM_N, 50, seed=3)
         categories, codes, counts, _ = _oracle_sigma(lat.trivial(1), sched, FAM_N, 50, 3)
-        assert max(m.categories[-1]) >= 2**32
+        assert max(m.categories[0]) >= 2**32  # the top level's column
         assert m.categories == categories and m.counts == counts
         assert m.codes.dtype == np.uint32 and m.codes.tobytes() == codes.tobytes()
 
@@ -1217,6 +1226,20 @@ class TestBuildMeasurePipeline:
         # dichotomy directly against the original family and group
         rep = ms.verify_dichotomy(sigma, sched_for_original(sched, red), fam, G, 2, 0.2)
         assert rep.passed
+
+    def test_one_schedule_replay_per_measure(self, monkeypatch):
+        # build_schedule replays its schedule as its postcondition, and the
+        # pipeline samples on it without a second replay; the public sampler
+        # keeps its own
+        calls = []
+        check = sc.check_schedule
+        monkeypatch.setattr(sc, "check_schedule", lambda s, fam: calls.append(s) or check(s, fam))
+        monkeypatch.setattr(ms, "check_schedule", sc.check_schedule)
+        G = lat.canonicalize([(2, 0), (0, 3)], 2)
+        sigma, sched, _, _ = ms.build_measure_for_group(FAM_N_NSQ, G, 4, 2000, 42)
+        assert calls == [sched]
+        assert ms.sample_sigma(G, sched, FAM_N_NSQ, 2000, 42) == sigma
+        assert calls == [sched, sched]
 
     def test_precondition_not_rigidity_group(self):
         fam = fm.polynomial_family([[0, 1], [0, 2]])

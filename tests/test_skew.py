@@ -16,7 +16,8 @@ from rigidlab import measure as ms
 from rigidlab import skew
 from rigidlab.behrend import behrend_set
 from rigidlab.circleset import CircleSet, intersection_measure
-from rigidlab.demos import build_cor65_group
+from rigidlab import demos
+from rigidlab.demos import build_cor65_group, cor65_demo, cor66_demo, cor67_demo
 from rigidlab.errors import PreconditionError
 from rigidlab.gaussians import (
     gaussian_pair_mass,
@@ -519,8 +520,7 @@ class TestShiftResidues:
         full = [[t * a.numerator % a.denominator for a in m.alphas] for t in shifts]
         assert [m.residues(t) for t in shifts] == full
         scored = table.at(alpha)
-        cols = _kept_columns(m, scored[0], full)
-        assert scored[1] == [[r[c] for c in cols] for r in full]
+        assert scored[1] == [r[:_holding_depth(m, full)] for r in full]
         for B in (B23, CircleSet.from_pairs([(0, F(1, 9)), (F(2, 9), F(1, 3))])):
             _assert_matches_all_words(m, B, full, scored)
 
@@ -533,14 +533,16 @@ class TestShiftResidues:
             for alpha, n_alpha in fs_tail(sched.indices, k0).sums:
                 full = [m.residues(t) for t in _polys_at(polys, n_alpha)]
                 sub, rows = table.at(alpha)
-                assert rows == [[r[c] for c in _kept_columns(m, sub, full)] for r in full]
+                depth = _holding_depth(m, full)
+                assert sub.alphas == m.alphas[:depth]
+                assert rows == [r[:depth] for r in full]
         # one entry per multiset of at most two of the five indices
         assert len(table._entries) == 1 + 5 + 15
 
 
 def _all_words_values(base, B, residues):
     """Reference: the arc kernels on the phases of every word, the values
-    that scoring on the marginal of the active columns replaced."""
+    that scoring on a depth of the word tree replaced."""
     phases = np.zeros((len(base.codes), len(residues)))
     for col, r in enumerate(residues):
         phases[:, col] = base.phases(r)
@@ -559,44 +561,49 @@ def _active(base, residues):
                  if any(r[col] % a.denominator for r in residues))
 
 
-def _kept_columns(base, m, residues):
-    """The columns of base that m, base or a marginal, keeps."""
-    return list(range(len(base.alphas))) if m is base else list(_active(base, residues))
+def _holding_depth(base, residues):
+    """The depth of the smallest prefix of base's columns that holds the
+    active ones."""
+    return max(_active(base, residues), default=-1) + 1
 
 
-def _marginal(base, residues):
-    """(m, residues) as ShiftResidues.at gives them: base's marginal on the
-    active columns with the residues on its columns, or base with all."""
-    active = _active(base, residues)
-    m = base.restriction(active)
-    return (base, residues) if m is None else (m, [[r[c] for c in active] for r in residues])
+def _word_and_run_values(base, B, residues, scored):
+    """(got, want) per word of base: the value of its run of m, for scored =
+    (m, shifts) a prefix of base's columns and the residues there, and the
+    all-words reference."""
+    m, shifts = scored
+    row_of = {code: i for i, code in enumerate(map(tuple, m.codes.tolist()))}
+    rows = [row_of[code] for code in map(tuple, base.codes[:, :len(m.alphas)].tolist())]
+    got = shifted_intersection_values(m, B, shifts)[rows]
+    return got, _all_words_values(base, B, residues)
 
 
 def _assert_matches_all_words(base, B, residues, scored=None):
     """sampled_correlation on scored, the (m, residues) of base's shifts
-    that ShiftResidues.at gives (by default _marginal's), against every word:
-    m is the marginal on the active columns, or base where there is none,
-    each word's value is bitwise that of its row of m, the correlation is
+    that ShiftResidues.at gives (by default base.prefix at the holding
+    depth), against every word: each word's value is bitwise that of its
+    run of m; m is base's prefix at the smallest depth that holds the active
+    columns (base itself at full depth), its rows the distinct codes there
+    in order with their words' counts summed exactly; the correlation is
     bitwise np.add.reduce over m's rows, and those sums are within 1e-12 of
     the sums over the words."""
-    want = _all_words_values(base, B, residues)
-    m, shifts = scored or _marginal(base, residues)
-    cols = _kept_columns(base, m, residues)
-    if m is base:
-        assert base.restriction(_active(base, residues)) is None
-    else:
-        assert m.alphas == tuple(base.alphas[c] for c in cols)
+    depth = _holding_depth(base, residues)
+    m, shifts = scored or (base.prefix(depth), [r[:depth] for r in residues])
+    got, want = _word_and_run_values(base, B, residues, (m, shifts))
+    assert got.tobytes() == want.tobytes()
+    assert m.alphas == base.alphas[:depth] and (m is base) == (depth == len(base.alphas))
     assert [[x % m.alphas[i].denominator for i, x in enumerate(s)] for s in shifts] == [
-        [r[c] % base.alphas[c].denominator for c in cols] for r in residues]
-    row_of = {code: i for i, code in enumerate(map(tuple, m.codes.tolist()))}
-    rows = [row_of[code] for code in map(tuple, base.codes[:, cols].tolist())]
+        [r[c] % base.alphas[c].denominator for c in range(depth)] for r in residues]
+    counts = {}
+    for code, c in zip(map(tuple, base.codes[:, :depth].tolist()), base.counts):
+        counts[code] = counts.get(code, 0) + c
+    assert list(map(tuple, m.codes.tolist())) == sorted(counts)
+    assert m.counts == [counts[code] for code in sorted(counts)]
     values = shifted_intersection_values(m, B, shifts)
-    assert values[rows].tobytes() == want.tobytes()
-    got = sampled_correlation(m, B, shifts)
     weighted = m.weights_np * values
     mean, second = float(np.add.reduce(weighted)), float(np.add.reduce(weighted * values))
     err = math.sqrt(max(0.0, second - mean * mean) / base.denominator)
-    assert [x.hex() for x in got] == [mean.hex(), err.hex()]
+    assert [x.hex() for x in sampled_correlation(m, B, shifts)] == [mean.hex(), err.hex()]
     words = base.weights_np * want
     assert abs(mean - np.add.reduce(words)) <= 1e-12
     assert abs(second - np.add.reduce(words * want)) <= 1e-12
@@ -619,7 +626,8 @@ _RESTRICTION_MEASURES = [
 def _zeroed_residues(draw):
     """A sampled measure and 1-3 shifts' residues: random below q, 0 on a
     drawn set of columns in every shift and on drawn (shift, column) pairs
-    besides, each plus a multiple of q, so not reduced."""
+    besides, each plus a multiple of q, so not reduced.  Most drawn sets
+    leave an inactive column before an active one."""
     m = draw(st.sampled_from(_RESTRICTION_MEASURES))
     qs = [a.denominator for a in m.alphas]
     n_shifts = draw(st.integers(1, 3))
@@ -636,8 +644,8 @@ def _zeroed_residues(draw):
 
 
 class TestActiveColumnRestriction:
-    """sampled_correlation on the marginal of the active columns against
-    every word's values."""
+    """sampled_correlation on the prefix that holds the active columns
+    against every word's values."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=_zeroed_residues(), B=st.sampled_from([B23, B_FOUR]))
@@ -655,59 +663,65 @@ class TestActiveColumnRestriction:
             full = [m.residues(t) for t in _polys_at(FAM_N_NSQ.polys, n_alpha)]
             scored = table.at(alpha)
             _assert_matches_all_words(m, B23, full, scored)
-            active = _active(m, full)
+            depth = _holding_depth(m, full)
             if scored[0] is not m:
                 shrunk.append(scored[0])
-                # the table keeps its marginal for the next sums of the same
-                # active columns, and builds a new one for another pattern
-                assert (scored[0] is last[1]) == (active == last[0])
+                # the table keeps its prefix for the next sums of the same
+                # depth, and takes a new one for another depth
+                assert (scored[0] is last[1]) == (depth == last[0])
                 kept += scored[0] is last[1]
-            last = active, scored[0]
-        # the late points leave most columns inactive, and rows shrink
+            last = depth, scored[0]
+        # the late points leave the low levels inactive, and rows shrink
         assert shrunk and all(len(r.codes) < len(m.codes) for r in shrunk)
         assert kept
 
     def test_image_builds_its_own_restriction(self):
-        # the parent's table is scored at the very pattern the image's table
-        # is then scored at; the image's residues are modulo its own
+        # the parent's table is scored at the very sum the image's table is
+        # then scored at; the image's residues are modulo its own
         # denominators (7 divides some of the parent's), so the parent's
-        # marginal would give it wrong phases
+        # prefix would give it wrong phases
         G, _ = build_cor65_group(FAM_N_NSQ.polys)
         sched = build_schedule(FAM_N_NSQ, 8)
         m = ms.sample_sigma(G, sched, FAM_N_NSQ, 4000, seed=2)
         image = ms.pushforward_scale(m, 7)
         n_alpha = sched.indices[4] + sched.indices[6]
         full = [image.residues(t) for t in _polys_at(FAM_N_NSQ.polys, n_alpha)]
-        active = _active(image, full)
-        assert any(image.alphas[c].denominator != m.alphas[c].denominator for c in active)
+        depth = _holding_depth(image, full)
+        assert any(image.alphas[c].denominator != m.alphas[c].denominator for c in range(depth))
         parent, _ = skew.ShiftResidues(m, sched.indices, FAM_N_NSQ.polys).at((5, 7))
         parent_full = [m.residues(t) for t in _polys_at(FAM_N_NSQ.polys, n_alpha)]
-        assert parent is not m and _active(m, parent_full) == active
+        assert parent is not m and _holding_depth(m, parent_full) == depth
         table = skew.ShiftResidues(image, sched.indices, FAM_N_NSQ.polys)
+        own, _ = table.at((5, 7))
+        assert own is not parent and own.alphas == image.alphas[:depth]
         for B in (B23, B_FOUR):
             _assert_matches_all_words(image, B, full, table.at((5, 7)))
 
     def test_restricted_rows_and_counts(self):
         m = _RESTRICTION_MEASURES[1]
         image = ms.pushforward_scale(m, 7)
-        active = tuple(range(2, m.codes.shape[1], 3))
-        restricted = image.restriction(active)
-        # each call builds its marginal anew; an image's has the image's
-        # alphas on the parent's rows
-        again = image.restriction(active)
-        assert again is not restricted and np.array_equal(again.codes, restricted.codes)
-        own = m.restriction(active)
-        assert own is not restricted and np.array_equal(own.codes, restricted.codes)
-        assert restricted.alphas == tuple(image.alphas[c] for c in active)
-        assert own.alphas == tuple(m.alphas[c] for c in active)
-        # the rows are the distinct active codes in order, each counting its
-        # words' counts exactly
+        depth = m.codes.shape[1] // 2
+        prefix = image.prefix(depth)
+        # each call takes its prefix anew; an image's has the image's alphas
+        # on the parent's rows
+        again = image.prefix(depth)
+        assert again is not prefix and np.array_equal(again.codes, prefix.codes)
+        own = m.prefix(depth)
+        assert own is not prefix and np.array_equal(own.codes, prefix.codes)
+        assert prefix.alphas == image.alphas[:depth] and own.alphas == m.alphas[:depth]
+        # the rows are the distinct codes of the first columns in order,
+        # each counting its words' counts exactly, and the prefix of a
+        # prefix is the shallower prefix
         want = {}
-        for code, c in zip(map(tuple, m.codes[:, list(active)].tolist()), m.counts):
+        for code, c in zip(map(tuple, m.codes[:, :depth].tolist()), m.counts):
             want[code] = want.get(code, 0) + c
-        assert list(map(tuple, restricted.codes.tolist())) == sorted(want)
-        assert restricted.counts == [want[code] for code in sorted(want)]
-        assert sum(restricted.counts) == restricted.denominator == m.denominator
+        assert len(want) < len(m.codes)
+        assert list(map(tuple, prefix.codes.tolist())) == sorted(want)
+        assert prefix.counts == [want[code] for code in sorted(want)]
+        assert sum(prefix.counts) == prefix.denominator == m.denominator
+        shallow = prefix.prefix(depth - 2)
+        assert np.array_equal(shallow.codes, m.prefix(depth - 2).codes)
+        assert shallow.counts == m.prefix(depth - 2).counts
 
     @pytest.mark.parametrize("B", [B23, B_FOUR])
     def test_no_column_and_every_column_active(self, B):
@@ -715,21 +729,121 @@ class TestActiveColumnRestriction:
         qs = [a.denominator for a in m.alphas]
         none = [[0] * len(qs), [2 * q for q in qs]]
         _assert_matches_all_words(m, B, none)
-        assert m.restriction(()).codes.shape == (1, 0)
+        assert m.prefix(0).codes.shape == (1, 0) and m.prefix(0).counts == [m.denominator]
         every = [[q - 1 for q in qs]]
         _assert_matches_all_words(m, B, every)
-        assert m.restriction(tuple(range(len(qs)))) is None
+        assert m.prefix(len(qs)) is m
 
     @pytest.mark.parametrize("B", [B23, B_FOUR])
     def test_pattern_that_shrinks_nothing(self, B):
-        # column 1 alone tells the three words apart: no restricted measure
+        # column 0 is inactive, column 1 active: the prefix that holds it is
+        # every column, the measure itself
         m = ms.AtomicMeasure(
             alphas=(F(1, 3), F(1, 7)), categories=[[1], [0, 2, 5]],
             codes=np.array([[0, 0], [0, 1], [0, 2]], dtype=np.uint32),
             counts=[1, 1, 2], denominator=4,
         )
         _assert_matches_all_words(m, B, [[3, 4], [0, 9]])
-        assert m.restriction((1,)) is None
+        assert skew.ShiftResidues(m, (3,), [(0, 1)]).at((1,)) == (m, [[0, 3]])
+
+
+def _recorded_scan(monkeypatch, demo):
+    """Runs demo() with ShiftResidues.at and the demos' sampled_correlation
+    recorded: per scored point, (base, B, the residues of every column from
+    base.residues of the shifts, (m, residues) as at gave them).  Also
+    returns the (measure, depth) of every prefix that was taken."""
+    points, prefixes, seen = [], [], []
+    at, correlation, prefix = skew.ShiftResidues.at, demos.sampled_correlation, ms.AtomicMeasure.prefix
+
+    def recording_at(table, alpha):
+        scored = at(table, alpha)
+        n_alpha = sum(table.generators[i - 1] for i in alpha)
+        full = [table.base.residues(t) for t in _polys_at(table.polys, n_alpha)]
+        seen.append((table.base, full, scored))
+        return scored
+
+    def recording_correlation(m, B, residues):
+        base, full, scored = seen.pop()
+        assert scored == (m, residues)
+        points.append((base, B, full, scored))
+        return correlation(m, B, residues)
+
+    def recording_prefix(m, depth):
+        view = prefix(m, depth)
+        if view is not m:
+            prefixes.append((id(m), depth))
+        return view
+
+    monkeypatch.setattr(skew.ShiftResidues, "at", recording_at)
+    monkeypatch.setattr(demos, "sampled_correlation", recording_correlation)
+    monkeypatch.setattr(ms.AtomicMeasure, "prefix", recording_prefix)
+    demo()
+    return points, prefixes
+
+
+# seeded demo runs small enough to score every point against every word:
+# cor65 at depth 7, and cor66 and cor67 as their CLI defaults run them
+_DEMO_RUNS = {
+    "cor65": lambda: cor65_demo(2, [(0, 1), (0, 0, 1)], depth=7, n_samples=20000, seed=42),
+    "cor66": lambda: cor66_demo([0, 1, 1], [0, 3, 2], ell=3, depth=7, n_samples=10**4, seed=42),
+    "cor67": lambda: cor67_demo(3, (2, 3, 5, 7, 11, 13), depth=7, n_samples=10**4, seed=42),
+}
+
+
+class TestDepthMarginal:
+    """Each scan point of the demos scored on a depth of the word tree."""
+
+    @pytest.mark.parametrize("name", list(_DEMO_RUNS))
+    def test_every_scan_point_matches_all_words(self, monkeypatch, name):
+        points, prefixes = _recorded_scan(monkeypatch, _DEMO_RUNS[name])
+        assert points
+        for base, B, full, scored in points:
+            _assert_matches_all_words(base, B, full, scored)
+        # no fallback: each point's active columns are exactly a prefix
+        fallbacks = sum(_active(base, full) != tuple(range(len(m.alphas)))
+                        for base, _, full, (m, _) in points)
+        assert fallbacks == 0
+        # the scan takes each depth of a measure once, and some shrink
+        assert prefixes and len(prefixes) == len(set(prefixes))
+
+    def test_dropping_the_deepest_column_is_caught(self, monkeypatch):
+        # a mutation of the table that scores each point one column short:
+        # the all-words oracle must see a word whose value moves
+        at = skew.ShiftResidues.at
+
+        def short(table, alpha):
+            m, residues = at(table, alpha)
+            depth = max(len(m.alphas) - 1, 0)
+            return table.base.prefix(depth), [r[:depth] for r in residues]
+
+        monkeypatch.setattr(skew.ShiftResidues, "at", short)
+        points, _ = _recorded_scan(monkeypatch, _DEMO_RUNS["cor65"])
+        moved = 0
+        for base, B, full, scored in points:
+            got, want = _word_and_run_values(base, B, full, scored)
+            moved += got.tobytes() != want.tobytes()
+            with pytest.raises(AssertionError):
+                _assert_matches_all_words(base, B, full, scored)
+        assert moved
+
+    @pytest.mark.parametrize("B", [B23, B_FOUR])
+    def test_non_prefix_pattern_takes_the_holding_prefix(self, B):
+        # at n = 2 the columns 1/3 and 1/5 are active, 1/2 between them is
+        # not, and the last 1/2 is not: the table scores on the first three
+        rng = np.random.default_rng(4)
+        words = np.unique(rng.integers(0, [3, 4, 5, 2], size=(200, 4)), axis=0)
+        m = ms.AtomicMeasure(
+            alphas=(F(1, 3), F(1, 2), F(1, 5), F(1, 2)),
+            categories=[[0, 1, 2], [0, 1, 2, 3], [0, 1, 2, 3, 4], [0, 1]],
+            codes=words.astype(np.uint32), counts=list(range(1, len(words) + 1)),
+            denominator=len(words) * (len(words) + 1) // 2,
+        )
+        full = [m.residues(2)]
+        assert _active(m, full) == (0, 2)
+        scored = skew.ShiftResidues(m, (2,), [(0, 1)]).at((1,))
+        assert len(scored[0].alphas) == 3 and scored[1] == [full[0][:3]]
+        assert len(scored[0].codes) < len(m.codes)
+        _assert_matches_all_words(m, B, full, scored)
 
 
 def _normal_mass(lo, hi, panels=200):
