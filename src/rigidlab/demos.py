@@ -23,8 +23,8 @@ from .behrend import behrend_certificate
 from .circleset import CircleSet
 from .errors import ConstructionFailed, PreconditionError
 from .haar import FactorPattern, haar_correlation_limit
-from .measure import AtomicMeasure, build_measure_for_group, fourier_coefficient
-from .schedule import Schedule
+from .measure import fourier_coefficient, sample_sigma
+from .schedule import build_schedule
 from .skew import ShiftResidues, _tail_alphas, sampled_correlation
 
 BELOW = "BELOW"
@@ -99,22 +99,15 @@ def smallest_passing_cutoff(
     return cutoff, {cutoff: TailScan(threshold, points, shifts.generators)}
 
 
-def _sampled_scan(
-    group, B, polys, threshold, depth, n_samples, seed, k0_max
-) -> tuple[AtomicMeasure, Schedule, int | None, TailScan | None]:
-    """Sample sigma for the monomials n, ..., n^d on the rigidity group in
-    Z^d and scan the finite-sums tail of its schedule for the smallest passing
-    cutoff.  Returns (sigma, schedule, cutoff, the cutoff's scan or None)."""
+def _monomial_schedule(d, depth, k0_max):
+    """The monomials n, ..., n^d and their schedule, built once per demo run.
+    For monomials the reduction is the identity (scale 1, image group G), so
+    each rigidity group in Z^d samples sigma on this schedule directly.  A
+    negative k0_max is refused first, before the search."""
     if k0_max < 0:
         raise PreconditionError("k0_max must be non-negative")
-    monomials = fm.polynomial_family([[0] * d + [1] for d in range(1, group.ambient_dim + 1)])
-    sigma, sched, _, _ = build_measure_for_group(
-        monomials, group, depth, n_samples, seed
-    )
-    cutoff, scans = smallest_passing_cutoff(
-        sigma, B, polys, sched, k0_max, threshold
-    )
-    return sigma, sched, cutoff, scans.get(cutoff)
+    monomials = fm.polynomial_family([[0] * j + [1] for j in range(1, d + 1)])
+    return monomials, build_schedule(monomials, depth)
 
 
 def cor65_representatives(ell: int) -> list[tuple[Fraction, ...]]:
@@ -248,9 +241,10 @@ def cor65_demo(
         and gap >= 2 * epsilon
     )
 
-    _, _, cutoff, scan = _sampled_scan(
-        group, B, family.polys, float(nu_power - epsilon),
-        depth, n_samples, seed, k0_max,
+    monomials, sched = _monomial_schedule(group.ambient_dim, depth, k0_max)
+    cutoff, scans = smallest_passing_cutoff(
+        sample_sigma(group, sched, monomials, n_samples, seed), B, family.polys, sched,
+        k0_max, float(nu_power - epsilon),
     )
     return Cor65Report(
         ell=ell,
@@ -264,7 +258,7 @@ def cor65_demo(
         epsilon=epsilon,
         exact_ledger_ok=ledger_ok,
         cutoff=cutoff,
-        scan=scan,
+        scan=scans.get(cutoff),
     )
 
 
@@ -341,9 +335,10 @@ def cor66_demo(
     group = lat.canonicalize(
         [lat.standard_basis(degree, j) for j in range(1, degree)], degree
     )
-    sigma, sched, cutoff, scan = _sampled_scan(
-        group, B, (tuple(pc), tuple(qc)), float(B.measure() ** ell),
-        depth, n_samples, seed, k0_max,
+    monomials, sched = _monomial_schedule(degree, depth, k0_max)
+    sigma = sample_sigma(group, sched, monomials, n_samples, seed)
+    cutoff, scans = smallest_passing_cutoff(
+        sigma, B, (tuple(pc), tuple(qc)), sched, k0_max, float(B.measure() ** ell)
     )
     top = sched.indices[-1]
     rigid = [fourier_coefficient(sigma, top**d).real for d in range(1, degree)]
@@ -360,7 +355,7 @@ def cor66_demo(
         rigid_coefficients=rigid,
         mixing_coefficient=mixing,
         cutoff=cutoff,
-        scan=scan,
+        scan=scans.get(cutoff),
     )
 
 
@@ -450,20 +445,23 @@ def cor67_demo(
     uniform = cor67_uniform_limit(B)
     bound = B.measure() ** ell / 2 * B.measure()
     ledger_ok = uniform == triple * B.measure() and uniform <= bound
+    scanned = {prime for prime in primes if prime <= SCAN_PRIME_CAP}
+    if scanned:
+        monomials, sched = _monomial_schedule(2, depth, k0_max)
     rows = []
     for prime in primes:
         limit = cor67_exact_limit(B, prime)
         distance = abs(limit - uniform)
         cutoff = None
         inconclusive = 0
-        if prime <= SCAN_PRIME_CAP:
-            _, _, cutoff, scan = _sampled_scan(
-                lat.canonicalize([(prime, 0)], 2), B,
-                ((0, 1), (0, 2), (0, 0, 1)), float(B.measure() ** ell),
-                depth, n_samples, seed, k0_max,
+        if prime in scanned:
+            # sigma is bound to no name, so it is freed before the next prime samples
+            cutoff, scans = smallest_passing_cutoff(
+                sample_sigma(lat.canonicalize([(prime, 0)], 2), sched, monomials, n_samples, seed),
+                B, ((0, 1), (0, 2), (0, 0, 1)), sched, k0_max, float(B.measure() ** ell),
             )
-            if scan is not None:
-                inconclusive = scan.inconclusive_count
+            if cutoff is not None:
+                inconclusive = scans[cutoff].inconclusive_count
         rows.append(Cor67PrimeRow(prime, limit, distance, cutoff, inconclusive))
     return Cor67Report(
         ell=ell,

@@ -436,7 +436,10 @@ def sample_sigma(
     Each draw picks, independently per level, a support cell according to
     lambda_G and uniform digits on the free coordinates; equal words merge,
     and each weighs its integer count over N = n_samples.  Reproducible from
-    the seed.  The schedule must pass check_schedule.
+    the seed.  The schedule must pass check_schedule, which is replayed first,
+    before any other check or draw: that is the one exact replay on every
+    sampled path, build_measure_for_group's included, and it raises, so it
+    holds under python -O too.
 
     The draws go level 1 first and the columns the other way, the last drawn
     first, so the marginal on the levels j..K is a prefix.  No samples x
@@ -448,11 +451,6 @@ def sample_sigma(
     """
     if not check_schedule(s, fam).all_pass():
         raise PreconditionError("schedule does not pass its exact residual check")
-    return _sample_checked(G, s, fam, n_samples, seed)
-
-
-def _sample_checked(G, s, fam, n_samples, seed) -> AtomicMeasure:
-    """sample_sigma on a schedule that has passed check_schedule."""
     if n_samples < 1:
         raise PreconditionError("need at least one sample")
     if seed < 0:
@@ -715,7 +713,7 @@ def build_measure_for_group(
     """
     red, g_tilde = fm.reduce_family(fam, G)
     subfam = fm.subfamily(fam, red)
-    sched = build_schedule(subfam, depth)  # checked as its postcondition
-    rho = _sample_checked(g_tilde, sched, subfam, n_samples, seed)
+    sched = build_schedule(subfam, depth)
+    rho = sample_sigma(g_tilde, sched, subfam, n_samples, seed)
     sigma = pushforward_scale(rho, red.scale)
     return sigma, sched, red, g_tilde

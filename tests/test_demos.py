@@ -1,7 +1,9 @@
 """Counterexample demos: exact ledgers and small-scale scans."""
 
+import gc
 import hashlib
 import json
+import weakref
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -304,3 +306,54 @@ class TestCor67:
         assert report_sha256(rep) == (
             "6c53e9c3c5f446bff620d763bc2c38775b4e211a2f295028f2fa82c19b70f4c7"
         )
+
+
+class TestOneSchedulePerRun:
+    """Each demo run builds its monomial schedule once, and every rigidity
+    group samples sigma on it; a refused k0_max builds and draws nothing."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = SimpleNamespace(builds=0, alive=[])
+        build, sample, sigmas = demos.build_schedule, demos.sample_sigma, []
+
+        def counting_build(fam, depth):
+            calls.builds += 1
+            return build(fam, depth)
+
+        def tracking_sample(*args):
+            # which sigmas of earlier groups are still alive as this one samples
+            gc.collect()
+            calls.alive.append([ref() is not None for ref in sigmas])
+            sigma = sample(*args)
+            sigmas.append(weakref.ref(sigma))
+            return sigma
+
+        monkeypatch.setattr(demos, "build_schedule", counting_build)
+        monkeypatch.setattr(demos, "sample_sigma", tracking_sample)
+        return calls
+
+    def test_cor65(self, calls):
+        cor65_demo(2, [(0, 1), (0, 0, 1)], depth=3, n_samples=100, seed=1)
+        assert (calls.builds, calls.alive) == (1, [[]])
+
+    def test_cor66(self, calls):
+        cor66_demo([0, 1, 1], [0, 3, 2], ell=1, depth=3, n_samples=100, seed=1)
+        assert (calls.builds, calls.alive) == (1, [[]])
+
+    def test_cor67_one_build_and_one_sigma_alive(self, calls):
+        cor67_demo(1, [2, 3, 5], depth=3, n_samples=100, seed=1)
+        assert calls.builds == 1
+        assert calls.alive == [[], [False], [False, False]]
+
+    def test_cor67_no_build_past_the_scan_cap(self, calls):
+        rep = cor67_demo(1, [53, 59], depth=3, n_samples=100, seed=1)
+        assert [r.cutoff for r in rep.rows] == [None, None]
+        assert (calls.builds, calls.alive) == (0, [])
+
+    def test_negative_k0_max_refused_before_any_build(self, calls):
+        with pytest.raises(PreconditionError, match="k0_max must be non-negative"):
+            cor65_demo(2, [(0, 1), (0, 0, 1)], depth=3, n_samples=100, seed=1, k0_max=-1)
+        with pytest.raises(PreconditionError, match="k0_max must be non-negative"):
+            cor67_demo(1, [2, 3, 5], depth=3, n_samples=100, seed=1, k0_max=-1)
+        assert (calls.builds, calls.alive) == (0, [])

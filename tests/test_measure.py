@@ -1,6 +1,7 @@
 """Cell weights, sampling, Fourier analysis, and the dichotomy pipeline."""
 
 import cmath
+import json
 import math
 import random
 import tracemalloc
@@ -1228,9 +1229,9 @@ class TestBuildMeasurePipeline:
         assert rep.passed
 
     def test_one_schedule_replay_per_measure(self, monkeypatch):
-        # build_schedule replays its schedule as its postcondition, and the
-        # pipeline samples on it without a second replay; the public sampler
-        # keeps its own
+        # build_schedule trusts its own search, and sample_sigma replays the
+        # schedule once per call: once in the pipeline, once more when the
+        # public sampler is called again
         calls = []
         check = sc.check_schedule
         monkeypatch.setattr(sc, "check_schedule", lambda s, fam: calls.append(s) or check(s, fam))
@@ -1240,6 +1241,34 @@ class TestBuildMeasurePipeline:
         assert calls == [sched]
         assert ms.sample_sigma(G, sched, FAM_N_NSQ, 2000, 42) == sigma
         assert calls == [sched, sched]
+
+    def test_a_bad_schedule_is_refused(self, monkeypatch, tmp_path, capsys):
+        # a builder that returns a miscalibrated schedule is caught by the
+        # sampler's replay, a raise that python -O keeps, before any draw or
+        # any bundle is written
+        from rigidlab.cli import run
+
+        build = ms.build_schedule
+
+        def miscalibrated(fam, depth):
+            s = build(fam, depth)
+            phi = fm.evaluate(fam, s.indices[0])[0]
+            level = (s.alphas[0][0] + F(1, 2 * phi), *s.alphas[0][1:])
+            return sc.Schedule(s.depth, s.indices, (level, *s.alphas[1:]))
+
+        assert not sc.check_schedule(miscalibrated(FAM_N_NSQ, 3), FAM_N_NSQ).passed["calibration"]
+        monkeypatch.setattr(ms, "build_schedule", miscalibrated)
+        G = lat.canonicalize([(2, 0), (0, 3)], 2)
+        with pytest.raises(PreconditionError, match="residual check"):
+            ms.build_measure_for_group(FAM_N_NSQ, G, 3, 200, 3)
+        fam, group, out = (tmp_path / name for name in ("fam.json", "g.json", "out.json"))
+        fam.write_text(json.dumps({"kind": "polynomial", "polys": [[0, 1], [0, 0, 1]]}))
+        group.write_text(json.dumps({"ambient_dim": 2, "basis": [[2, 0], [0, 3]]}))
+        argv = ["measure", str(fam), "--group", str(group), "--depth", "3",
+                "--samples", "200", "--seed", "3", "--out", str(out)]
+        assert run(argv) == 2
+        assert "residual check" in json.loads(capsys.readouterr().err)["detail"]
+        assert not out.exists()
 
     def test_precondition_not_rigidity_group(self):
         fam = fm.polynomial_family([[0, 1], [0, 2]])
